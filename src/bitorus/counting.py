@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InconsistencyError
-from .surface import RIGHT, UP_INV, GridParams, step
+from .surface import RIGHT, UP_INV, GridParams, check_sizes, step
 from .diagonals import diag_count_naive
 
 QuadPerm = tuple[int, int, int, int]
@@ -112,14 +113,9 @@ def derive_quad_perms(grid: GridParams | None = None) -> tuple[QuadPerm, QuadPer
     return d_perm, r_perm
 
 
-_QUAD_PERMS: tuple[QuadPerm, QuadPerm] | None = None
-
-
+@cache
 def _quad_perms() -> tuple[QuadPerm, QuadPerm]:
-    global _QUAD_PERMS
-    if _QUAD_PERMS is None:
-        _QUAD_PERMS = derive_quad_perms()
-    return _QUAD_PERMS
+    return derive_quad_perms()
 
 
 def _check_string_args(n: int, m: int) -> None:
@@ -174,8 +170,7 @@ def string_cycles(word: str) -> int:
 
 def diag_count_string(n: int, m: int) -> int:
     """Diagonal count via the crossing-string permutation."""
-    if n < 1 or m < 1:
-        raise ValueError(f"grid sizes must be positive, got ({n}, {m})")
+    n, m = check_sizes(n, m)
     g = math.gcd(n, m)
     a, b = n // g, m // g
     if a == 1 or b == 1:
@@ -268,8 +263,7 @@ def reduce_pair(n: int, m: int) -> tuple[int, int] | None:
 
 def reduction_trace(n: int, m: int) -> list[tuple[int, int]]:
     """Pairs visited from (n, m) down to a base pair, reordered ascending."""
-    if n < 1 or m < 1:
-        raise ValueError(f"grid sizes must be positive, got ({n}, {m})")
+    n, m = check_sizes(n, m)
     g = math.gcd(n, m)
     a, b = sorted((n // g, m // g))
     trail = [(a, b)]
@@ -284,9 +278,8 @@ def reduction_trace(n: int, m: int) -> list[tuple[int, int]]:
 
 def diag_count_reduction(n: int, m: int) -> int:
     """Diagonal count via the reduction system and cached base values."""
-    g = math.gcd(n, m)
     base = reduction_trace(n, m)[-1]
-    return g * diag_count_naive(*base)
+    return math.gcd(n, m) * diag_count_naive(*base)
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +390,19 @@ def canonicalize(ts: str) -> str:
     return state
 
 
-_CANONICAL_VALUES: dict[str, int] | None = None
-
-
+@cache
 def _canonical_values() -> dict[str, int]:
     """Diagonal count at each canonical pair, from the direct counter."""
-    global _CANONICAL_VALUES
-    if _CANONICAL_VALUES is None:
-        values = {}
-        for state in CANONICAL_STRINGS:
-            m, n = apply_tree_string(state)
-            values[state] = diag_count_naive(n, m)
-        _CANONICAL_VALUES = values
-    return _CANONICAL_VALUES
+    values = {}
+    for state in CANONICAL_STRINGS:
+        m, n = apply_tree_string(state)
+        values[state] = diag_count_naive(n, m)
+    return values
 
 
 def diag_count_tree(n: int, m: int) -> int:
     """Diagonal count in O(log) time via the canonicalised tree address."""
-    if n < 1 or m < 1:
-        raise ValueError(f"grid sizes must be positive, got ({n}, {m})")
+    n, m = check_sizes(n, m)
     g = math.gcd(n, m)
     a, b = n // g, m // g
     if a % 2 == 1 and b % 2 == 1:

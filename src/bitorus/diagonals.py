@@ -1,24 +1,34 @@
-"""Diagonal orbits of the folded grid and their parallel groups.
+"""Diagonal orbits of the folded grid, walked run by run, and their profile groups.
 
 A diagonal is an orbit of the step right-then-down; every cell lies on
-exactly one.  Two diagonals are parallel when some power of the right
-bijection maps one onto the other; parallel diagonals have equal length
-and identical boundary profiles, so only the number of up-oriented
-members of each parallel group matters when searching for Hamiltonian
-orientations.
+exactly one.  Interior steps are forced (+1, +1), so a diagonal is a
+cyclic sequence of straight runs, each starting on the top row or the
+left column and ending on the last row or the last column.  One run
+walk over the 2n + 2m - 1 run starts, O(n + m), is the only orbit
+primitive; everything else is read off it:
+
+* the diagonal count is the number of orbits;
+* the boundary profile (cnt_a, cnt_b, cnt_c, cnt_d) of a diagonal counts
+  its run starts on the top row and its run ends on the last column,
+  which is exact because every top-row cell starts a run and every
+  last-column cell ends one;
+* diagonals with identical profiles form a group.  The induced link
+  depends only on how many members of each group are oriented up, so
+  the Hamiltonicity search needs nothing else;
+* a diagonal's cells are expanded from its runs only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Iterator
 
 from .errors import InconsistencyError
-from .surface import Cell, GridParams, diag_successor_indices
+from .surface import Cell, GridParams
 
-# Grids up to this many cells are counted with a plain visited walk;
-# larger ones walk the same orbits run by run.
-_RUN_WALK_THRESHOLD = 20_000
+# A straight stretch of a diagonal: start row, start column, cell count.
+Run = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -36,10 +46,17 @@ class BoundaryProfile:
 
 @dataclass
 class Diagonal:
+    """One orbit, kept as its runs; the cells are expanded on first use."""
+
     id: int
-    cells: tuple[Cell, ...]
+    runs: list[Run]
     profile: BoundaryProfile
     group_id: int
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        """Cells in successor order, from the row-major-minimal one."""
+        return tuple((r + j, c + j) for r, c, length in self.runs for j in range(length))
 
 
 @dataclass
@@ -71,159 +88,25 @@ def profile(grid: GridParams, cells) -> BoundaryProfile:
     return BoundaryProfile(a, b, c, d)
 
 
-def _orbits(grid: GridParams) -> tuple[list[list[int]], list[int]]:
-    """Orbit partition as flat indices plus the cell -> orbit id table.
+def _orbit_runs(grid: GridParams) -> Iterator[list[Run]]:
+    """Each diagonal as its runs in successor order, in row-major order.
 
-    Scanning starts in row-major order, so each orbit is discovered at
-    its row-major-minimal cell and orbit ids follow that order.
-    """
-    succ = diag_successor_indices(grid).tolist()
-    size = grid.size
-    orbit_id = [-1] * size
-    orbits: list[list[int]] = []
-    for start in range(size):
-        if orbit_id[start] >= 0:
-            continue
-        oid = len(orbits)
-        members = []
-        i = start
-        while orbit_id[i] < 0:
-            orbit_id[i] = oid
-            members.append(i)
-            i = succ[i]
-        orbits.append(members)
-    return orbits, orbit_id
-
-
-def _parallel(grid: GridParams, members_x, members_y, orbit_id, target: int) -> bool:
-    """Is some right-shift of orbit x exactly orbit y?
-
-    The right bijection has order dividing 4m, so shifts i = 1..4m are
-    exhaustive.  A shift maps x onto y as soon as every shifted cell of
-    x lands in y: the shift is injective and the orbits have equal size.
-    """
-    if len(members_x) != len(members_y):
-        return False
-    n = grid.n
-    rows, cols = grid.rows, grid.cols
-    first = members_x[0]
-    r0, c0 = divmod(first, cols)
-    for i in range(1, 2 * cols + 1):
-        wraps, c1 = divmod(c0 + i, cols)
-        probe = ((r0 + n * wraps) % rows) * cols + c1
-        if orbit_id[probe] != target:
-            continue
-        for idx in members_x:
-            r, c = divmod(idx, cols)
-            w, cc = divmod(c + i, cols)
-            if orbit_id[((r + n * w) % rows) * cols + cc] != target:
-                break
-        else:
-            return True
-    return False
-
-
-def _block_cross_check(grid: GridParams, orbit_id, group_of) -> None:
-    """Validate groups against the 1 x g blocks at each quadrant corner.
-
-    The g cells of each block must hit g distinct diagonals that the
-    parallel relation put in a single group, and the four blocks must
-    reach every diagonal.
-    """
-    g = grid.g
-    n, m = grid.n, grid.m
-    covered = set()
-    for top, left in ((0, 0), (0, m), (n, 0), (n, m)):
-        ids = [orbit_id[top * grid.cols + left + j] for j in range(g)]
-        if len(set(ids)) != g:
-            raise InconsistencyError(
-                f"corner block of grid ({n},{m}) hits {len(set(ids))} diagonals, expected {g}"
-            )
-        if len({group_of[i] for i in ids}) != 1:
-            raise InconsistencyError(
-                f"corner block of grid ({n},{m}) spans multiple parallel groups"
-            )
-        covered.update(ids)
-    if len(covered) != max(orbit_id) + 1:
-        raise InconsistencyError(
-            f"corner blocks of grid ({n},{m}) miss some diagonals"
-        )
-
-
-def decompose(grid: GridParams) -> DiagonalDecomposition:
-    """Partition the grid into diagonals and group parallel ones."""
-    orbits, orbit_id = _orbits(grid)
-    count = len(orbits)
-    if count > 4 * grid.g:
-        raise InconsistencyError(
-            f"grid ({grid.n},{grid.m}) produced {count} diagonals, more than 4*gcd"
-        )
-
-    # Union parallel pairs; sizes differ between groups but never inside one.
-    group_of = list(range(count))
-
-    def find(x: int) -> int:
-        while group_of[x] != x:
-            group_of[x] = group_of[group_of[x]]
-            x = group_of[x]
-        return x
-
-    for x in range(count):
-        for y in range(x + 1, count):
-            if find(x) == find(y):
-                continue
-            if _parallel(grid, orbits[x], orbits[y], orbit_id, y):
-                group_of[find(y)] = find(x)
-    roots = [find(x) for x in range(count)]
-    _block_cross_check(grid, orbit_id, roots)
-
-    order = sorted(set(roots))
-    group_index = {root: k for k, root in enumerate(order)}
-    groups = [
-        tuple(x for x in range(count) if roots[x] == root) for root in order
-    ]
-
-    cols = grid.cols
-    diagonals = []
-    for oid, members in enumerate(orbits):
-        cells = tuple(divmod(i, cols) for i in members)
-        diagonals.append(
-            Diagonal(
-                id=oid,
-                cells=cells,
-                profile=profile(grid, cells),
-                group_id=group_index[roots[oid]],
-            )
-        )
-
-    for group in groups:
-        profiles = {diagonals[x].profile.as_tuple() for x in group}
-        if len(profiles) != 1:
-            raise InconsistencyError(
-                f"parallel group {group} of grid ({grid.n},{grid.m}) mixes boundary profiles"
-            )
-
-    return DiagonalDecomposition(grid=grid, diagonals=diagonals, groups=groups)
-
-
-def _orbit_count_runs(grid: GridParams) -> int:
-    """Orbit count walking the same successor map run by run.
-
-    Interior diagonal steps are forced (+1, +1), so an orbit is a cyclic
-    sequence of straight runs, each starting on the top row or the left
-    column right after a wrap.  Jumping run ends in O(1) makes the walk
-    O(n + m) while still enumerating every orbit of the successor map.
+    Run starts are scanned along the top row, then down the left column.
+    A diagonal's row-major-minimal cell is a run start (its predecessor
+    would otherwise be smaller), so each diagonal is met at that cell
+    and its runs are listed from there.  Jumping run ends in O(1) makes
+    the walk O(n + m) while still enumerating every orbit of the
+    successor map; a start visited twice is an internal inconsistency.
     """
     n, m = grid.n, grid.m
     rows, cols = grid.rows, grid.cols
     starts = [(0, c) for c in range(cols)] + [(r, 0) for r in range(1, rows)]
     visited = set()
-    count = 0
     budget = len(starts)
     for start in starts:
         if start in visited:
             continue
-        count += 1
+        runs = []
         cur = start
         while True:
             visited.add(cur)
@@ -232,6 +115,7 @@ def _orbit_count_runs(grid: GridParams) -> int:
                 raise InconsistencyError("run walk revisited a run start")
             r, c = cur
             k = min(rows - 1 - r, cols - 1 - c)
+            runs.append((r, c, k + 1))
             r += k
             c += k
             if c == cols - 1:
@@ -241,29 +125,91 @@ def _orbit_count_runs(grid: GridParams) -> int:
                 cur = (0, (c + 1 + m) % cols)
             if cur == start:
                 break
-    return count
+        yield runs
+
+
+def _run_profile(grid: GridParams, runs: list[Run]) -> BoundaryProfile:
+    """A and B are run starts on the top row, C and D run ends on the last column."""
+    n, m = grid.n, grid.m
+    last_col = grid.cols - 1
+    a = b = c = d = 0
+    for row, col, length in runs:
+        if row == 0:
+            if col < m:
+                a += 1
+            else:
+                b += 1
+        if col + length - 1 == last_col:
+            if row + length - 1 < n:
+                c += 1
+            else:
+                d += 1
+    return BoundaryProfile(a, b, c, d)
+
+
+def _block_cross_check(grid: GridParams, orbit_of, group_of) -> None:
+    """Validate groups against the 1 x g blocks at each quadrant corner.
+
+    The g cells of each block must hit g distinct diagonals that share
+    a single profile group, and the four blocks must reach every
+    diagonal.  A cell's diagonal is that of the run through it, which
+    starts min(row, col) steps back; `orbit_of` maps run starts to ids.
+    """
+    g = grid.g
+    n, m = grid.n, grid.m
+    covered = set()
+    for top, left in ((0, 0), (0, m), (n, 0), (n, m)):
+        ids = []
+        for col in range(left, left + g):
+            back = min(top, col)
+            ids.append(orbit_of[(top - back, col - back)])
+        if len(set(ids)) != g:
+            raise InconsistencyError(
+                f"corner block of grid ({n},{m}) hits {len(set(ids))} diagonals, expected {g}"
+            )
+        if len({group_of[i] for i in ids}) != 1:
+            raise InconsistencyError(
+                f"corner block of grid ({n},{m}) spans multiple profile groups"
+            )
+        covered.update(ids)
+    if len(covered) != len(group_of):
+        raise InconsistencyError(
+            f"corner blocks of grid ({n},{m}) miss some diagonals"
+        )
+
+
+def decompose(grid: GridParams) -> DiagonalDecomposition:
+    """Diagonals, their profiles and profile groups from one run walk.
+
+    O(n + m): no cell is materialised until a diagonal's `cells` is
+    read.  Ids follow the row-major-minimal cells; groups are ordered
+    by their smallest member, members ascending.
+    """
+    runs = list(_orbit_runs(grid))
+    if len(runs) > 4 * grid.g:
+        raise InconsistencyError(
+            f"grid ({grid.n},{grid.m}) produced {len(runs)} diagonals, more than 4*gcd"
+        )
+    profiles = [_run_profile(grid, orbit) for orbit in runs]
+    members: dict[BoundaryProfile, list[int]] = {}
+    for oid, prof in enumerate(profiles):
+        members.setdefault(prof, []).append(oid)
+    groups = [tuple(ids) for ids in members.values()]
+    group_of = {oid: gid for gid, ids in enumerate(groups) for oid in ids}
+    orbit_of = {(r, c): oid for oid, orbit in enumerate(runs) for r, c, _ in orbit}
+    _block_cross_check(grid, orbit_of, group_of)
+    diagonals = [
+        Diagonal(oid, orbit, profiles[oid], group_of[oid]) for oid, orbit in enumerate(runs)
+    ]
+    return DiagonalDecomposition(grid=grid, diagonals=diagonals, groups=groups)
 
 
 @lru_cache(maxsize=None)
 def diag_count_naive(n: int, m: int) -> int:
-    """Number of diagonals, by direct orbit enumeration.
+    """Number of diagonals: the orbits of one run walk, in O(n + m).
 
-    This is the reference count the faster methods are checked against.
-    Small grids walk cell by cell; large ones walk the identical orbits
-    run by run.
+    This is the reference count the faster methods are checked against;
+    the walk enumerates every orbit of the successor map rather than
+    deriving the count from a formula.
     """
-    grid = GridParams(n, m)
-    if grid.size > _RUN_WALK_THRESHOLD:
-        return _orbit_count_runs(grid)
-    succ = diag_successor_indices(grid).tolist()
-    seen = bytearray(grid.size)
-    count = 0
-    for start in range(grid.size):
-        if seen[start]:
-            continue
-        count += 1
-        i = start
-        while not seen[i]:
-            seen[i] = 1
-            i = succ[i]
-    return count
+    return sum(1 for _ in _orbit_runs(GridParams(n, m)))

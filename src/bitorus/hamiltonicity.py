@@ -24,7 +24,17 @@ from .counting import diag_count_tree
 from .diagonals import DiagonalDecomposition, decompose
 from .errors import CapExceededError, InconsistencyError
 from .links import Link, is_knot
-from .surface import RIGHT, UP, Cell, GridParams, diag_successor, right_indices, step, up_indices
+from .surface import (
+    RIGHT,
+    UP,
+    Cell,
+    GridParams,
+    check_sizes,
+    diag_successor,
+    right_indices,
+    step,
+    up_indices,
+)
 
 BRUTE_DIAGONAL_CAP = 24
 _PYTHON_SWEEP_LIMIT = 2_000_000
@@ -211,7 +221,7 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
 
 
 def group_profiles(dec: DiagonalDecomposition):
-    """(size, shared profile) per parallel group, in group order."""
+    """(size, shared profile) per profile group, in group order."""
     out = []
     for group in dec.groups:
         out.append((len(group), dec.diagonals[group[0]].profile))
@@ -221,7 +231,7 @@ def group_profiles(dec: DiagonalDecomposition):
 def grouped_link(dec: DiagonalDecomposition, up_counts) -> Link:
     """Link induced by orienting `up_counts[k]` members of group k up."""
     if len(up_counts) != len(dec.groups):
-        raise ValueError("one up-count per parallel group required")
+        raise ValueError("one up-count per profile group required")
     a = b = c = d = 0
     for (size, prof), ups in zip(group_profiles(dec), up_counts):
         if not 0 <= ups <= size:
@@ -243,29 +253,38 @@ def expand_grouped(dec: DiagonalDecomposition, up_counts) -> str:
     return "".join(chars)
 
 
-def is_hamiltonian_fast(n: int, m: int) -> bool:
-    """Knot test over per-group up-counts; at most (g+1)^4 links."""
-    dec = _dec(n, m)
+def _first_knot(dec: DiagonalDecomposition):
+    """First per-group up-counts, in lexicographic order, inducing a knot.
+
+    None when no link is a knot.  Reads only the groups' profiles.
+    """
     if len(dec.groups) > 4:
         raise InconsistencyError(
-            f"grid ({n},{m}) produced {len(dec.groups)} parallel groups, expected <= 4"
+            f"grid ({dec.grid.n},{dec.grid.m}) produced {len(dec.groups)} profile groups, "
+            "expected <= 4"
         )
-    ranges = [range(len(group) + 1) for group in dec.groups]
-    for counts in product(*ranges):
+    for counts in product(*(range(len(group) + 1) for group in dec.groups)):
         if is_knot(grouped_link(dec, counts)):
-            return True
-    return False
+            return counts
+    return None
+
+
+def is_hamiltonian_fast(n: int, m: int) -> bool:
+    """Knot test over per-group up-counts; at most (g+1)^4 links.
+
+    The decomposition is not cached and no cell is materialised: one
+    O(n + m) run walk, then one O(n + m) loop count per link tried.
+    """
+    return _first_knot(decompose(GridParams(n, m))) is not None
 
 
 def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
     """A validated witness from the link tier, without a full sweep."""
     dec = _dec(n, m)
-    ranges = [range(len(group) + 1) for group in dec.groups]
-    for counts in product(*ranges):
-        if is_knot(grouped_link(dec, counts)):
-            omega = expand_grouped(dec, counts)
-            return _witness_from_omega(dec, omega)
-    return None
+    counts = _first_knot(dec)
+    if counts is None:
+        return None
+    return _witness_from_omega(dec, expand_grouped(dec, counts))
 
 
 def validate_witness(grid: GridParams, witness: HamWitness) -> None:
@@ -309,36 +328,13 @@ def _square_cycle(n: int, start_row: int) -> list[Cell] | None:
     return cycle
 
 
-_SQUARE_START: int | None = None
-
-
-def _square_start_rule() -> int:
-    """Which row the square walk starts from, fixed by calibration.
-
-    The construction names its start row in an unstated indexing; the
-    two plausible readings (row n or row n-1 from the top) are tried on
-    the three smallest squares and exactly one must survive.
-    """
-    global _SQUARE_START
-    if _SQUARE_START is None:
-        survivors = []
-        for offset in (0, -1):
-            if all(_square_cycle(n, n + offset) is not None for n in (1, 2, 3)):
-                survivors.append(offset)
-        if len(survivors) != 1:
-            raise InconsistencyError(
-                f"square-walk start row calibration found {len(survivors)} conventions"
-            )
-        _SQUARE_START = survivors[0]
-    return _SQUARE_START
-
-
 def square_construction(n: int) -> HamWitness:
     """Closed-form Hamiltonian cycle of the (n, n) grid."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    start_row = n + _square_start_rule()
-    cycle = _square_cycle(n, start_row)
+    # The walk starts at row n, counted from the top; the tests show row
+    # n - 1 does not close.
+    cycle = _square_cycle(n, n)
     if cycle is None:
         raise InconsistencyError(f"square walk failed to close on the ({n},{n}) grid")
     grid = GridParams(n, n)
@@ -377,12 +373,11 @@ _N2_RIGHT_RULES = {
     7: lambda d: d % 8 in (3, 4, 6, 7),
 }
 
-# Stacked 8 x m layouts: the right quadrant column goes below the left
-# one, either directly or with its rows rotated by the half-height 2.
-_N2_LAYOUTS = (
-    lambda rho, col, m: (rho, col) if rho < 4 else (rho - 4, col + m),
-    lambda rho, col, m: (rho, col) if rho < 4 else ((rho - 2) % 4, col + m),
-)
+
+# Stacked 8 x m layout: the right quadrant column goes directly below the
+# left one.  The tests show the rules fail when its rows are rotated.
+def _n2_stacked(rho: int, col: int, m: int) -> Cell:
+    return (rho, col) if rho < 4 else (rho - 4, col + m)
 
 
 def _n2_omega_for(m: int, layout) -> str | None:
@@ -411,41 +406,13 @@ def _n2_omega_for(m: int, layout) -> str | None:
     return omega
 
 
-_N2_LAYOUT_INDEX: int | None = None
-
-
-def _n2_layout():
-    """Stacked-layout convention fixed by calibration on small widths."""
-    global _N2_LAYOUT_INDEX
-    if _N2_LAYOUT_INDEX is None:
-        calibration = [2, 4, 6, 7, 8, 9]
-        survivors = []
-        for idx, layout in enumerate(_N2_LAYOUTS):
-            if all(_n2_omega_for(m, layout) is not None for m in calibration):
-                survivors.append(idx)
-        if len(survivors) > 1:
-            same = all(
-                _n2_omega_for(m, _N2_LAYOUTS[survivors[0]])
-                == _n2_omega_for(m, _N2_LAYOUTS[survivors[1]])
-                for m in calibration
-            )
-            if not same:
-                raise InconsistencyError(
-                    "multiple inequivalent stacked layouts validate the height-2 rules"
-                )
-        if not survivors:
-            raise InconsistencyError("no stacked layout validates the height-2 rules")
-        _N2_LAYOUT_INDEX = survivors[0]
-    return _N2_LAYOUTS[_N2_LAYOUT_INDEX]
-
-
 def n2_orientation(m: int) -> str:
     """Hamiltonian orientation of the (2, m) grid from the residue rules."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if m % 8 in (3, 5):
         raise ValueError(f"no Hamiltonian orientation exists for width {m} (mod 8 in 3,5)")
-    omega = _n2_omega_for(m, _n2_layout())
+    omega = _n2_omega_for(m, _n2_stacked)
     if omega is None:
         raise InconsistencyError(f"height-2 rule failed to validate at width {m}")
     return omega
@@ -550,8 +517,7 @@ def ham_torus1(n: int, m: int) -> bool:
     True exactly when gcd(n, m) splits as g1 + g2 with g1 coprime to n
     and g2 coprime to m, both positive.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"grid sizes must be positive, got ({n}, {m})")
+    n, m = check_sizes(n, m)
     g = math.gcd(n, m)
     return any(
         math.gcd(g1, n) == 1 and math.gcd(g - g1, m) == 1 for g1 in range(1, g)

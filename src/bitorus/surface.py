@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -38,6 +39,23 @@ MOVES = (UP, RIGHT, UP_INV, RIGHT_INV)
 QUADRANTS = ("TL", "TR", "BL", "BR")
 
 
+def check_sizes(n, m) -> tuple[int, int]:
+    """Grid sizes as ints; ValueError unless both are positive integers.
+
+    Anything `operator.index` accepts counts as an integer, except bool.
+    """
+    if type(n) is not int or type(m) is not int:
+        try:
+            if type(n) is bool or type(m) is bool:
+                raise TypeError
+            n, m = index(n), index(m)
+        except TypeError:
+            raise ValueError(f"grid sizes must be integers, got ({n!r}, {m!r})") from None
+    if n < 1 or m < 1:
+        raise ValueError(f"grid sizes must be positive, got ({n}, {m})")
+    return n, m
+
+
 @dataclass(frozen=True)
 class GridParams:
     """Grid sizes: quadrants are n x m, the full grid is 2n x 2m."""
@@ -46,8 +64,9 @@ class GridParams:
     m: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"grid sizes must be positive, got ({self.n}, {self.m})")
+        n, m = check_sizes(self.n, self.m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     @property
     def g(self) -> int:

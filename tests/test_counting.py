@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bitorus.counting import (
@@ -269,6 +270,21 @@ def test_canonical_state_agrees_with_direct_count():
 
 
 # --- interleaving identity ---------------------------------------------------
+
+@pytest.mark.parametrize(
+    "count", [diag_count_tree, diag_count_string, diag_count_reduction, reduction_trace]
+)
+@pytest.mark.parametrize("n,m", [(True, 3), (3, True), (2.5, 3), (3, 3.0), (0, 3), (3, -1)])
+def test_counters_reject_non_positive_integer_sizes(count, n, m):
+    # diag_count_tree(True, 3) used to answer 2
+    with pytest.raises(ValueError):
+        count(n, m)
+
+
+def test_counters_accept_index_types():
+    assert diag_count_tree(np.int64(2), np.int64(3)) == diag_count_tree(2, 3) == 1
+    assert diag_count_string(np.int32(3), 5) == diag_count_reduction(np.int16(3), 5) == 2
+
 
 def test_floor_swap_identity_trivial_and_crossing_perms():
     ident = (0, 1, 2, 3)

@@ -4,12 +4,11 @@ from collections import Counter
 import pytest
 
 from bitorus.diagonals import (
-    _orbit_count_runs,
     decompose,
     diag_count_naive,
     profile,
 )
-from bitorus.surface import GridParams, diag_successor, right_power
+from bitorus.surface import GridParams, diag_successor, diag_successor_indices, right_power
 
 
 def coprime_pairs(limit):
@@ -17,6 +16,24 @@ def coprime_pairs(limit):
         for m in range(1, limit + 1):
             if math.gcd(n, m) == 1:
                 yield n, m
+
+
+def cell_walk_orbits(grid):
+    """Reference: orbits of the successor table, cell by cell, row-major starts."""
+    succ = diag_successor_indices(grid).tolist()
+    seen = bytearray(grid.size)
+    orbits = []
+    for start in range(grid.size):
+        if seen[start]:
+            continue
+        cells = []
+        i = start
+        while not seen[i]:
+            seen[i] = 1
+            cells.append(divmod(i, grid.cols))
+            i = succ[i]
+        orbits.append(tuple(cells))
+    return orbits
 
 
 @pytest.mark.parametrize(
@@ -108,17 +125,18 @@ def test_groups_share_boundary_profiles_and_lengths():
 
 
 def test_group_members_are_right_translates():
-    dec = decompose(GridParams(2, 4))
-    grid = dec.grid
-    for group in dec.groups:
-        if len(group) < 2:
-            continue
-        x, y = group[0], group[1]
-        cells_y = set(dec.diagonals[y].cells)
-        assert any(
-            {right_power(grid, c, i) for c in dec.diagonals[x].cells} == cells_y
-            for i in range(1, 4 * grid.m + 1)
-        )
+    for n in range(1, 13):
+        for m in range(1, 13):
+            dec = decompose(GridParams(n, m))
+            grid = dec.grid
+            for group in dec.groups:
+                first = dec.diagonals[group[0]].cells
+                for y in group[1:]:
+                    cells_y = set(dec.diagonals[y].cells)
+                    assert any(
+                        {right_power(grid, c, i) for c in first} == cells_y
+                        for i in range(1, 4 * grid.m + 1)
+                    ), (n, m, group, y)
 
 
 def test_corner_blocks_land_in_single_groups():
@@ -140,4 +158,9 @@ def test_run_walk_counter_matches_cell_walk():
     for n in range(1, 21):
         for m in range(1, 21):
             grid = GridParams(n, m)
-            assert _orbit_count_runs(grid) == diag_count_naive(n, m)
+            ref = cell_walk_orbits(grid)
+            assert diag_count_naive(n, m) == len(ref)
+            dec = decompose(grid)
+            assert [d.cells for d in dec.diagonals] == ref
+            assert [d.profile for d in dec.diagonals] == [profile(grid, c) for c in ref]
+

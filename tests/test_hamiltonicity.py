@@ -181,6 +181,13 @@ def test_square_construction_produces_valid_cycles(n):
     validate_witness(GridParams(n, n), witness)
 
 
+def test_square_walk_start_row_calibration():
+    # square_construction starts at row n: that offset closes on the three
+    # smallest squares, and the other plausible reading, row n - 1, does not.
+    assert all(ham._square_cycle(n, n) is not None for n in (1, 2, 3))
+    assert any(ham._square_cycle(n, n - 1) is None for n in (1, 2, 3))
+
+
 def test_square_construction_agrees_with_brute():
     for n in range(1, 5):
         assert is_hamiltonian_brute(n, n)[0]
@@ -193,6 +200,18 @@ def test_n2_rules_produce_hamiltonian_witnesses():
         omega = n2_orientation(m)
         cycles = trace_components(GridParams(2, m), omega)
         assert len(cycles) == 1
+
+
+def test_n2_stacked_layout_calibration():
+    # The direct stacked layout validates the residue rules on small widths;
+    # the layout with the lower rows rotated by the half-height 2 does not.
+    def rotated(rho, col, m):
+        return (rho, col) if rho < 4 else ((rho - 2) % 4, col + m)
+
+    for m in (2, 4, 6, 7, 8, 9):
+        assert ham._n2_omega_for(m, ham._n2_stacked) is not None
+    for m in (2, 6, 7, 9):
+        assert ham._n2_omega_for(m, rotated) is None
 
 
 def test_n2_rejects_residues_three_and_five():
@@ -263,6 +282,13 @@ def test_periodicity_examples():
     assert is_hamiltonian_fast(3, 5) is True and is_hamiltonian_fast(3, 41) is True
 
 
+def test_link_tier_on_large_grids():
+    assert is_hamiltonian_fast(300, 701) is False
+    assert is_hamiltonian_fast(1000, 1001) is True
+    assert periodicity_check(300, 701)
+    assert periodicity_check(1000, 1001)
+
+
 def test_periodicity_rejects_common_factor():
     with pytest.raises(ValueError):
         periodicity_check(2, 4)
@@ -275,6 +301,12 @@ def test_torus_formula_examples():
     assert ham_torus1(2, 4)
     assert ham_torus1(6, 4)
     assert not ham_torus1(2, 3)
+
+
+def test_torus_formula_rejects_non_integer_sizes():
+    for n, m in [(True, 2), (2, 2.0), (0, 2)]:
+        with pytest.raises(ValueError):
+            ham_torus1(n, m)
 
 
 def test_torus_formula_against_trace():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bitorus.surface import (
@@ -28,6 +29,19 @@ def test_grid_params_derived_fields():
 def test_grid_params_rejects_nonpositive(n, m):
     with pytest.raises(ValueError):
         GridParams(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(2.5, 3), (2.0, 3), ("2", 3), (True, 3), (3, False)])
+def test_grid_params_rejects_non_integers(n, m):
+    # GridParams(2.5, 3) used to be accepted with size 30.0
+    with pytest.raises(ValueError):
+        GridParams(n, m)
+
+
+def test_grid_params_accepts_index_types_as_ints():
+    grid = GridParams(np.int64(2), np.uint8(3))
+    assert type(grid.n) is int and type(grid.m) is int
+    assert grid == GridParams(2, 3) and grid.size == 24
 
 
 def test_step_examples():
