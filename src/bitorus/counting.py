@@ -10,15 +10,22 @@ O(log n):
 
 * Pair reductions.  Ten rewriting rules shrink a coprime pair while
   preserving the diagonal count, terminating in one of six base pairs.
+  Each rule strictly lowers n + m.  Rules 1 (m -> m - 4n) and 4
+  (q1 -> q1 - 3) repeat subtractively, so the counter applies each of
+  their runs at once with a quotient mod 4 or 3: O(log) rule applications.
 
 * Ternary tree.  Coprime pairs (m, n) with m > n and m + n odd form a
   ternary tree rooted at (2, 1); the path from a pair to the root,
-  canonicalised by five rewriting rules, determines the count.
+  canonicalised by five rewriting rules, determines the count.  The
+  gamma- and lambda-runs of the path are subtractive, so each run is
+  taken with one divmod and fed to the canonicalisation automaton as a
+  power of its character's transition map: O(log) runs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -174,8 +181,9 @@ def diag_count_string(n: int, m: int) -> int:
     g = math.gcd(n, m)
     a, b = n // g, m // g
     if a == 1 or b == 1:
-        # The string construction excludes side-1 shapes; count directly.
-        return g * diag_count_naive(a, b)
+        # The string construction excludes side-1 shapes.  By reduction
+        # rule 1, (1, b) counts like the base pair (1, (b - 1) % 4 + 1).
+        return g * diag_count_naive(1, (max(a, b) - 1) % 4 + 1)
     return g * string_cycles(string_powers(a, b))
 
 
@@ -244,41 +252,109 @@ def _branch_rules(s: ReductionState) -> list[tuple[int, tuple[int, int]]]:
     return out
 
 
-def reduce_pair(n: int, m: int) -> tuple[int, int] | None:
-    """One reduction step, or None when the pair is a base pair.
+def _branch(n: int, m: int) -> tuple[ReductionState, int, tuple[int, int]] | None:
+    """The state, rule number and emitted pair of the one matching branch.
 
-    Exactly one branch must match any non-terminal pair; anything else
-    is an internal inconsistency.  The emitted pair is returned raw and
-    may need reordering by the caller.
+    None when the pair is a base pair.  Exactly one branch must match
+    any non-terminal pair; anything else is an internal inconsistency.
     """
     if (n, m) in TERMINAL_PAIRS:
         return None
-    matches = _branch_rules(euclid_state(n, m))
+    s = euclid_state(n, m)
+    matches = _branch_rules(s)
     if len(matches) != 1:
         raise InconsistencyError(
             f"pair ({n}, {m}) matched branches {[i for i, _ in matches]}, expected exactly one"
         )
-    return matches[0][1]
+    rule, pair = matches[0]
+    return s, rule, pair
+
+
+def reduce_pair(n: int, m: int) -> tuple[int, int] | None:
+    """One reduction step, or None when the pair is a base pair.
+
+    The emitted pair is returned raw and may need reordering by the
+    caller.
+    """
+    found = _branch(n, m)
+    return None if found is None else found[2]
+
+
+def _run_end(s: ReductionState, rule: int, pair: tuple[int, int]) -> tuple[int, int]:
+    """Pair ending the run of `rule` that starts at state s.
+
+    Rule 1 (m -> m - 4n) repeats while q0 >= 4, so the run leaves
+    q0 % 4; when n = 1 it stops on the base pairs (1, 1..4) instead.
+    Rule 4 keeps r0 and r1 and lowers q1 by 3 while q1 >= 4.  Every
+    other rule is its own run.
+    """
+    if rule == 1:
+        if s.n == 1:
+            return 1, (s.q0 - 1) % 4 + 1
+        return s.n, s.q0 % 4 * s.n + s.r0
+    if rule == 4:
+        q1 = (s.q1 - 1) % 3 + 1
+        return q1 * s.r0 + s.r1, (q1 + 1) * s.r0 + s.r1
+    return pair
+
+
+def _reduction_step(a: int, b: int, whole_runs: bool) -> tuple[int, int] | None:
+    """The ascending pair after one rule, or one run of it, from (a, b).
+
+    Raises InconsistencyError if the step does not lower a + b, the
+    invariant that makes every reduction terminate.
+    """
+    found = _branch(a, b)
+    if found is None:
+        return None
+    s, rule, pair = found
+    if whole_runs:
+        pair = _run_end(s, rule, pair)
+    c, d = sorted(pair)
+    if c + d >= a + b:
+        raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}) without lowering n + m")
+    return c, d
+
+
+def _reduced_sizes(n: int, m: int) -> tuple[int, int]:
+    n, m = check_sizes(n, m)
+    g = math.gcd(n, m)
+    return tuple(sorted((n // g, m // g)))
 
 
 def reduction_trace(n: int, m: int) -> list[tuple[int, int]]:
-    """Pairs visited from (n, m) down to a base pair, reordered ascending."""
-    n, m = check_sizes(n, m)
-    g = math.gcd(n, m)
-    a, b = sorted((n // g, m // g))
-    trail = [(a, b)]
-    for _ in range(10_000):
-        nxt = reduce_pair(a, b)
-        if nxt is None:
-            return trail
-        a, b = sorted(nxt)
-        trail.append((a, b))
-    raise InconsistencyError(f"reduction of ({n}, {m}) did not terminate")
+    """Pairs visited from (n, m) down to a base pair, reordered ascending.
+
+    One pair per rule application, so a subtractive run of rule 1 or 4
+    lists every pair on it: this is the reference the batched walk of
+    `reduction_base` is tested against.
+    """
+    trail = [_reduced_sizes(n, m)]
+    while (nxt := _reduction_step(*trail[-1], whole_runs=False)) is not None:
+        trail.append(nxt)
+    return trail
+
+
+def reduction_base(n: int, m: int) -> tuple[int, int]:
+    """The base pair that (n, m) reduces to, in O(log) rule runs.
+
+    Equals reduction_trace(n, m)[-1], but each run of rule 1 or 4 is
+    applied at once.  Every run still goes through `euclid_state` and
+    the exactly-one-branch check, and must lower n + m.
+    """
+    pair = _reduced_sizes(n, m)
+    while (nxt := _reduction_step(*pair, whole_runs=True)) is not None:
+        pair = nxt
+    return pair
 
 
 def diag_count_reduction(n: int, m: int) -> int:
-    """Diagonal count via the reduction system and cached base values."""
-    base = reduction_trace(n, m)[-1]
+    """Diagonal count via the reduction system and cached base values.
+
+    O(log n) rule runs: `reduction_base` applies each subtractive run of
+    rule 1 or 4 with one quotient mod 4 or 3.
+    """
+    base = reduction_base(n, m)
     return math.gcd(n, m) * diag_count_naive(*base)
 
 
@@ -376,6 +452,36 @@ def _build_transitions() -> dict[tuple[str, str], str]:
 _TRANSITIONS = _build_transitions()
 
 
+def _build_run_powers() -> dict[str, tuple[int, int, list[dict[str, str]]]]:
+    """Powers f^0, f^1, ... of each character's transition map f.
+
+    Powers are listed until one repeats, at f^(t + p) = f^t; the entry
+    for a character is (t, p, powers), and f^k for k >= t + p is
+    f^(t + (k - t) % p).
+    """
+    out = {}
+    for ch in TREE_CHARS:
+        power = {state: state for state in CANONICAL_STRINGS}
+        powers: list[dict[str, str]] = []
+        while power not in powers:
+            powers.append(power)
+            power = {state: _TRANSITIONS[(image, ch)] for state, image in power.items()}
+        transient = powers.index(power)
+        out[ch] = (transient, len(powers) - transient, powers)
+    return out
+
+
+_RUN_POWERS = _build_run_powers()
+
+
+def _run_transition(state: str, ch: str, k: int) -> str:
+    """Automaton state after reading k copies of ch from `state`."""
+    transient, period, powers = _RUN_POWERS[ch]
+    if k >= transient + period:
+        k = transient + (k - transient) % period
+    return powers[k][state]
+
+
 def canonicalize(ts: str) -> str:
     """Canonical form of a tree string: one of '', gamma, gamma^2, lambda.
 
@@ -400,26 +506,47 @@ def _canonical_values() -> dict[str, int]:
     return values
 
 
+def tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
+    """The tree address of an even-odd pair as (character, run length).
+
+    Runs come outermost first, so joining ch * k gives `tree_string`.
+    A gamma-step keeps d = m - n and lowers both sides by d, so its run
+    from (m, n) has (n - 1) // d steps; a lambda-step lowers m by 2n, so
+    its run has (m - 3n) // (2n) + 1 steps.  Neither run can step past
+    the root (2, 1), and a delta-step is Euclid-like, so there are
+    O(log m) runs.
+    """
+    _check_tree_pair(m, n)
+    while (m, n) != (2, 1):
+        d = m - n
+        if n > d:
+            k = (n - 1) // d
+            m, n = n - (k - 1) * d, n - k * d
+            yield GAMMA, k
+        elif m < 3 * n:
+            m, n = n, m - 2 * n
+            yield DELTA, 1
+        else:
+            k = (m - 3 * n) // (2 * n) + 1
+            m -= 2 * k * n
+            yield LAMBDA, k
+
+
 def diag_count_tree(n: int, m: int) -> int:
-    """Diagonal count in O(log) time via the canonicalised tree address."""
+    """Diagonal count via the canonicalised tree address.
+
+    O(log n): the address is read as `tree_runs`, each taken with one
+    divmod, and each run moves the automaton through a precomputed
+    power of its character's transition map.
+    """
     n, m = check_sizes(n, m)
     g = math.gcd(n, m)
     a, b = n // g, m // g
     if a % 2 == 1 and b % 2 == 1:
         return 2 * g
-    big, small = (a, b) if a > b else (b, a)
     state = ""
-    transitions = _TRANSITIONS
-    while (big, small) != (2, 1):
-        if big < 2 * small:
-            big, small = small, 2 * small - big
-            state = transitions[(state, GAMMA)]
-        elif big < 3 * small:
-            big, small = small, big - 2 * small
-            state = transitions[(state, DELTA)]
-        else:
-            big -= 2 * small
-            state = transitions[(state, LAMBDA)]
+    for ch, k in tree_runs(max(a, b), min(a, b)):
+        state = _run_transition(state, ch, k)
     return g * _canonical_values()[state]
 
 

@@ -101,8 +101,12 @@ def trace_components(grid: GridParams, omega: str) -> list[list[Cell]]:
 
 
 def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
+    """Cells on up-oriented diagonals, summed over runs without expanding cells."""
     return sum(
-        len(diag.cells) for diag, ch in zip(dec.diagonals, omega) if ch == "U"
+        length
+        for diag, ch in zip(dec.diagonals, omega)
+        if ch == "U"
+        for _, _, length in diag.runs
     )
 
 

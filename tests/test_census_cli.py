@@ -5,6 +5,7 @@ import pytest
 
 from bitorus.census import diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
+from bitorus.counting import diag_count_tree
 from bitorus.verify import run_verify
 
 
@@ -151,3 +152,9 @@ def test_deterministic_table_output(capsys):
     first = capsys.readouterr().out
     cli_main(["table", "--max", "29"])
     assert capsys.readouterr().out == first
+
+
+def test_cli_diag_reduction_on_a_large_skewed_pair(capsys):
+    # rule 1 runs 249,999 times here; a fixed step cap made this exit 2
+    assert cli_main(["diag", "1", "1000000", "--method", "reduction"]) == 0
+    assert capsys.readouterr().out.strip() == str(diag_count_tree(1, 1000000))

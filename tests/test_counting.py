@@ -3,13 +3,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bitorus.counting as counting
 from bitorus.counting import (
     CANONICAL_STRINGS,
     DELTA,
     GAMMA,
     LAMBDA,
     TERMINAL_PAIRS,
+    TREE_CHARS,
+    _run_transition,
     apply_tree_string,
     canonicalize,
     compose,
@@ -21,14 +25,17 @@ from bitorus.counting import (
     floor_swap_identity_check,
     perm_cycles,
     reduce_pair,
+    reduction_base,
     reduction_trace,
     string_cycles,
     string_intervals,
     string_powers,
     tree_children,
+    tree_runs,
     tree_string,
 )
 from bitorus.diagonals import diag_count_naive
+from bitorus.errors import InconsistencyError
 from bitorus.surface import GridParams
 
 
@@ -122,7 +129,14 @@ def test_diag_count_string_values():
     assert diag_count_string(2, 3) == 1
     assert diag_count_string(4, 6) == 2
     assert diag_count_string(3, 5) == 2
-    assert diag_count_string(1, 9) == 2  # side-1 fallback
+    assert diag_count_string(1, 9) == 2  # side-1 closed form
+
+
+def test_side_one_closed_form_matches_the_direct_count():
+    for b in range(1, 120):
+        for g in (1, 2, 3):
+            assert diag_count_string(g, g * b) == diag_count_naive(g, g * b)
+            assert diag_count_string(g * b, g) == diag_count_naive(g * b, g)
 
 
 def test_width_shift_by_four_heights_preserves_cycles():
@@ -187,6 +201,29 @@ def test_diag_count_reduction_values():
     assert diag_count_reduction(3, 5) == 2
     assert diag_count_reduction(1, 1) == 2
     assert diag_count_reduction(4, 6) == 2
+
+
+def test_batched_reduction_reaches_the_traced_base_pair():
+    for n in range(1, 301):
+        for m in range(n, 301):
+            assert reduction_base(n, m) == reduction_trace(n, m)[-1]
+
+
+def test_reduction_trace_lowers_the_sum_on_long_runs():
+    # rule 4 runs 33332 times here; a fixed step cap of 10,000 raised
+    trail = reduction_trace(99999, 100000)
+    sums = [a + b for a, b in trail]
+    assert all(x > y for x, y in zip(sums, sums[1:]))
+    assert len(trail) > 10_000
+    assert trail[-1] == reduction_base(99999, 100000) == (3, 4)
+
+
+def test_reduction_step_that_does_not_lower_the_sum_is_inconsistent(monkeypatch):
+    monkeypatch.setattr(counting, "_branch_rules", lambda s: [(2, (s.n, s.m))])
+    with pytest.raises(InconsistencyError):
+        reduction_trace(1, 9)
+    with pytest.raises(InconsistencyError):
+        diag_count_reduction(1, 9)
 
 
 # --- ternary tree ----------------------------------------------------------
@@ -257,6 +294,37 @@ def test_diag_count_tree_values():
     assert diag_count_tree(7, 7) == 14
 
 
+def test_tree_runs_spell_the_single_step_tree_string():
+    for m in range(2, 300):
+        for n in range(1, m):
+            if math.gcd(m, n) != 1 or (m + n) % 2 == 0:
+                continue
+            runs = list(tree_runs(m, n))
+            assert "".join(ch * k for ch, k in runs) == tree_string(m, n)
+            assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]) if a != DELTA)
+
+
+def test_whole_runs_in_one_step():
+    assert list(tree_runs(10**6, 1)) == [(LAMBDA, 499_999)]
+    assert list(tree_runs(10**6 + 1, 10**6)) == [(GAMMA, 999_999)]
+    with pytest.raises(ValueError):
+        list(tree_runs(9, 3))
+
+
+def test_run_transition_repeats_the_single_transition():
+    for state in CANONICAL_STRINGS:
+        assert canonicalize(state) == state
+        for ch in TREE_CHARS:
+            for k in range(40):
+                assert _run_transition(state, ch, k) == canonicalize(state + ch * k)
+
+
+def test_run_powers_are_derived_from_the_automaton():
+    # gamma and delta have period 3, lambda period 2, all after one step
+    periods = {ch: (t, p) for ch, (t, p, _) in counting._RUN_POWERS.items()}
+    assert periods == {GAMMA: (1, 3), DELTA: (1, 3), LAMBDA: (1, 2)}
+
+
 def test_canonical_state_agrees_with_direct_count():
     for m in range(2, 50):
         for n in range(1, m):
@@ -267,6 +335,32 @@ def test_canonical_state_agrees_with_direct_count():
             assert diag_count_naive(n, m) == diag_count_naive(
                 min(target), max(target)
             )
+
+
+# --- agreement at scale ------------------------------------------------------
+
+_sides = st.one_of(st.integers(1, 10**4), st.integers(1, 10**12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sides, _sides, st.integers(1, 12))
+def test_tree_and_reduction_agree_on_large_pairs(n, m, common):
+    n, m = common * n, common * m  # keep pairs with gcd > 1
+    count = diag_count_tree(n, m)
+    assert count == diag_count_reduction(n, m)
+    if n + m <= 2 * 10**4:
+        assert count == diag_count_naive(n, m)
+
+
+@pytest.mark.parametrize(
+    # expected values from diag_count_naive, which takes seconds on the first three
+    "n,m,expected",
+    [(1, 10**6, 1), (3, 10**6 + 1, 2), (99999, 100000, 1), (1, 2 * 10**60, 1)],
+)
+def test_counters_answer_and_agree_at_scale(n, m, expected):
+    assert diag_count_tree(n, m) == diag_count_reduction(n, m) == expected
+    if n == 1:
+        assert diag_count_string(n, m) == expected
 
 
 # --- interleaving identity ---------------------------------------------------

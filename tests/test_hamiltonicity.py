@@ -6,6 +6,7 @@ import pytest
 
 import bitorus.hamiltonicity as ham
 from bitorus.counting import diag_count_tree
+from bitorus.diagonals import decompose
 from bitorus.errors import CapExceededError, InconsistencyError
 from bitorus.hamiltonicity import (
     HamWitness,
@@ -25,6 +26,7 @@ from bitorus.hamiltonicity import (
     square_construction,
     torus1_components,
     trace_components,
+    up_cell_count,
     validate_witness,
 )
 from bitorus.links import loop_count, orientation_link
@@ -328,6 +330,18 @@ def test_orientation_k_integral_for_coprime_sizes():
         dec = _dec(n, m)
         for omega in product("UR", repeat=len(dec.diagonals)):
             assert 0 <= orientation_k(dec, "".join(omega)) <= 4
+
+
+def test_up_cell_count_sums_runs_without_expanding_cells():
+    for n, m in coprime_pairs(8):
+        dec = decompose(GridParams(n, m))
+        counts = [up_cell_count(dec, "".join(omega))
+                  for omega in product("UR", repeat=len(dec.diagonals))]
+        assert not any("cells" in vars(diag) for diag in dec.diagonals)
+        assert counts == [
+            sum(len(diag.cells) for diag, ch in zip(dec.diagonals, omega) if ch == "U")
+            for omega in product("UR", repeat=len(dec.diagonals))
+        ]
 
 
 def test_validate_witness_rejects_garbage():
