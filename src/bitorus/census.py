@@ -1,4 +1,11 @@
-"""Batch surveys over coprime grid sizes."""
+"""Batch surveys over coprime grid sizes.
+
+`diag_distribution` enumerates the coprime pairs n < m <= h top-down,
+as two ternary trees sharing the children (2m - n, m), (2m + n, m) and
+(m + 2n, n): the even-odd pairs below (2, 1) and the odd-odd pairs
+below (3, 1).  Each pair is visited once, at O(1) cost: no gcd filter
+and no walk back to the root.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import diag_count_tree
+from .counting import diag_count_tree, tree_map_table
 from .hamiltonicity import is_hamiltonian_fast
 
 
@@ -61,20 +68,51 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
     return records
 
 
+def _tree_visits(
+    root: tuple[int, int], h: int, children: tuple[tuple[int, int, int], ...]
+) -> list[int]:
+    """Visits per map id over the tree below `root`, pruned at m > h.
+
+    children[f] holds the map ids of the gamma-, delta- and lambda-child
+    of a node with map id f; the root has id 0.  Each node pushes its
+    lambda- and delta-child and moves on to its gamma-child, which is
+    pruned whenever the delta-child is.  The stack is explicit because
+    the tree is up to h/2 deep.
+    """
+    visits = [0] * len(children)
+    stack = [(*root, 0)] if root[0] <= h else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        m, n, f = pop()
+        while True:
+            visits[f] += 1
+            gamma, delta, lam = children[f]
+            c = m + 2 * n
+            if c <= h:
+                push((c, n, lam))
+            c = 2 * m - n
+            if c > h:
+                break
+            if c + 2 * n <= h:
+                push((c + 2 * n, m, delta))
+            m, n, f = c, m, gamma
+    return visits
+
+
 def diag_distribution(h: int) -> DistributionReport:
-    """Exact diagonal-count distribution over coprime pairs m > n, m <= h."""
+    """Exact diagonal-count distribution over coprime pairs m > n, m <= h.
+
+    One top-down walk of each tree visits every pair once, at O(1) cost
+    per pair.  An even-odd node carries the automaton's state map of its
+    tree string as an id into `tree_map_table`, so its child's map is one
+    table lookup and its count one more; every odd-odd pair has 2
+    diagonals, so that walk only counts nodes.
+    """
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
-    gcd = math.gcd
-    count = diag_count_tree
-    pairs = 0
+    table = tree_map_table()
     tally = [0, 0, 0, 0]
-    for m in range(2, h + 1):
-        for n in range(1, m):
-            if gcd(n, m) != 1:
-                continue
-            pairs += 1
-            d = count(n, m)
-            if d <= 3:
-                tally[d] += 1
-    return DistributionReport(h, pairs, tally[1], tally[2], tally[3])
+    for value, visits in zip(table.values, _tree_visits((2, 1), h, table.children)):
+        tally[value] += visits
+    tally[2] += _tree_visits((3, 1), h, ((0, 0, 0),))[0]  # one map: every pair counts 2
+    return DistributionReport(h, sum(tally), tally[1], tally[2], tally[3])

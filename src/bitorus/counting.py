@@ -19,7 +19,9 @@ O(log n):
   canonicalised by five rewriting rules, determines the count.  The
   gamma- and lambda-runs of the path are subtractive, so each run is
   taken with one divmod and fed to the canonicalisation automaton as a
-  power of its character's transition map: O(log) runs.
+  power of its character's transition map: O(log) runs.  Walking the
+  tree downward instead, `tree_map_table` gives each child's state map
+  from its parent's in one lookup.
 """
 
 from __future__ import annotations
@@ -482,6 +484,42 @@ def _run_transition(state: str, ch: str, k: int) -> str:
     return powers[k][state]
 
 
+@dataclass(frozen=True)
+class TreeMapTable:
+    """The automaton's state maps reachable by prepending tree characters.
+
+    maps[f][i] is the state reached from CANONICAL_STRINGS[i] by reading
+    the tree string of any pair with map id f; id 0 is the identity,
+    the map of the root's empty string.  children[f] holds the ids of
+    f's gamma-, delta- and lambda-children: prepending ch gives the map
+    f o T_ch.  values[f] is the diagonal count of every pair with map f.
+    """
+
+    maps: tuple[tuple[str, ...], ...]
+    children: tuple[tuple[int, int, int], ...]
+    values: tuple[int, ...]
+
+
+@cache
+def tree_map_table() -> TreeMapTable:
+    """Closure of the identity under f -> f o T_ch, derived from `_TRANSITIONS`."""
+    index = {state: i for i, state in enumerate(CANONICAL_STRINGS)}
+    maps = [CANONICAL_STRINGS]  # id 0: the identity
+    ids = {CANONICAL_STRINGS: 0}
+    children = []
+    for f in maps:  # grows while it is read: a breadth-first closure
+        row = []
+        for ch in TREE_CHARS:
+            g = tuple(f[index[_TRANSITIONS[(state, ch)]]] for state in CANONICAL_STRINGS)
+            if g not in ids:
+                ids[g] = len(maps)
+                maps.append(g)
+            row.append(ids[g])
+        children.append(tuple(row))
+    values = _canonical_values()
+    return TreeMapTable(tuple(maps), tuple(children), tuple(values[f[0]] for f in maps))
+
+
 def canonicalize(ts: str) -> str:
     """Canonical form of a tree string: one of '', gamma, gamma^2, lambda.
 
@@ -514,9 +552,15 @@ def tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
     from (m, n) has (n - 1) // d steps; a lambda-step lowers m by 2n, so
     its run has (m - 3n) // (2n) + 1 steps.  Neither run can step past
     the root (2, 1), and a delta-step is Euclid-like, so there are
-    O(log m) runs.
+    O(log m) runs.  The pair is checked when this is called, before
+    the first run is read.
     """
     _check_tree_pair(m, n)
+    return _tree_runs(m, n)
+
+
+def _tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
+    """`tree_runs` without the pair check, for callers that reduced the pair."""
     while (m, n) != (2, 1):
         d = m - n
         if n > d:
@@ -545,7 +589,7 @@ def diag_count_tree(n: int, m: int) -> int:
     if a % 2 == 1 and b % 2 == 1:
         return 2 * g
     state = ""
-    for ch, k in tree_runs(max(a, b), min(a, b)):
+    for ch, k in _tree_runs(max(a, b), min(a, b)):
         state = _run_transition(state, ch, k)
     return g * _canonical_values()[state]
 

@@ -49,7 +49,10 @@ class HamWitness:
     cycle: list[Cell]
 
 
-@lru_cache(maxsize=None)
+# Callers reuse a decomposition only while they work on one grid (brute
+# sweep, witness, tracing), so a small bound keeps the hits and drops the
+# expanded cell tuples of grids already answered.
+@lru_cache(maxsize=64)
 def _dec(n: int, m: int) -> DiagonalDecomposition:
     return decompose(GridParams(n, m))
 

@@ -7,9 +7,11 @@ internal inconsistency, not bad input.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
+from .census import diag_distribution
 from .counting import (
     DELTA,
     GAMMA,
@@ -180,6 +182,20 @@ def check_canon_rules(limit: int) -> CheckResult:
     )
 
 
+def check_census_tree(limit: int) -> CheckResult:
+    """The top-down census walk tallies like per-pair tree walks."""
+    h = 10 * limit
+    tally = Counter(diag_count_tree(n, m) for n, m in _coprime_pairs(h, strict=True))
+    report = diag_distribution(h)
+    got = (report.pairs, report.count1, report.count2, report.count3)
+    want = (sum(tally.values()), tally[1], tally[2], tally[3])
+    return CheckResult(
+        "census-tree",
+        got == want,
+        f"coprime n < m <= {h}" + ("" if got == want else f", walk {got} != per-pair {want}"),
+    )
+
+
 def run_verify(limit: int = 10) -> list[CheckResult]:
     if limit < 2:
         raise ValueError(f"need limit >= 2, got {limit}")
@@ -191,4 +207,5 @@ def run_verify(limit: int = 10) -> list[CheckResult]:
         check_link_balance(min(limit, 15)),
         check_periodicity(limit),
         check_canon_rules(limit),
+        check_census_tree(limit),
     ]

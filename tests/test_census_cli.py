@@ -1,11 +1,23 @@
 import json
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from bitorus.census import diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
-from bitorus.counting import diag_count_tree
+from bitorus.counting import (
+    _TRANSITIONS,
+    CANONICAL_STRINGS,
+    TREE_CHARS,
+    _canonical_values,
+    apply_tree_string,
+    canonicalize,
+    diag_count_tree,
+    tree_map_table,
+)
+from bitorus.diagonals import diag_count_naive
 from bitorus.verify import run_verify
 
 
@@ -43,9 +55,60 @@ def test_distribution_small_horizon():
     assert abs(report.p1 - Fraction(4, 9)) < Fraction(1, 20)
 
 
-def _coprime(h):
-    import math
+def test_distribution_matches_per_pair_tree_walks_at_every_horizon():
+    tally = Counter()
+    for h in range(2, 151):
+        for n in range(1, h):
+            if math.gcd(n, h) == 1:
+                tally[diag_count_tree(n, h)] += 1
+        report = diag_distribution(h)
+        got = (report.pairs, report.count1, report.count2, report.count3)
+        assert got == (sum(tally.values()), tally[1], tally[2], tally[3])
+        assert report.count1 + report.count2 + report.count3 == report.pairs
 
+
+def test_distribution_exact_tallies():
+    for h, tallies in (
+        (1000, (304191, 135229, 101330, 67632)),
+        (2000, (1216587, 540900, 405432, 270255)),
+    ):
+        report = diag_distribution(h)
+        assert (report.pairs, report.count1, report.count2, report.count3) == tallies
+
+
+def test_distribution_validates_input():
+    with pytest.raises(ValueError):
+        diag_distribution(1)
+
+
+def test_tree_map_table_is_closed_and_valued_at_the_image_of_the_root():
+    table = tree_map_table()
+    maps = table.maps
+    assert maps[0] == CANONICAL_STRINGS
+    assert len(set(maps)) == len(maps) == len(table.children) == len(table.values)
+    values = _canonical_values()
+    for f, row in enumerate(table.children):
+        for ch, g in zip(TREE_CHARS, row):
+            images = (_TRANSITIONS[(state, ch)] for state in CANONICAL_STRINGS)
+            assert maps[g] == tuple(maps[f][CANONICAL_STRINGS.index(s)] for s in images)
+        assert table.values[f] == values[maps[f][0]]
+
+
+def test_tree_map_ids_follow_prepended_characters():
+    table = tree_map_table()
+    words = [""]
+    for _ in range(6):
+        words = [ch + w for w in words for ch in TREE_CHARS]
+        for word in words:
+            f = 0
+            for ch in reversed(word):
+                f = table.children[f][TREE_CHARS.index(ch)]
+            assert table.maps[f] == tuple(canonicalize(s + word) for s in CANONICAL_STRINGS)
+            m, n = apply_tree_string(word)
+            assert table.values[f] == diag_count_naive(n, m)
+
+
+def _coprime(h):
     for m in range(2, h + 1):
         for n in range(1, m):
             if math.gcd(n, m) == 1:
@@ -140,7 +203,8 @@ def test_cli_census_csv(capsys):
 def test_cli_verify(capsys):
     assert cli_main(["verify", "--max", "10"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 7 and "FAIL" not in out
+    assert out.count("ok ") == 8 and "FAIL" not in out
+    assert "census-tree" in out
 
 
 def test_run_verify_all_green():

@@ -256,6 +256,12 @@ def test_tree_string_rejects_bad_pairs():
         tree_string(6, 3)
 
 
+def test_tree_runs_rejects_bad_pairs_when_called():
+    for m, n in ((3, 1), (2, 4), (6, 3)):
+        with pytest.raises(ValueError):
+            tree_runs(m, n)
+
+
 def test_canonicalize_examples():
     assert canonicalize(DELTA) == GAMMA
     assert canonicalize(GAMMA + DELTA) == LAMBDA
