@@ -9,11 +9,19 @@ tiers implement this:
 * the link tier, which enumerates only per-group up-counts and tests
   whether the induced boundary link is a knot;
 * closed-form constructions for square grids and for height-2 grids.
+
+Everything here reads the runs of `decompose` and expands no cell.  A
+run (r, c, L) covers the flat indices r*cols + c + j*(cols + 1), j < L,
+so one strided slice per run fills the per-cell diagonal-id table and
+the brute sweep's successor table.  A run is also a whole line
+col - row = d of the rectangle, which lets witnesses walk line by line:
+O(n + m) Python steps per cycle, with every cell written by numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -21,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .counting import diag_count_tree
-from .diagonals import DiagonalDecomposition, decompose
+from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_ids, run_slice
 from .errors import CapExceededError, InconsistencyError
 from .links import Link, is_knot
 from .surface import (
@@ -37,8 +45,6 @@ from .surface import (
 )
 
 BRUTE_DIAGONAL_CAP = 24
-_PYTHON_SWEEP_LIMIT = 2_000_000
-_CHUNK = 4096
 
 
 @dataclass
@@ -51,56 +57,122 @@ class HamWitness:
 
 # Callers reuse a decomposition only while they work on one grid (brute
 # sweep, witness, tracing), so a small bound keeps the hits and drops the
-# expanded cell tuples of grids already answered.
+# decompositions of grids already answered.
 @lru_cache(maxsize=64)
 def _dec(n: int, m: int) -> DiagonalDecomposition:
     return decompose(GridParams(n, m))
 
 
-def _cell_directions(dec: DiagonalDecomposition, omega: str) -> list[str]:
-    """Flat per-cell direction table for an orientation string."""
+def _omega_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
+    """Per diagonal, whether the orientation string orients it up."""
     if len(omega) != len(dec.diagonals):
         raise ValueError(
             f"orientation string length {len(omega)} != {len(dec.diagonals)} diagonals"
         )
-    grid = dec.grid
-    table = [""] * grid.size
-    for diag, direction in zip(dec.diagonals, omega):
-        if direction not in "UR":
+    for direction in omega:
+        if direction not in ("U", "R"):
             raise ValueError(f"orientation characters must be U or R, got {direction!r}")
-        for row, col in diag.cells:
-            table[row * grid.cols + col] = direction
-    return table
+    return np.array([direction == "U" for direction in omega], dtype=bool)
 
 
-def _oriented_successors(dec: DiagonalDecomposition, omega: str) -> list[int]:
+def _cell_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
+    """Per flat cell index, whether its diagonal is oriented up."""
+    return _omega_up(dec, omega)[diagonal_ids(dec)]
+
+
+def _walk_from_zero(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
+    """Flat indices of the oriented cycle through cell 0, in walk order.
+
+    The cells with col - row = d form one run, so one direction serves
+    the whole line d, and both moves lead from line d to line d + 1: up
+    lowers the row by one, right keeps it.  Between wraps the walk thus
+    crosses consecutive lines, its row on each found by a prefix count
+    of up lines.  From (r, c) it wraps at the r-th up line or the
+    (cols - 1 - c)-th right line ahead, whichever comes first, so each
+    stretch takes two bisections.  A stretch ends on a distinct top-row
+    or last-column cell, so a cycle has at most rows + cols stretches;
+    their cells are filled in one numpy pass at the end.
+    """
     grid = dec.grid
-    su = up_indices(grid).tolist()
-    sr = right_indices(grid).tolist()
-    dirs = _cell_directions(dec, omega)
-    return [su[i] if dirs[i] == "U" else sr[i] for i in range(grid.size)]
+    rows, cols = grid.rows, grid.cols
+    off = rows - 1  # line d sits at index d + off; cell 0 is on line index off
+    line_up = _omega_up(dec, omega)[line_ids(dec)]
+    lines = len(line_up)
+    ups = np.concatenate(([0], np.cumsum(line_up)))  # up lines below each index
+    ups_at = ups.tolist()
+    up_lines = np.flatnonzero(line_up).tolist()
+    right_lines = np.flatnonzero(~line_up).tolist()
+    firsts, lengths, shifts = [], [], []
+    r = c = 0
+    for k in range(rows + cols):
+        x0 = c - r + off
+        i = bisect_left(up_lines, x0) + r
+        j = bisect_left(right_lines, x0) + cols - 1 - c
+        x_up = up_lines[i] if i < len(up_lines) else lines
+        x_right = right_lines[j] if j < len(right_lines) else lines
+        x1 = min(x_up, x_right)
+        if x1 == lines:
+            raise InconsistencyError("oriented walk leaves the grid")
+        closes = k > 0 and x0 <= off <= x1 and r == ups_at[off] - ups_at[x0]
+        if closes:
+            x1 = off - 1
+        # the row on line x of this stretch is r - (ups[x] - ups[x0])
+        firsts.append(x0)
+        lengths.append(x1 + 1 - x0)
+        shifts.append(r + ups_at[x0])
+        if closes:
+            break
+        r -= ups_at[x1] - ups_at[x0]
+        c = r + x1 - off
+        if x_up < x_right:
+            r, c = rows - 1, (c + grid.m) % cols
+        else:
+            r, c = (r + grid.n) % rows, 0
+    else:
+        raise InconsistencyError("oriented walk from cell 0 does not return")
+    lengths = np.array(lengths)
+    before = np.cumsum(lengths) - lengths
+    x = np.arange(lengths.sum()) + np.repeat(np.array(firsts) - before, lengths)
+    row = np.repeat(shifts, lengths) - ups[x]
+    return row * (cols + 1) + x - off
+
+
+def _diagonal_constant(dec: DiagonalDecomposition, up: np.ndarray) -> str | None:
+    """The orientation string of a per-cell up table; None unless constant per diagonal."""
+    ids = diagonal_ids(dec)
+    count = len(dec.diagonals)
+    ups = np.bincount(ids[up], minlength=count)
+    if ((ups != 0) & (ups != np.bincount(ids, minlength=count))).any():
+        return None
+    return "".join("U" if k else "R" for k in ups.tolist())
+
+
+def _flat_to_cells(grid: GridParams, flat) -> list[Cell]:
+    """Cells by flat index, taken from one row-major array of tuples."""
+    cells = product(range(grid.rows), range(grid.cols))
+    return np.fromiter(cells, dtype=object, count=grid.size)[flat].tolist()
 
 
 def trace_components(grid: GridParams, omega: str) -> list[list[Cell]]:
     """Cycles of the permutation graph induced by an orientation string."""
-    dec = _dec(grid.n, grid.m)
-    succ = _oriented_successors(dec, omega)
-    cols = grid.cols
+    up = _cell_up(_dec(grid.n, grid.m), omega)
+    succ = np.where(up, up_indices(grid), right_indices(grid)).tolist()
     seen = bytearray(grid.size)
-    cycles = []
+    order = []
+    ends = []
     for start in range(grid.size):
         if seen[start]:
             continue
-        cycle = []
         i = start
         while not seen[i]:
             seen[i] = 1
-            cycle.append(divmod(i, cols))
+            order.append(i)
             i = succ[i]
         if i != start:
             raise InconsistencyError("oriented edges do not form a permutation")
-        cycles.append(cycle)
-    return cycles
+        ends.append(len(order))
+    cells = _flat_to_cells(grid, order)
+    return [cells[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
@@ -126,81 +198,46 @@ def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
 
 
 def _witness_from_omega(dec: DiagonalDecomposition, omega: str) -> HamWitness:
-    succ = _oriented_successors(dec, omega)
-    cols = dec.grid.cols
-    cycle = []
-    i = 0
-    while True:
-        cycle.append(divmod(i, cols))
-        i = succ[i]
-        if i == 0:
-            break
-    if len(cycle) != dec.grid.size:
+    grid = dec.grid
+    cycle = _walk_from_zero(dec, omega)
+    if len(cycle) != grid.size:
         raise InconsistencyError("claimed witness does not cover the grid")
-    return HamWitness("".join(omega), cycle)
+    return HamWitness("".join(omega), _flat_to_cells(grid, cycle))
 
 
-def _brute_python(dec: DiagonalDecomposition) -> str | None:
+def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
+    """First orientation string, U < R, whose walk from cell 0 covers the grid.
+
+    This walk goes cell by cell, independently of the line walk that
+    builds the witness, so every brute witness checks one against the
+    other.  Between strings only the diagonals whose direction changed
+    are rewritten, one run slice at a time.  A numpy sweep over batches
+    of strings lost to this walk on every benchmark brute grid
+    (2^c * 4nm <= 1e5) and on every n <= m <= 10, so there is no other.
+    """
     grid = dec.grid
     size = grid.size
     su = up_indices(grid).tolist()
     sr = right_indices(grid).tolist()
-    member_ids = [
-        [row * grid.cols + col for row, col in diag.cells] for diag in dec.diagonals
-    ]
-    for omega in product("UR", repeat=len(dec.diagonals)):
-        succ = [0] * size
-        for diag_cells, ch in zip(member_ids, omega):
-            table = su if ch == "U" else sr
-            for i in diag_cells:
-                succ[i] = table[i]
-        length = 0
+    slices = [[run_slice(grid, run) for run in diag.runs] for diag in dec.diagonals]
+    succ = [0] * size
+    prev = ("",) * len(slices)
+    for omega in product("UR", repeat=len(slices)):
+        for diag_slices, ch, old in zip(slices, omega, prev):
+            if ch != old:
+                table = su if ch == "U" else sr
+                for sl in diag_slices:
+                    succ[sl] = table[sl]
+        prev = omega
         i = 0
-        while True:
+        for length in range(1, size + 1):
             i = succ[i]
-            length += 1
             if i == 0:
                 break
+        if i != 0:
+            raise InconsistencyError("oriented edges do not form a permutation")
         if length == size:
             return "".join(omega)
-    return None
-
-
-def _brute_vectorized(dec: DiagonalDecomposition) -> str | None:
-    """Sweep all orientation masks in lexicographic batches.
-
-    Bit c-1-j of a mask orients diagonal j (0 = up, 1 = right), so
-    ascending masks match ascending orientation strings with U < R.
-    The walk from cell 0 returns after exactly `size` steps only for
-    Hamiltonian orientations.
-    """
-    grid = dec.grid
-    size = grid.size
-    c = len(dec.diagonals)
-    su = up_indices(grid).astype(np.int32)
-    sr = right_indices(grid).astype(np.int32)
-    diag_id = np.zeros(size, dtype=np.int64)
-    for diag in dec.diagonals:
-        for row, col in diag.cells:
-            diag_id[row * grid.cols + col] = diag.id
-    shifts = (c - 1 - diag_id)[None, :]
-    for lo in range(0, 1 << c, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, 1 << c), dtype=np.int64)
-        bits = (masks[:, None] >> shifts) & 1
-        succ = np.where(bits == 1, sr[None, :], su[None, :])
-        k = len(masks)
-        rows = np.arange(k)
-        pos = np.zeros(k, dtype=np.int32)
-        ret = np.zeros(k, dtype=np.int32)
-        for step_no in range(1, size + 1):
-            pos = succ[rows, pos]
-            hit = (pos == 0) & (ret == 0)
-            if hit.any():
-                ret[hit] = step_no
-        winners = np.nonzero(ret == size)[0]
-        if winners.size:
-            mask = int(masks[winners[0]])
-            return "".join("R" if (mask >> (c - 1 - j)) & 1 else "U" for j in range(c))
     return None
 
 
@@ -218,10 +255,7 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
             f"grid ({n},{m}) has {c} diagonals; brute force capped at "
             f"{BRUTE_DIAGONAL_CAP} -- use is_hamiltonian_fast"
         )
-    if (1 << c) * dec.grid.size <= _PYTHON_SWEEP_LIMIT:
-        omega = _brute_python(dec)
-    else:
-        omega = _brute_vectorized(dec)
+    omega = _brute_sweep(dec)
     if omega is None:
         return False, None
     return True, _witness_from_omega(dec, omega)
@@ -303,10 +337,9 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
         )
     if len(set(cycle)) != grid.size:
         raise InconsistencyError("witness repeats a cell")
-    dec = _dec(grid.n, grid.m)
-    dirs = _cell_directions(dec, witness.orientation)
+    up = _cell_up(_dec(grid.n, grid.m), witness.orientation).tolist()
     for idx, cell in enumerate(cycle):
-        move = dirs[cell[0] * grid.cols + cell[1]]
+        move = UP if up[cell[0] * grid.cols + cell[1]] else RIGHT
         expected = step(grid, cell, move)
         if cycle[(idx + 1) % len(cycle)] != expected:
             raise InconsistencyError(f"witness breaks at {cell}")
@@ -345,21 +378,16 @@ def square_construction(n: int) -> HamWitness:
     if cycle is None:
         raise InconsistencyError(f"square walk failed to close on the ({n},{n}) grid")
     grid = GridParams(n, n)
-    dec = _dec(n, n)
     # Direction used out of each cell; must be constant per diagonal.
-    direction = {}
-    for idx, cell in enumerate(cycle):
-        nxt = cycle[(idx + 1) % len(cycle)]
-        direction[cell] = "U" if nxt == step(grid, cell, UP) else "R"
-    chars = []
-    for diag in dec.diagonals:
-        dirs = {direction[cell] for cell in diag.cells}
-        if len(dirs) != 1:
-            raise InconsistencyError(
-                f"square walk is not diagonal-constant on the ({n},{n}) grid"
-            )
-        chars.append(dirs.pop())
-    witness = HamWitness("".join(chars), cycle)
+    flat = np.array(cycle, dtype=np.intp) @ np.array([grid.cols, 1])
+    up = np.empty(grid.size, dtype=bool)
+    up[flat] = np.roll(flat, -1) == up_indices(grid)[flat]
+    omega = _diagonal_constant(_dec(n, n), up)
+    if omega is None:
+        raise InconsistencyError(
+            f"square walk is not diagonal-constant on the ({n},{n}) grid"
+        )
+    witness = HamWitness(omega, cycle)
     validate_witness(grid, witness)
     return witness
 
@@ -394,21 +422,17 @@ def _n2_omega_for(m: int, layout) -> str | None:
     under this layout.
     """
     rule = _N2_RIGHT_RULES[m % 8]
-    table = {}
+    dec = _dec(2, m)
+    cols = dec.grid.cols
+    up = np.empty(dec.grid.size, dtype=bool)
     for rho in range(8):
         for col in range(m):
-            cell = layout(rho, col, m)
-            table[cell] = "R" if rule(rho - col) else "U"
-    dec = _dec(2, m)
-    chars = []
-    for diag in dec.diagonals:
-        dirs = {table[cell] for cell in diag.cells}
-        if len(dirs) != 1:
-            return None
-        chars.append(dirs.pop())
-    omega = "".join(chars)
-    cycles = trace_components(dec.grid, omega)
-    if len(cycles) != 1:
+            row, c = layout(rho, col, m)
+            up[row * cols + c] = not rule(rho - col)
+    omega = _diagonal_constant(dec, up)
+    if omega is None:
+        return None
+    if len(_walk_from_zero(dec, omega)) != dec.grid.size:
         return None
     return omega
 

@@ -1,11 +1,14 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from bitorus.diagonals import (
     decompose,
     diag_count_naive,
+    diagonal_ids,
+    line_ids,
     profile,
 )
 from bitorus.surface import GridParams, diag_successor, diag_successor_indices, right_power
@@ -164,3 +167,20 @@ def test_run_walk_counter_matches_cell_walk():
             assert [d.cells for d in dec.diagonals] == ref
             assert [d.profile for d in dec.diagonals] == [profile(grid, c) for c in ref]
 
+
+
+def test_run_tables_match_cell_by_cell_tables():
+    # per cell and per line col - row, the id of the diagonal through it
+    for n in range(1, 21):
+        for m in range(1, 21):
+            grid = GridParams(n, m)
+            dec = decompose(grid)
+            ref = np.full(grid.size, -1)
+            ref_lines = np.full(grid.rows + grid.cols - 1, -1)
+            for diag in dec.diagonals:
+                for row, col in diag.cells:
+                    ref[row * grid.cols + col] = diag.id
+                    assert ref_lines[col - row + grid.rows - 1] in (-1, diag.id)
+                    ref_lines[col - row + grid.rows - 1] = diag.id
+            assert (diagonal_ids(dec) == ref).all(), (n, m)
+            assert (line_ids(dec) == ref_lines).all(), (n, m)

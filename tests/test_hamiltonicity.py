@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -83,12 +83,76 @@ def test_brute_cap(monkeypatch):
         is_hamiltonian_brute(2, 2)
 
 
-def test_vectorized_sweep_matches_python_sweep(monkeypatch):
-    # force tiny chunks so the batched path crosses chunk boundaries
-    monkeypatch.setattr(ham, "_CHUNK", 8)
-    for n, m in [(2, 2), (1, 4), (2, 5), (1, 3)]:
-        dec = _dec(n, m)
-        assert ham._brute_vectorized(dec) == ham._brute_python(dec)
+def per_cell_walk(grid, dec, omega):
+    """Reference: the oriented walk from (0, 0), cell by cell from Diagonal.cells."""
+    succ = {}
+    for diag, ch in zip(dec.diagonals, omega):
+        for cell in diag.cells:
+            succ[cell] = step(grid, cell, ch)
+    walk = [(0, 0)]
+    while succ[walk[-1]] != (0, 0):
+        walk.append(succ[walk[-1]])
+    return walk
+
+
+def per_cell_sweep(n, m):
+    """Reference sweep: the first orientation string, U < R, whose per-cell
+    walk covers the grid, with that walk; None when there is none."""
+    grid = GridParams(n, m)
+    dec = decompose(grid)
+    for omega in product("UR", repeat=len(dec.diagonals)):
+        walk = per_cell_walk(grid, dec, omega)
+        if len(walk) == grid.size:
+            return "".join(omega), walk
+    return None
+
+
+def test_line_walk_matches_per_cell_walk():
+    # every orientation, Hamiltonian or not, up to 64 per grid
+    for n in range(1, 10):
+        for m in range(1, 10):
+            grid = GridParams(n, m)
+            dec = decompose(grid)
+            for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
+                flat = ham._walk_from_zero(dec, omega).tolist()
+                assert [divmod(i, grid.cols) for i in flat] == per_cell_walk(grid, dec, omega)
+
+
+def test_brute_matches_per_cell_sweep():
+    for n in range(1, 9):
+        for m in range(1, 9):
+            if diag_count_tree(n, m) > ham.BRUTE_DIAGONAL_CAP:
+                continue
+            verdict, witness = is_hamiltonian_brute(n, m)
+            ref = per_cell_sweep(n, m)
+            assert verdict == (ref is not None), (n, m)
+            if verdict:
+                assert (witness.orientation, witness.cycle) == ref, (n, m)
+
+
+def test_witness_rejects_orientation_that_does_not_cover():
+    # the single diagonal of (2, 3) oriented up splits into three cycles
+    with pytest.raises(InconsistencyError):
+        ham._witness_from_omega(_dec(2, 3), "U")
+
+
+def test_large_witness_validates():
+    witness = hamiltonian_witness(264, 322)
+    assert len(witness.cycle) == 4 * 264 * 322
+    validate_witness(GridParams(264, 322), witness)
+
+
+def test_witnesses_sweeps_and_tracing_expand_no_cells():
+    _dec.cache_clear()
+    grids = [(3, 3), (2, 4), (4, 6), (5, 7), (2, 7), (6, 6)]
+    for n, m in grids:
+        hamiltonian_witness(n, m)
+        is_hamiltonian_brute(n, m)
+        trace_components(GridParams(n, m), "U" * len(_dec(n, m).diagonals))
+    square_construction(6)
+    n2_orientation(7)
+    for n, m in grids + [(2, 7)]:
+        assert not any("cells" in vars(diag) for diag in _dec(n, m).diagonals), (n, m)
 
 
 # --- link tier -----------------------------------------------------------------
@@ -188,6 +252,18 @@ def test_square_walk_start_row_calibration():
     # smallest squares, and the other plausible reading, row n - 1, does not.
     assert all(ham._square_cycle(n, n) is not None for n in (1, 2, 3))
     assert any(ham._square_cycle(n, n - 1) is None for n in (1, 2, 3))
+
+
+def test_diagonal_constant_reads_orientations_and_rejects_mixed_tables():
+    for n, m in [(3, 3), (4, 6), (2, 7)]:
+        dec = _dec(n, m)
+        for omega in islice(product("UR", repeat=len(dec.diagonals)), 16):
+            up = ham._cell_up(dec, omega)
+            assert ham._diagonal_constant(dec, up) == "".join(omega)
+            for cell in (0, dec.grid.size // 2, dec.grid.size - 1):
+                mixed = up.copy()
+                mixed[cell] = not mixed[cell]
+                assert ham._diagonal_constant(dec, mixed) is None
 
 
 def test_square_construction_agrees_with_brute():
