@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import InconsistencyError
+from .links import perm_cycles
 from .surface import RIGHT, UP_INV, GridParams, check_sizes, step
 from .diagonals import diag_count_naive
 
@@ -54,21 +55,6 @@ TERMINAL_PAIRS = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)})
 def compose(p: QuadPerm, q: QuadPerm) -> QuadPerm:
     """Permutation applying q first, then p."""
     return tuple(p[q[i]] for i in range(len(q)))
-
-
-def perm_cycles(p) -> int:
-    """Number of cycles, fixed points included."""
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-    return count
 
 
 def _is_four_cycle(p: QuadPerm) -> bool:

@@ -14,8 +14,10 @@ Everything here reads the runs of `decompose` and expands no cell.  A
 run (r, c, L) covers the flat indices r*cols + c + j*(cols + 1), j < L,
 so one strided slice per run fills the per-cell diagonal-id table and
 the brute sweep's successor table.  A run is also a whole line
-col - row = d of the rectangle, which lets witnesses walk line by line:
-O(n + m) Python steps per cycle, with every cell written by numpy.
+col - row = d of the rectangle, which lets witnesses and
+`trace_components` walk cycles line by line: O(n + m) Python steps per
+cycle, with every cell written by numpy.  Only the brute sweep, the
+independent reference, walks cell by cell.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .counting import diag_count_tree
 from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_ids, run_slice
 from .errors import CapExceededError, InconsistencyError
-from .links import Link, is_knot
+from .links import Link, is_knot, perm_cycles
 from .surface import (
     RIGHT,
     UP,
@@ -40,6 +42,7 @@ from .surface import (
     check_sizes,
     diag_successor,
     right_indices,
+    right_power,
     step,
     up_indices,
 )
@@ -80,8 +83,16 @@ def _cell_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
     return _omega_up(dec, omega)[diagonal_ids(dec)]
 
 
-def _walk_from_zero(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
-    """Flat indices of the oriented cycle through cell 0, in walk order.
+def _line_tables(dec: DiagonalDecomposition, omega: str) -> tuple:
+    """Per line x = col - row + rows - 1: up lines below each x (as an
+    array and as a list), the up lines and the right lines."""
+    line_up = _omega_up(dec, omega)[line_ids(dec)]
+    ups = np.concatenate(([0], np.cumsum(line_up)))
+    return ups, ups.tolist(), np.flatnonzero(line_up).tolist(), np.flatnonzero(~line_up).tolist()
+
+
+def _line_walk(grid: GridParams, lines: tuple, r0: int, c0: int) -> np.ndarray:
+    """Flat indices of the oriented cycle through (r0, c0), in walk order.
 
     The cells with col - row = d form one run, so one direction serves
     the whole line d, and both moves lead from line d to line d + 1: up
@@ -89,33 +100,30 @@ def _walk_from_zero(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
     crosses consecutive lines, its row on each found by a prefix count
     of up lines.  From (r, c) it wraps at the r-th up line or the
     (cols - 1 - c)-th right line ahead, whichever comes first, so each
-    stretch takes two bisections.  A stretch ends on a distinct top-row
-    or last-column cell, so a cycle has at most rows + cols stretches;
-    their cells are filled in one numpy pass at the end.
+    stretch takes two bisections.  A stretch after the first starts on
+    a distinct bottom-row or first-column cell, so a cycle has at most
+    rows + cols stretches; their cells are filled in one numpy pass at
+    the end.
     """
-    grid = dec.grid
     rows, cols = grid.rows, grid.cols
-    off = rows - 1  # line d sits at index d + off; cell 0 is on line index off
-    line_up = _omega_up(dec, omega)[line_ids(dec)]
-    lines = len(line_up)
-    ups = np.concatenate(([0], np.cumsum(line_up)))  # up lines below each index
-    ups_at = ups.tolist()
-    up_lines = np.flatnonzero(line_up).tolist()
-    right_lines = np.flatnonzero(~line_up).tolist()
+    off = rows - 1  # line d sits at index d + off
+    ups, ups_at, up_lines, right_lines = lines
+    count = len(ups_at) - 1
+    xs = c0 - r0 + off
     firsts, lengths, shifts = [], [], []
-    r = c = 0
+    r, c = r0, c0
     for k in range(rows + cols):
         x0 = c - r + off
         i = bisect_left(up_lines, x0) + r
         j = bisect_left(right_lines, x0) + cols - 1 - c
-        x_up = up_lines[i] if i < len(up_lines) else lines
-        x_right = right_lines[j] if j < len(right_lines) else lines
+        x_up = up_lines[i] if i < len(up_lines) else count
+        x_right = right_lines[j] if j < len(right_lines) else count
         x1 = min(x_up, x_right)
-        if x1 == lines:
+        if x1 == count:
             raise InconsistencyError("oriented walk leaves the grid")
-        closes = k > 0 and x0 <= off <= x1 and r == ups_at[off] - ups_at[x0]
+        closes = k > 0 and x0 <= xs <= x1 and r - r0 == ups_at[xs] - ups_at[x0]
         if closes:
-            x1 = off - 1
+            x1 = xs - 1
         # the row on line x of this stretch is r - (ups[x] - ups[x0])
         firsts.append(x0)
         lengths.append(x1 + 1 - x0)
@@ -129,7 +137,7 @@ def _walk_from_zero(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
         else:
             r, c = (r + grid.n) % rows, 0
     else:
-        raise InconsistencyError("oriented walk from cell 0 does not return")
+        raise InconsistencyError(f"oriented walk from {(r0, c0)} does not return")
     lengths = np.array(lengths)
     before = np.cumsum(lengths) - lengths
     x = np.arange(lengths.sum()) + np.repeat(np.array(firsts) - before, lengths)
@@ -154,24 +162,30 @@ def _flat_to_cells(grid: GridParams, flat) -> list[Cell]:
 
 
 def trace_components(grid: GridParams, omega: str) -> list[list[Cell]]:
-    """Cycles of the permutation graph induced by an orientation string."""
-    up = _cell_up(_dec(grid.n, grid.m), omega)
-    succ = np.where(up, up_indices(grid), right_indices(grid)).tolist()
-    seen = bytearray(grid.size)
-    order = []
-    ends = []
-    for start in range(grid.size):
-        if seen[start]:
+    """Cycles of the permutation graph induced by an orientation string.
+
+    Each cycle starts at its row-major first cell, and the cycles come in
+    the order of those cells.  Every cycle wraps, and every wrap lands on
+    the bottom row or the first column, so line walks from those cells
+    that no earlier walk covered find every cycle once.
+    """
+    lines = _line_tables(_dec(grid.n, grid.m), omega)
+    rows, cols = grid.rows, grid.cols
+    covered = np.zeros(grid.size, dtype=bool)
+    cycles = []
+    for r, c in [(rows - 1, col) for col in range(cols)] + [(row, 0) for row in range(rows - 1)]:
+        if covered[r * cols + c]:
             continue
-        i = start
-        while not seen[i]:
-            seen[i] = 1
-            order.append(i)
-            i = succ[i]
-        if i != start:
+        cycle = _line_walk(grid, lines, r, c)
+        if covered[cycle].any():
             raise InconsistencyError("oriented edges do not form a permutation")
-        ends.append(len(order))
-    cells = _flat_to_cells(grid, order)
+        covered[cycle] = True
+        cycles.append(np.roll(cycle, -int(cycle.argmin())))
+    if not covered.all():
+        raise InconsistencyError("oriented cycles leave cells uncovered")
+    cycles.sort(key=lambda cycle: cycle[0])
+    ends = np.cumsum([len(cycle) for cycle in cycles]).tolist()
+    cells = _flat_to_cells(grid, np.concatenate(cycles))
     return [cells[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
@@ -199,7 +213,7 @@ def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
 
 def _witness_from_omega(dec: DiagonalDecomposition, omega: str) -> HamWitness:
     grid = dec.grid
-    cycle = _walk_from_zero(dec, omega)
+    cycle = _line_walk(grid, _line_tables(dec, omega), 0, 0)
     if len(cycle) != grid.size:
         raise InconsistencyError("claimed witness does not cover the grid")
     return HamWitness("".join(omega), _flat_to_cells(grid, cycle))
@@ -350,22 +364,28 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
 
 
 def _square_cycle(n: int, start_row: int) -> list[Cell] | None:
-    """Walk 4n-1 rights then one up, n times; None unless it closes."""
+    """Walk 4n-1 rights then one up, n times; None unless it closes.
+
+    Each stretch of 4n cells is a right power of its first cell, so only
+    the n stretch starts are stepped here; numpy writes the cells.
+    """
     grid = GridParams(n, n)
-    pos: Cell = (start_row, 0)
-    cycle = [pos]
+    rows, cols = grid.rows, grid.cols
+    starts = [(start_row, 0)]
     for _ in range(n):
-        for _ in range(4 * n - 1):
-            pos = step(grid, pos, RIGHT)
-            cycle.append(pos)
-        pos = step(grid, pos, UP)
-        cycle.append(pos)
-    if cycle[-1] != cycle[0]:
+        row, col = right_power(grid, starts[-1], 4 * n - 1)
+        starts.append((row - 1, col) if row > 0 else (rows - 1, (col + n) % cols))
+    if starts.pop() != starts[0]:
         return None
-    cycle.pop()
-    if len(set(cycle)) != grid.size:
+    start_rows, start_cols = np.array(starts).T
+    col = start_cols[:, None] + np.arange(4 * n)
+    row = (start_rows[:, None] + n * (col // cols)) % rows
+    col %= cols
+    covered = np.zeros(grid.size, dtype=bool)
+    covered[row * cols + col] = True
+    if not covered.all():
         return None
-    return cycle
+    return list(zip(row.ravel().tolist(), col.ravel().tolist()))
 
 
 def square_construction(n: int) -> HamWitness:
@@ -432,7 +452,7 @@ def _n2_omega_for(m: int, layout) -> str | None:
     omega = _diagonal_constant(dec, up)
     if omega is None:
         return None
-    if len(_walk_from_zero(dec, omega)) != dec.grid.size:
+    if len(_line_walk(dec.grid, _line_tables(dec, omega), 0, 0)) != dec.grid.size:
         return None
     return omega
 
@@ -563,19 +583,6 @@ def torus1_components(n: int, m: int, orientation: str) -> int:
     g = math.gcd(n, m)
     if len(orientation) != g:
         raise ValueError(f"need one direction per torus diagonal ({g})")
-    seen = bytearray(n * m)
-    cycles = 0
-    for start in range(n * m):
-        if seen[start]:
-            continue
-        cycles += 1
-        i = start
-        while not seen[i]:
-            seen[i] = 1
-            r, c = divmod(i, m)
-            if orientation[(c - r) % g] == "U":
-                r = (r - 1) % n
-            else:
-                c = (c + 1) % m
-            i = r * m + c
-    return cycles
+    r, c = np.divmod(np.arange(n * m), m)
+    up = np.array([ch == "U" for ch in orientation])[(c - r) % g]
+    return perm_cycles(np.where(up, (r - 1) % n * m + c, r * m + (c + 1) % m).tolist())

@@ -58,20 +58,24 @@ def link_permutation(link: Link) -> list[int]:
     return perm
 
 
-def loop_count(link: Link) -> int:
-    """Number of loops, by a single left-to-right cycle trace."""
-    perm = link_permutation(link)
-    seen = bytearray(len(perm))
-    loops = 0
-    for start in range(len(perm)):
+def perm_cycles(p) -> int:
+    """Number of cycles, fixed points included."""
+    seen = [False] * len(p)
+    count = 0
+    for start in range(len(p)):
         if seen[start]:
             continue
-        loops += 1
+        count += 1
         i = start
         while not seen[i]:
-            seen[i] = 1
-            i = perm[i]
-    return loops
+            seen[i] = True
+            i = p[i]
+    return count
+
+
+def loop_count(link: Link) -> int:
+    """Number of loops, by a single left-to-right cycle trace."""
+    return perm_cycles(link_permutation(link))
 
 
 def is_knot(link: Link) -> bool:

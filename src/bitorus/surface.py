@@ -150,14 +150,6 @@ def diag_successor(grid: GridParams, cell: Cell) -> Cell:
     return step(grid, step(grid, cell, RIGHT), UP_INV)
 
 
-def cell_index(grid: GridParams, cell: Cell) -> int:
-    return cell[0] * grid.cols + cell[1]
-
-
-def index_cell(grid: GridParams, idx: int) -> Cell:
-    return divmod(idx, grid.cols)
-
-
 def right_power(grid: GridParams, cell: Cell, i: int) -> Cell:
     """Apply the right bijection i >= 0 times in O(1).
 

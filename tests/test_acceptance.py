@@ -12,17 +12,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import bitorus.verify as verify
 from bitorus.census import diag_distribution
 from bitorus.cli import cli_main
 from bitorus.counting import (
-    DELTA,
-    GAMMA,
-    LAMBDA,
     TERMINAL_PAIRS,
     _branch_rules,
-    apply_tree_string,
-    diag_count_reduction,
-    diag_count_string,
     diag_count_tree,
     euclid_state,
     floor_swap_identity_check,
@@ -30,7 +25,6 @@ from bitorus.counting import (
 from bitorus.diagonals import diag_count_naive
 from bitorus.hamiltonicity import (
     _dec,
-    is_hamiltonian_brute,
     is_hamiltonian_fast,
     n2_orientation,
     orientation_k,
@@ -42,6 +36,14 @@ from bitorus.hamiltonicity import (
 )
 from bitorus.links import Link, is_knot, link_permutation, link_reduce, loop_count, orientation_link
 from bitorus.surface import GridParams
+from bitorus.verify import (
+    check_canon_rules,
+    check_counting_agreement,
+    check_cycle_link_equivalence,
+    check_link_balance,
+    check_periodicity,
+    check_tier_equivalence,
+)
 
 EXPECTED_TABLE_60 = [
     (5, 19), (5, 41), (7, 27), (7, 29), (7, 55), (7, 57), (11, 53),
@@ -102,52 +104,25 @@ def test_03_square_constructions():
 
 def test_04_tier_and_counter_equivalence():
     started = time.time()
-    ok = True
-    for n in range(1, 11):
-        for m in range(n, 11):
-            ok = ok and is_hamiltonian_brute(n, m)[0] == is_hamiltonian_fast(n, m)
-    for n, m in _coprime(60):
-        ref = diag_count_naive(n, m)
-        ok = ok and ref == diag_count_string(n, m) == diag_count_reduction(
-            n, m
-        ) == diag_count_tree(n, m)
+    ok = check_tier_equivalence(10).ok and check_counting_agreement(60).ok
     _report(4, "brute = link tier (<=10); four counters agree (coprime <=60)", started, ok)
 
 
 def test_05_component_count_equals_loop_count():
     started = time.time()
-    ok = True
-    for n, m in _coprime(8):
-        dec = _dec(n, m)
-        for omega in product("UR", repeat=len(dec.diagonals)):
-            omega = "".join(omega)
-            ok = ok and len(trace_components(dec.grid, omega)) == loop_count(
-                orientation_link(dec, omega)
-            )
+    ok = check_cycle_link_equivalence(8).ok
     _report(5, "oriented components equal link loops (coprime <=8, all strings)", started, ok)
 
 
 def test_06_link_balance_identity():
     started = time.time()
-    ok = True
-    for n, m in _coprime(15):
-        dec = _dec(n, m)
-        for omega in product("UR", repeat=len(dec.diagonals)):
-            omega = "".join(omega)
-            k = orientation_k(dec, omega)
-            ok = ok and 0 <= k <= 4
-            ok = ok and orientation_link(dec, omega).t == (4 - k) * n
+    ok = check_link_balance(15).ok
     _report(6, "-a+b+2c+2d = (4-k)n with k integral (coprime <=15)", started, ok)
 
 
 def test_07_periodicity():
     started = time.time()
-    ok = True
-    for n in range(1, 4):
-        for m in range(1, 11):
-            if math.gcd(n, m) != 1:
-                continue
-            ok = ok and is_hamiltonian_fast(n, m) == is_hamiltonian_fast(n, m + 12 * n)
+    ok = check_periodicity(10).ok
     for n in range(1, 4):
         for m in range(1, 8):
             if math.gcd(n, m) != 1:
@@ -197,28 +172,7 @@ def test_09_reduction_and_rule_soundness():
         a, b = sorted(emitted)
         ok = ok and diag_count_naive(a, b) == diag_count_naive(n, m)
     ok = ok and branch_seen == set(range(1, 11))
-
-    def count_at(pair):
-        return diag_count_naive(min(pair), max(pair))
-
-    for n, m in _coprime(60, strict=True):
-        if (m + n) % 2 == 0:
-            continue
-        pair = (m, n)
-        base = count_at(pair)
-        ok = ok and count_at(apply_tree_string(DELTA, pair)) == count_at(
-            apply_tree_string(GAMMA, pair)
-        )
-        ok = ok and count_at(apply_tree_string(GAMMA + DELTA, pair)) == count_at(
-            apply_tree_string(LAMBDA, pair)
-        )
-        ok = ok and count_at(apply_tree_string(GAMMA + LAMBDA, pair)) == count_at(
-            apply_tree_string(GAMMA, pair)
-        )
-        for kappa in (GAMMA, DELTA, LAMBDA):
-            ok = ok and count_at(apply_tree_string(LAMBDA + kappa, pair)) == base
-            ok = ok and count_at(apply_tree_string(GAMMA + GAMMA + kappa, pair)) == base
-
+    ok = ok and check_canon_rules(60).ok
     for n, m in _coprime(100, strict=True):
         if n == 1:
             continue
@@ -299,3 +253,21 @@ def test_12_interleaving_identity():
             tuple(phi), tuple(pi), rng.randint(1, 30), rng.randint(1, 30)
         )
     _report(12, "floor/ceil interleaving identity on 1000 random instances", started, ok)
+
+
+def test_verify_checks_fail_on_a_planted_disagreement(monkeypatch):
+    # Each check the tests above rely on must fail when one of its routes
+    # is wrong; otherwise a check that always passes would go unnoticed.
+    planted = [
+        ("is_hamiltonian_fast", lambda n, m: True, lambda: check_tier_equivalence(4)),
+        ("diag_count_tree", lambda n, m: 0, lambda: check_counting_agreement(4)),
+        ("loop_count", lambda link: 0, lambda: check_cycle_link_equivalence(3)),
+        ("orientation_k", lambda dec, omega: 5, lambda: check_link_balance(3)),
+        ("periodicity_check", lambda n, m: False, lambda: check_periodicity(4)),
+        ("diag_count_naive", lambda n, m: n * m, lambda: check_canon_rules(8)),
+    ]
+    for name, wrong, check in planted:
+        assert check().ok, name
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, wrong)
+            assert not check().ok, name

@@ -2,6 +2,7 @@ import math
 import random
 from itertools import islice, product
 
+import numpy as np
 import pytest
 
 import bitorus.hamiltonicity as ham
@@ -83,16 +84,28 @@ def test_brute_cap(monkeypatch):
         is_hamiltonian_brute(2, 2)
 
 
-def per_cell_walk(grid, dec, omega):
-    """Reference: the oriented walk from (0, 0), cell by cell from Diagonal.cells."""
+def per_cell_cycles(grid, dec, omega):
+    """Reference: every oriented cycle, cell by cell from Diagonal.cells, each
+    from its row-major first cell, cycles in the order of those cells."""
     succ = {}
     for diag, ch in zip(dec.diagonals, omega):
         for cell in diag.cells:
             succ[cell] = step(grid, cell, ch)
-    walk = [(0, 0)]
-    while succ[walk[-1]] != (0, 0):
-        walk.append(succ[walk[-1]])
-    return walk
+    cycles, seen = [], set()
+    for start in grid.cells():
+        if start in seen:
+            continue
+        walk = [start]
+        while succ[walk[-1]] != start:
+            walk.append(succ[walk[-1]])
+        seen.update(walk)
+        cycles.append(walk)
+    return cycles
+
+
+def per_cell_walk(grid, dec, omega):
+    """Reference: the oriented walk from (0, 0)."""
+    return per_cell_cycles(grid, dec, omega)[0]
 
 
 def per_cell_sweep(n, m):
@@ -114,8 +127,38 @@ def test_line_walk_matches_per_cell_walk():
             grid = GridParams(n, m)
             dec = decompose(grid)
             for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
-                flat = ham._walk_from_zero(dec, omega).tolist()
+                flat = ham._line_walk(grid, ham._line_tables(dec, omega), 0, 0).tolist()
                 assert [divmod(i, grid.cols) for i in flat] == per_cell_walk(grid, dec, omega)
+
+
+def test_trace_components_matches_per_cell_cycles():
+    for n in range(1, 10):
+        for m in range(1, 10):
+            grid = GridParams(n, m)
+            dec = decompose(grid)
+            for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
+                assert trace_components(grid, "".join(omega)) == per_cell_cycles(grid, dec, omega)
+
+
+def test_trace_components_partitions_a_large_multi_cycle_grid():
+    dec = _dec(200, 300)
+    rng = random.Random(2024)
+    omega = "".join(rng.choice("UR") for _ in dec.diagonals)
+    cycles = trace_components(dec.grid, omega)
+    assert len(cycles) == loop_count(orientation_link(dec, omega)) > 1
+    assert sorted(cell for cycle in cycles for cell in cycle) == list(dec.grid.cells())
+
+
+def test_trace_raises_when_walks_overlap_or_leave_cells_uncovered(monkeypatch):
+    grid = GridParams(2, 3)
+    monkeypatch.setattr(ham, "_line_walk", lambda grid, lines, r, c: np.array([0]))
+    with pytest.raises(InconsistencyError):
+        trace_components(grid, "U")
+    monkeypatch.setattr(
+        ham, "_line_walk", lambda grid, lines, r, c: np.array([r * grid.cols + c])
+    )
+    with pytest.raises(InconsistencyError):
+        trace_components(grid, "U")
 
 
 def test_brute_matches_per_cell_sweep():
