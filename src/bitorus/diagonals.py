@@ -3,35 +3,49 @@
 A diagonal is an orbit of the step right-then-down; every cell lies on
 exactly one.  Interior steps are forced (+1, +1), so a diagonal is a
 cyclic sequence of straight runs, each starting on the top row or the
-left column and ending on the last row or the last column.  One run
-walk over the 2n + 2m - 1 run starts, O(n + m), is the only orbit
-primitive; everything else is read off it:
+left column and ending on the last row or the last column.  A run is
+the whole line col - row = c - r of the rectangle, so the 2n + 2m - 1
+lines each belong to one diagonal, and "next run start" is a map on
+lines.  Two routes read the diagonals off that map:
 
-* the diagonal count is the number of orbits;
+* Rauzy induction (`induction_groups`): the map is a five-piece
+  interval exchange, so its cycles, with each line's boundary flags
+  summed, come out in O(log(n + m)) steps.  This gives the profile
+  groups, which is all the Hamiltonicity search needs;
+* the run walk (`walk_diagonals`, `diag_count_naive`): O(n + m) steps
+  that enumerate every orbit, the reference route.  The diagonal count
+  is the number of orbits, and the walk needs one byte per line.
+
+Read off the walk:
+
 * the boundary profile (cnt_a, cnt_b, cnt_c, cnt_d) of a diagonal counts
   its run starts on the top row and its run ends on the last column,
   which is exact because every top-row cell starts a run and every
   last-column cell ends one;
 * diagonals with identical profiles form a group.  The induced link
-  depends only on how many members of each group are oriented up, so
-  the Hamiltonicity search needs nothing else;
+  depends only on how many members of each group are oriented up;
 * a run (r, c, L) covers the flat indices r*cols + c + j*(cols + 1),
   j < L, so one strided slice per run fills any per-cell table, such as
   the diagonal id of every cell, with the cell writes done in numpy;
-* a run is the whole line col - row = c - r of the rectangle, so the
-  2n + 2m - 1 lines each belong to one diagonal;
 * a diagonal's cells are expanded from its runs only when read.
+
+`decompose` runs the induction at once and the walk on first read of
+its diagonals, and the two must agree on the groups.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
 
 from .errors import InconsistencyError
+from .links import exchange_cycles
 from .surface import Cell, GridParams
 
 # A straight stretch of a diagonal: start row, start column, cell count.
@@ -72,12 +86,38 @@ class Diagonal:
 
 @dataclass
 class DiagonalDecomposition:
+    """A grid's profile groups, with its diagonals walked on first read.
+
+    `profile_groups` holds (size, profile) per group, in the induction's
+    order.  `diagonals` and `groups` (member ids per group, ordered by
+    smallest member) come from one cached run walk, which must agree
+    with `profile_groups` as a multiset.
+    """
+
     grid: GridParams
-    diagonals: list[Diagonal]
-    groups: list[tuple[int, ...]]
+    profile_groups: list[tuple[int, BoundaryProfile]]
+
+    @cached_property
+    def _walk(self) -> tuple[list[Diagonal], list[tuple[int, ...]]]:
+        diagonals, groups = walk_diagonals(self.grid)
+        walked = Counter((len(group), diagonals[group[0]].profile) for group in groups)
+        if walked != Counter(self.profile_groups):
+            raise InconsistencyError(
+                f"run walk of grid ({self.grid.n},{self.grid.m}) found groups "
+                f"{list(walked.items())}, induction {self.profile_groups}"
+            )
+        return diagonals, groups
+
+    @property
+    def diagonals(self) -> list[Diagonal]:
+        return self._walk[0]
+
+    @property
+    def groups(self) -> list[tuple[int, ...]]:
+        return self._walk[1]
 
     def __len__(self) -> int:
-        return len(self.diagonals)
+        return sum(size for size, _ in self.profile_groups)
 
 
 def run_slice(grid: GridParams, run: Run) -> slice:
@@ -144,44 +184,52 @@ def profile(grid: GridParams, cells) -> BoundaryProfile:
     return BoundaryProfile(a, b, c, d)
 
 
-def _orbit_runs(grid: GridParams) -> Iterator[list[Run]]:
-    """Each diagonal as its runs in successor order, in row-major order.
+def _run_walk(grid: GridParams) -> Iterator[tuple[int, int, int, int]]:
+    """Every run as (orbit id, row, column, length), orbit after orbit.
 
     Run starts are scanned along the top row, then down the left column.
     A diagonal's row-major-minimal cell is a run start (its predecessor
     would otherwise be smaller), so each diagonal is met at that cell
-    and its runs are listed from there.  Jumping run ends in O(1) makes
-    the walk O(n + m) while still enumerating every orbit of the
-    successor map; a start visited twice is an internal inconsistency.
+    and its runs are listed from there, in successor order.  Jumping run
+    ends in O(1) makes the walk O(n + m) while still enumerating every
+    orbit of the successor map.  A run is the whole line col - row, so
+    the visited starts are one byte per line; a start visited twice is
+    an internal inconsistency.
     """
     n, m = grid.n, grid.m
     rows, cols = grid.rows, grid.cols
-    starts = [(0, c) for c in range(cols)] + [(r, 0) for r in range(1, rows)]
-    visited = set()
-    budget = len(starts)
-    for start in starts:
-        if start in visited:
+    off = rows - 1  # line d = col - row sits at index d + off
+    visited = bytearray(rows + cols - 1)
+    budget = len(visited)
+    oid = 0
+    for start in chain(range(cols), range(-1, -rows, -1)):
+        if visited[start + off]:
             continue
-        runs = []
-        cur = start
+        d = start
         while True:
-            visited.add(cur)
+            visited[d + off] = 1
             budget -= 1
             if budget < 0:
                 raise InconsistencyError("run walk revisited a run start")
-            r, c = cur
+            r, c = (0, d) if d >= 0 else (-d, 0)
             k = min(rows - 1 - r, cols - 1 - c)
-            runs.append((r, c, k + 1))
+            yield oid, r, c, k + 1
             r += k
             c += k
             if c == cols - 1:
                 r2 = (r + n) % rows
-                cur = (r2 + 1, 0) if r2 < rows - 1 else (0, m)
+                d = -(r2 + 1) if r2 < rows - 1 else m
             else:
-                cur = (0, (c + 1 + m) % cols)
-            if cur == start:
+                d = (c + 1 + m) % cols
+            if d == start:
                 break
-        yield runs
+        oid += 1
+
+
+def _orbit_runs(grid: GridParams) -> Iterator[list[Run]]:
+    """Each diagonal as its runs in successor order, in row-major order."""
+    for _, runs in groupby(_run_walk(grid), key=itemgetter(0)):
+        yield [(r, c, length) for _, r, c, length in runs]
 
 
 def _run_profile(grid: GridParams, runs: list[Run]) -> BoundaryProfile:
@@ -208,17 +256,15 @@ def _block_cross_check(grid: GridParams, orbit_of, group_of) -> None:
 
     The g cells of each block must hit g distinct diagonals that share
     a single profile group, and the four blocks must reach every
-    diagonal.  A cell's diagonal is that of the run through it, which
-    starts min(row, col) steps back; `orbit_of` maps run starts to ids.
+    diagonal.  A cell's diagonal is that of its line col - row, and
+    `orbit_of` maps line index col - row + rows - 1 to ids.
     """
     g = grid.g
     n, m = grid.n, grid.m
+    off = grid.rows - 1
     covered = set()
     for top, left in ((0, 0), (0, m), (n, 0), (n, m)):
-        ids = []
-        for col in range(left, left + g):
-            back = min(top, col)
-            ids.append(orbit_of[(top - back, col - back)])
+        ids = [orbit_of[col - top + off] for col in range(left, left + g)]
         if len(set(ids)) != g:
             raise InconsistencyError(
                 f"corner block of grid ({n},{m}) hits {len(set(ids))} diagonals, expected {g}"
@@ -234,12 +280,14 @@ def _block_cross_check(grid: GridParams, orbit_of, group_of) -> None:
         )
 
 
-def decompose(grid: GridParams) -> DiagonalDecomposition:
-    """Diagonals, their profiles and profile groups from one run walk.
+def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], list[tuple[int, ...]]]:
+    """Diagonals and profile groups from one run walk, O(n + m).
 
-    O(n + m): no cell is materialised until a diagonal's `cells` is
-    read.  Ids follow the row-major-minimal cells; groups are ordered
-    by their smallest member, members ascending.
+    The reference route: every orbit is enumerated, so the count, the
+    profiles and the groups are read off actual runs.  Ids follow the
+    row-major-minimal cells; groups are ordered by their smallest
+    member, members ascending.  The count must be at most 4g and the
+    groups must pass the corner-block check.
     """
     runs = list(_orbit_runs(grid))
     if len(runs) > 4 * grid.g:
@@ -252,12 +300,107 @@ def decompose(grid: GridParams) -> DiagonalDecomposition:
         members.setdefault(prof, []).append(oid)
     groups = [tuple(ids) for ids in members.values()]
     group_of = {oid: gid for gid, ids in enumerate(groups) for oid in ids}
-    orbit_of = {(r, c): oid for oid, orbit in enumerate(runs) for r, c, _ in orbit}
+    orbit_of = [0] * (grid.rows + grid.cols - 1)
+    for oid, orbit in enumerate(runs):
+        for r, c, _ in orbit:
+            orbit_of[c - r + grid.rows - 1] = oid
     _block_cross_check(grid, orbit_of, group_of)
     diagonals = [
         Diagonal(oid, orbit, profiles[oid], group_of[oid]) for oid, orbit in enumerate(runs)
     ]
-    return DiagonalDecomposition(grid=grid, diagonals=diagonals, groups=groups)
+    return diagonals, groups
+
+
+def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
+    """(size, profile) per profile group, by Rauzy induction on the run map.
+
+    Index runs by their line d = col - row in [1 - 2n, 2m).  The run
+    walk's "next run start" is then a five-piece translation of the
+    lines, read off its wrap rules:
+
+    * [1 - 2n, m - 2n)      -> d + 2n + m  (ends on the last row)
+    * [m - 2n, 2m - 2n)     -> d + 2n - m  (ends on the last row)
+    * [2m - 2n, 2m - n)     -> d + n - 2m  (ends on the last column)
+    * {2m - n}              -> m           (ends on the last column, row n - 1)
+    * [2m - n + 1, 2m)      -> d - 2m - n  (ends on the last column)
+
+    so it is a discrete interval exchange whose cycles are the
+    diagonals.  Cut further at 0 and m, each line's boundary flags are
+    constant per interval: A for 0 <= d < m, B for d >= m (run starts
+    on the top row), C for d >= 2m - n, D for 2m - 2n <= d < 2m - n
+    (run ends on the last column above and below row n).  Packed into
+    one int, they are the exchange's weights, so each emitted block is
+    a set of diagonals with one profile; blocks of equal profile merge
+    into a group.  O(log(n + m)) induction steps; groups come in the
+    order the induction emits them.
+
+    The piece images must tile the lines, and the groups must obey what
+    the walk guarantees: at most 4g diagonals in at most 4 groups of at
+    least g members, with profiles summing to (m, m, n, n).
+    """
+    n, m, g = grid.n, grid.m, grid.g
+    pieces = (
+        (1 - 2 * n, m - 2 * n, 2 * n + m),
+        (m - 2 * n, 2 * m - 2 * n, 2 * n - m),
+        (2 * m - 2 * n, 2 * m - n, n - 2 * m),
+        (2 * m - n, 2 * m - n + 1, n - m),
+        (2 * m - n + 1, 2 * m, -2 * m - n),
+    )
+    los, lengths, images = [], [], []
+    for lo, hi, shift in pieces:
+        for cut in (0, m, hi):
+            if lo < cut <= hi:
+                los.append(lo)
+                lengths.append(cut - lo)
+                images.append(lo + shift)
+                lo = cut
+    bot = sorted(range(len(los)), key=images.__getitem__)
+    reach = 1 - 2 * n
+    for x in bot:
+        if images[x] != reach:
+            raise InconsistencyError(f"run map pieces of grid ({n},{m}) do not tile the lines")
+        reach += lengths[x]
+    bits = (2 * (n + m)).bit_length()
+    weights = [
+        (0 <= lo < m)
+        | (lo >= m) << bits
+        | (lo >= 2 * m - n) << 2 * bits
+        | (2 * m - 2 * n <= lo < 2 * m - n) << 3 * bits
+        for lo in los
+    ]
+    sizes: dict[int, int] = {}
+    for count, weight in exchange_cycles(range(len(los)), bot, lengths, weights):
+        sizes[weight] = sizes.get(weight, 0) + count
+    mask = (1 << bits) - 1
+    groups = []
+    totals = [0, 0, 0, 0]
+    for w, size in sizes.items():
+        counts = (w & mask, w >> bits & mask, w >> 2 * bits & mask, w >> 3 * bits)
+        groups.append((size, BoundaryProfile(*counts)))
+        for i in range(4):
+            totals[i] += size * counts[i]
+    count = sum(sizes.values())
+    if count > 4 * g or len(groups) > 4 or min(sizes.values()) < g:
+        raise InconsistencyError(
+            f"induction on grid ({n},{m}) gave group sizes {list(sizes.values())}, "
+            f"not at most 4 groups of g = {g} or more with at most 4g diagonals"
+        )
+    if totals != [m, m, n, n]:
+        raise InconsistencyError(
+            f"induction profiles of grid ({n},{m}) sum to {totals}, expected {[m, m, n, n]}"
+        )
+    return groups
+
+
+def decompose(grid: GridParams) -> DiagonalDecomposition:
+    """Profile groups by induction now, diagonals by run walk when read.
+
+    O(log(n + m)): `induction_groups` answers the Hamiltonicity search.
+    The diagonals and the walk-ordered groups come from one
+    `walk_diagonals`, O(n + m), on the first read of either, and that
+    walk must find the induction's (size, profile) groups.
+    """
+    return DiagonalDecomposition(grid, induction_groups(grid))
 
 
 # `bitorus verify --max 20` asks for 947 distinct pairs (243 at --max 10),
@@ -270,4 +413,7 @@ def diag_count_naive(n: int, m: int) -> int:
     the walk enumerates every orbit of the successor map rather than
     deriving the count from a formula.
     """
-    return sum(1 for _ in _orbit_runs(GridParams(n, m)))
+    count = 0
+    for oid, _, _, _ in _run_walk(GridParams(n, m)):
+        count = oid + 1
+    return count

@@ -10,8 +10,11 @@ tiers implement this:
   whether the induced boundary link is a knot;
 * closed-form constructions for square grids and for height-2 grids.
 
-Everything here reads the runs of `decompose` and expands no cell.  A
-run (r, c, L) covers the flat indices r*cols + c + j*(cols + 1), j < L,
+The link tier walks no run: `decompose` finds the profile groups by
+Rauzy induction on the run map and `loop_count` counts each link's
+loops by induction on the link, O(log(n + m)) steps each.  Everything
+else reads the runs of `decompose` and expands no cell.  A run
+(r, c, L) covers the flat indices r*cols + c + j*(cols + 1), j < L,
 so one strided slice per run fills the per-cell diagonal-id table and
 the brute sweep's successor table.  A run is also a whole line
 col - row = d of the rectangle, which lets witnesses and
@@ -35,15 +38,12 @@ from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_ids,
 from .errors import CapExceededError, InconsistencyError
 from .links import Link, is_knot, perm_cycles
 from .surface import (
-    RIGHT,
-    UP,
     Cell,
     GridParams,
     check_sizes,
     diag_successor,
     right_indices,
     right_power,
-    step,
     up_indices,
 )
 
@@ -276,27 +276,31 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
 
 
 def group_profiles(dec: DiagonalDecomposition):
-    """(size, shared profile) per profile group, in group order."""
-    out = []
-    for group in dec.groups:
-        out.append((len(group), dec.diagonals[group[0]].profile))
-    return out
+    """(size, shared profile) per walk-ordered profile group."""
+    return [(len(group), dec.diagonals[group[0]].profile) for group in dec.groups]
 
 
-def grouped_link(dec: DiagonalDecomposition, up_counts) -> Link:
+def _group_link(groups, up_counts) -> Link:
     """Link induced by orienting `up_counts[k]` members of group k up."""
-    if len(up_counts) != len(dec.groups):
-        raise ValueError("one up-count per profile group required")
     a = b = c = d = 0
-    for (size, prof), ups in zip(group_profiles(dec), up_counts):
-        if not 0 <= ups <= size:
-            raise ValueError(f"up-count {ups} outside group of size {size}")
+    for (size, prof), ups in zip(groups, up_counts):
         rights = size - ups
         a += ups * prof.cnt_a
         b += ups * prof.cnt_b
         c += rights * prof.cnt_c
         d += rights * prof.cnt_d
     return Link(a, b, c, d)
+
+
+def grouped_link(dec: DiagonalDecomposition, up_counts) -> Link:
+    """Link induced by orienting `up_counts[k]` members of walk group k up."""
+    if len(up_counts) != len(dec.groups):
+        raise ValueError("one up-count per profile group required")
+    groups = group_profiles(dec)
+    for (size, _), ups in zip(groups, up_counts):
+        if not 0 <= ups <= size:
+            raise ValueError(f"up-count {ups} outside group of size {size}")
+    return _group_link(groups, up_counts)
 
 
 def expand_grouped(dec: DiagonalDecomposition, up_counts) -> str:
@@ -308,18 +312,16 @@ def expand_grouped(dec: DiagonalDecomposition, up_counts) -> str:
     return "".join(chars)
 
 
-def _first_knot(dec: DiagonalDecomposition):
+def _first_knot(groups):
     """First per-group up-counts, in lexicographic order, inducing a knot.
 
-    None when no link is a knot.  Reads only the groups' profiles.
+    `groups` lists (size, profile) per profile group.  None when no link
+    is a knot.
     """
-    if len(dec.groups) > 4:
-        raise InconsistencyError(
-            f"grid ({dec.grid.n},{dec.grid.m}) produced {len(dec.groups)} profile groups, "
-            "expected <= 4"
-        )
-    for counts in product(*(range(len(group) + 1) for group in dec.groups)):
-        if is_knot(grouped_link(dec, counts)):
+    if len(groups) > 4:
+        raise InconsistencyError(f"{len(groups)} profile groups, expected <= 4")
+    for counts in product(*(range(size + 1) for size, _ in groups)):
+        if is_knot(_group_link(groups, counts)):
             return counts
     return None
 
@@ -327,47 +329,60 @@ def _first_knot(dec: DiagonalDecomposition):
 def is_hamiltonian_fast(n: int, m: int) -> bool:
     """Knot test over per-group up-counts; at most (g+1)^4 links.
 
-    The decomposition is not cached and no cell is materialised: one
-    O(n + m) run walk, then one O(n + m) loop count per link tried.
+    No run is walked and no cell is materialised: the profile groups
+    come from Rauzy induction on the run map and each link's loop count
+    from induction on the link, O(log(n + m)) steps each.
     """
-    return _first_knot(decompose(GridParams(n, m))) is not None
+    return _first_knot(decompose(GridParams(n, m)).profile_groups) is not None
 
 
 def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
     """A validated witness from the link tier, without a full sweep."""
     dec = _dec(n, m)
-    counts = _first_knot(dec)
+    counts = _first_knot(group_profiles(dec))
     if counts is None:
         return None
     return _witness_from_omega(dec, expand_grouped(dec, counts))
 
 
 def validate_witness(grid: GridParams, witness: HamWitness) -> None:
-    """Check a witness is a Hamiltonian cycle matching its orientation."""
+    """Check a witness is a Hamiltonian cycle matching its orientation.
+
+    Each cell's successor in the cycle must be its up or right
+    neighbour, as its diagonal's direction says, read off the flat
+    `up_indices` and `right_indices` tables rather than the line walk
+    that builds witnesses.
+    """
     cycle = witness.cycle
     if len(cycle) != grid.size:
         raise InconsistencyError(
             f"witness covers {len(cycle)} cells, expected {grid.size}"
         )
-    if len(set(cycle)) != grid.size:
+    rows, cols = np.array(cycle, dtype=np.intp).reshape(-1, 2).T
+    outside = (rows < 0) | (rows >= grid.rows) | (cols < 0) | (cols >= grid.cols)
+    if outside.any():
+        cell = cycle[int(outside.argmax())]
+        raise ValueError(f"cell {cell} outside {grid.rows}x{grid.cols} grid")
+    flat = rows * grid.cols + cols
+    if np.bincount(flat, minlength=grid.size).max() > 1:
         raise InconsistencyError("witness repeats a cell")
-    up = _cell_up(_dec(grid.n, grid.m), witness.orientation).tolist()
-    for idx, cell in enumerate(cycle):
-        move = UP if up[cell[0] * grid.cols + cell[1]] else RIGHT
-        expected = step(grid, cell, move)
-        if cycle[(idx + 1) % len(cycle)] != expected:
-            raise InconsistencyError(f"witness breaks at {cell}")
+    up = _cell_up(_dec(grid.n, grid.m), witness.orientation)
+    succ = np.where(up, up_indices(grid), right_indices(grid))
+    broken = succ[flat] != np.roll(flat, -1)
+    if broken.any():
+        raise InconsistencyError(f"witness breaks at {cycle[int(broken.argmax())]}")
 
 
 # ---------------------------------------------------------------------------
 # Square grids
 
 
-def _square_cycle(n: int, start_row: int) -> list[Cell] | None:
+def _square_cycle(n: int, start_row: int) -> np.ndarray | None:
     """Walk 4n-1 rights then one up, n times; None unless it closes.
 
     Each stretch of 4n cells is a right power of its first cell, so only
-    the n stretch starts are stepped here; numpy writes the cells.
+    the n stretch starts are stepped here; numpy writes the cells, whose
+    flat indices come back in walk order.
     """
     grid = GridParams(n, n)
     rows, cols = grid.rows, grid.cols
@@ -381,11 +396,12 @@ def _square_cycle(n: int, start_row: int) -> list[Cell] | None:
     col = start_cols[:, None] + np.arange(4 * n)
     row = (start_rows[:, None] + n * (col // cols)) % rows
     col %= cols
+    flat = (row * cols + col).ravel()
     covered = np.zeros(grid.size, dtype=bool)
-    covered[row * cols + col] = True
+    covered[flat] = True
     if not covered.all():
         return None
-    return list(zip(row.ravel().tolist(), col.ravel().tolist()))
+    return flat
 
 
 def square_construction(n: int) -> HamWitness:
@@ -394,12 +410,11 @@ def square_construction(n: int) -> HamWitness:
         raise ValueError(f"need n >= 1, got {n}")
     # The walk starts at row n, counted from the top; the tests show row
     # n - 1 does not close.
-    cycle = _square_cycle(n, n)
-    if cycle is None:
+    flat = _square_cycle(n, n)
+    if flat is None:
         raise InconsistencyError(f"square walk failed to close on the ({n},{n}) grid")
     grid = GridParams(n, n)
     # Direction used out of each cell; must be constant per diagonal.
-    flat = np.array(cycle, dtype=np.intp) @ np.array([grid.cols, 1])
     up = np.empty(grid.size, dtype=bool)
     up[flat] = np.roll(flat, -1) == up_indices(grid)[flat]
     omega = _diagonal_constant(_dec(n, n), up)
@@ -407,7 +422,7 @@ def square_construction(n: int) -> HamWitness:
         raise InconsistencyError(
             f"square walk is not diagonal-constant on the ({n},{n}) grid"
         )
-    witness = HamWitness(omega, cycle)
+    witness = HamWitness(omega, _flat_to_cells(grid, flat))
     validate_witness(grid, witness)
     return witness
 

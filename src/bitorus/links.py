@@ -4,11 +4,21 @@ A link (a, b, c, d) records how many strands cross the boundary halves
 A, B, C and D.  Its strands connect boundary points by an
 order-preserving interval map; the number of loops is the number of
 cycles of that map.  A link with a single loop is a knot.
+
+That map is a discrete interval exchange: four intervals A B C D,
+translated into the order D C B A.  `exchange_cycles` counts the cycles
+of any such exchange by discrete Rauzy induction with Zorich's
+acceleration, in a Euclid-like number of steps, so `loop_count` takes
+O(log(a + b + c + d)) arithmetic steps.  The permutation trace
+`perm_cycles(link_permutation(link))`, O(a + b + c + d), stays as the
+reference it is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .errors import InconsistencyError
 
 
 @dataclass(frozen=True)
@@ -73,9 +83,105 @@ def perm_cycles(p) -> int:
     return count
 
 
+def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
+    """Cycles of a discrete interval exchange, as (multiplicity, weight) blocks.
+
+    Interval labels index `lengths` and `weights`.  `top` lists the
+    labels in domain order and `bot` in image order: the points of each
+    interval are translated, in order, onto its place in the image.  A
+    point's weight is its interval's, a cycle's weight is the sum over its
+    points, and weights may be any values that add, such as ints packing
+    several counters.  The blocks list every cycle once.
+
+    Discrete right Rauzy induction (Rauzy 1979): with a and b the last
+    labels of `top` and `bot`, the first-return map to the domain without
+    its last min(len a, len b) points is again an exchange.
+
+    * a == b: the last len a points are fixed; emit them and drop a.
+    * len a > len b: b's image moves to just after a's, len a -= len b,
+      and b's weight absorbs a's.
+    * len b > len a: a's domain moves to just after b's, len b -= len a,
+      and a's weight absorbs b's.
+    * equal lengths: a's domain is cut, b takes a's image place, and b's
+      weight absorbs a's.
+
+    Repeating the second case rotates the labels after a in `bot`, so q
+    whole rotations are taken in one step (Zorich 1996), as long as len a
+    stays positive; likewise the third case in `top`.  Every step cuts
+    the domain, which bounds the loop; a step that does not is an
+    internal inconsistency.
+    """
+    lam = list(lengths)
+    w = list(weights)
+    if min(lam, default=0) < 0:
+        raise ValueError(f"interval lengths must be nonnegative: {lam}")
+    top = [x for x in top if lam[x]]
+    bot = [x for x in bot if lam[x]]
+    if sorted(top) != sorted(bot):
+        raise ValueError(f"domain order {top} and image order {bot} differ in labels")
+    length = lam.__getitem__
+    blocks = []
+    while top:
+        a = top[-1]
+        b = bot[-1]
+        la = lam[a]
+        lb = lam[b]
+        if a == b:
+            blocks.append((la, w[a]))
+            top.pop()
+            bot.pop()
+            cut = la
+        elif la > lb:
+            i = bot.index(a) + 1
+            tail = bot[i:]
+            span = sum(map(length, tail))
+            if la > span:
+                q = (la - 1) // span
+                cut = q * span
+                wa = q * w[a]
+                for x in tail:
+                    w[x] += wa
+            else:
+                cut = lb
+                bot.insert(i, bot.pop())
+                w[b] += w[a]
+            lam[a] = la - cut
+        elif lb > la:
+            i = top.index(b) + 1
+            tail = top[i:]
+            span = sum(map(length, tail))
+            if lb > span:
+                q = (lb - 1) // span
+                cut = q * span
+                wb = q * w[b]
+                for x in tail:
+                    w[x] += wb
+            else:
+                cut = la
+                top.insert(i, top.pop())
+                w[a] += w[b]
+            lam[b] = lb - cut
+        else:
+            top.pop()
+            bot.pop()
+            bot[bot.index(a)] = b
+            w[b] += w[a]
+            cut = la
+        if cut <= 0:
+            raise InconsistencyError(f"Rauzy step did not shorten the exchange {top} -> {bot}")
+    return blocks
+
+
 def loop_count(link: Link) -> int:
-    """Number of loops, by a single left-to-right cycle trace."""
-    return perm_cycles(link_permutation(link))
+    """Number of loops: the cycles of the exchange A B C D -> D C B A.
+
+    O(log(a + b + c + d)) induction steps; `perm_cycles` of the
+    link's permutation is the reference.
+    """
+    if link.total == 0:
+        raise ValueError("empty link")
+    blocks = exchange_cycles((0, 1, 2, 3), (3, 2, 1, 0), link.as_tuple(), (0, 0, 0, 0))
+    return sum(count for count, _ in blocks)
 
 
 def is_knot(link: Link) -> bool:

@@ -23,7 +23,8 @@ from .counting import (
     string_intervals,
     string_powers,
 )
-from .diagonals import diag_count_naive
+from .diagonals import DiagonalDecomposition, diag_count_naive, induction_groups
+from .errors import InconsistencyError
 from .hamiltonicity import (
     _dec,
     is_hamiltonian_brute,
@@ -32,7 +33,8 @@ from .hamiltonicity import (
     periodicity_check,
     trace_components,
 )
-from .links import loop_count, orientation_link
+from .links import Link, link_permutation, loop_count, orientation_link, perm_cycles
+from .surface import GridParams
 
 
 @dataclass
@@ -136,18 +138,48 @@ def check_link_balance(limit: int) -> CheckResult:
 
 
 def check_periodicity(limit: int) -> CheckResult:
-    """Hamiltonicity is unchanged by adding 12n columns."""
-    bad = []
-    for n in range(1, min(limit, 3) + 1):
-        for m in range(1, limit + 1):
-            if math.gcd(n, m) != 1:
-                continue
-            if not periodicity_check(n, m):
-                bad.append((n, m))
+    """Hamiltonicity is unchanged by adding 12n columns.
+
+    The paper's grids have both sides at least 2; width 1 is checked
+    only for n <= 3, because (4, 1), (8, 1) and (12, 1) break the period.
+    """
+    pairs = [(n, 1) for n in range(1, min(limit, 3) + 1)]
+    pairs += [(n, m) for n, m in _coprime_pairs(limit) if m >= 2]
+    bad = [(n, m) for n, m in pairs if not periodicity_check(n, m)]
     return CheckResult(
         "periodicity",
         not bad,
-        f"coprime n <= 3, m <= {limit}" + (f", mismatches {bad}" if bad else ""),
+        f"coprime n <= {limit}, 2 <= m <= {limit}, and m = 1 for n <= 3"
+        + (f", mismatches {bad}" if bad else ""),
+    )
+
+
+def check_induction_groups(limit: int) -> CheckResult:
+    """Rauzy induction agrees with the traces it replaces.
+
+    Per grid, the run walk of a decomposition must find the induction's
+    (size, profile) groups, as it checks on first read; per link, its loop count equals the cycle
+    trace of the link's permutation.  Links are capped at sides <= 10,
+    14,640 of them, to keep the default suite fast.
+    """
+    bad = []
+    for n in range(1, limit + 1):
+        for m in range(1, limit + 1):
+            grid = GridParams(n, m)
+            try:
+                DiagonalDecomposition(grid, induction_groups(grid)).groups
+            except InconsistencyError:
+                bad.append((n, m))
+    sides = min(limit, 10)
+    for a, b, c, d in product(range(sides + 1), repeat=4):
+        link = Link(a, b, c, d)
+        if link.total and loop_count(link) != perm_cycles(link_permutation(link)):
+            bad.append(link.as_tuple())
+    return CheckResult(
+        "induction-groups",
+        not bad,
+        f"n,m <= {limit}, links with sides <= {sides}"
+        + (f", mismatches {bad[:3]}" if bad else ""),
     )
 
 
@@ -208,4 +240,5 @@ def run_verify(limit: int = 10) -> list[CheckResult]:
         check_periodicity(limit),
         check_canon_rules(limit),
         check_census_tree(limit),
+        check_induction_groups(limit),
     ]

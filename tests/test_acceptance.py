@@ -40,6 +40,7 @@ from bitorus.verify import (
     check_canon_rules,
     check_counting_agreement,
     check_cycle_link_equivalence,
+    check_induction_groups,
     check_link_balance,
     check_periodicity,
     check_tier_equivalence,
@@ -265,6 +266,8 @@ def test_verify_checks_fail_on_a_planted_disagreement(monkeypatch):
         ("orientation_k", lambda dec, omega: 5, lambda: check_link_balance(3)),
         ("periodicity_check", lambda n, m: False, lambda: check_periodicity(4)),
         ("diag_count_naive", lambda n, m: n * m, lambda: check_canon_rules(8)),
+        ("induction_groups", lambda grid: [], lambda: check_induction_groups(3)),
+        ("loop_count", lambda link: 0, lambda: check_induction_groups(3)),
     ]
     for name, wrong, check in planted:
         assert check().ok, name

@@ -203,8 +203,8 @@ def test_cli_census_csv(capsys):
 def test_cli_verify(capsys):
     assert cli_main(["verify", "--max", "10"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 8 and "FAIL" not in out
-    assert "census-tree" in out
+    assert out.count("ok ") == 9 and "FAIL" not in out
+    assert "census-tree" in out and "induction-groups" in out
 
 
 def test_run_verify_all_green():

@@ -1,16 +1,23 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import bitorus.diagonals as diagonals
 from bitorus.diagonals import (
+    BoundaryProfile,
+    DiagonalDecomposition,
     decompose,
     diag_count_naive,
     diagonal_ids,
+    induction_groups,
     line_ids,
     profile,
+    walk_diagonals,
 )
+from bitorus.errors import InconsistencyError
 from bitorus.surface import GridParams, diag_successor, diag_successor_indices, right_power
 
 
@@ -184,3 +191,52 @@ def test_run_tables_match_cell_by_cell_tables():
                     ref_lines[col - row + grid.rows - 1] = diag.id
             assert (diagonal_ids(dec) == ref).all(), (n, m)
             assert (line_ids(dec) == ref_lines).all(), (n, m)
+
+
+# --- Rauzy induction on the run map ----------------------------------------------
+
+def test_induction_groups_match_the_run_walk():
+    for n in range(1, 41):
+        for m in range(1, 41):
+            grid = GridParams(n, m)
+            diags, groups = walk_diagonals(grid)
+            walked = Counter((len(group), diags[group[0]].profile) for group in groups)
+            assert Counter(induction_groups(grid)) == walked, (n, m)
+
+
+def test_decompose_walks_only_when_diagonals_are_read():
+    dec = decompose(GridParams(10**6, 10**6 + 1))
+    assert len(dec) == 3 and "_walk" not in vars(dec)
+    small = decompose(GridParams(4, 6))
+    assert [d.id for d in small.diagonals] == list(range(len(small)))
+    assert "_walk" in vars(small)
+
+
+def test_walk_that_disagrees_with_the_induction_raises():
+    grid = GridParams(3, 5)  # two diagonals with different profiles
+    dec = DiagonalDecomposition(grid, [(2, BoundaryProfile(5, 5, 3, 3))])
+    with pytest.raises(InconsistencyError, match="run walk"):
+        dec.diagonals
+
+
+def test_induction_blocks_are_checked(monkeypatch):
+    # blocks whose profiles do not add up to the boundary, or too many groups
+    grid = GridParams(3, 5)
+    monkeypatch.setattr(diagonals, "exchange_cycles", lambda *args: [(2, 1)])
+    with pytest.raises(InconsistencyError):
+        induction_groups(grid)
+    monkeypatch.setattr(diagonals, "exchange_cycles", lambda *args: [(1, w) for w in range(5)])
+    with pytest.raises(InconsistencyError):
+        induction_groups(grid)
+
+
+def test_reference_walk_memory_is_about_one_byte_per_line():
+    # a set of run-start tuples here peaked at about 2 MB
+    diag_count_naive.cache_clear()
+    tracemalloc.start()
+    try:
+        diag_count_naive(20, 3001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (2 * 20 + 2 * 3001)

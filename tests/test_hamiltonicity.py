@@ -4,6 +4,7 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import bitorus.hamiltonicity as ham
 from bitorus.counting import diag_count_tree
@@ -415,6 +416,43 @@ def test_periodicity_rejects_common_factor():
         periodicity_check(2, 4)
 
 
+def test_width_one_grids_break_periodicity():
+    # size-1 grids are outside the paper's domain: (4, 1) is Hamiltonian, (4, 49) is not
+    assert all(periodicity_check(n, 1) for n in (1, 2, 3))
+    assert not any(periodicity_check(n, 1) for n in (4, 8, 12))
+
+
+_large_side = st.one_of(st.integers(1, 10**4), st.integers(1, 10**12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_large_side, _large_side)
+def test_periodicity_at_scale(n, m):
+    # the paper's theorem: adding 12n columns keeps the verdict, for m >= 2
+    assume(m >= 2 and math.gcd(n, m) == 1)
+    assert periodicity_check(n, m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_large_side, _large_side, st.integers(1, 6))
+def test_swapping_the_sides_keeps_the_verdict_at_scale(n, m, common):
+    n, m = common * n, common * m  # keep pairs with gcd > 1
+    assume(math.gcd(n, m) <= 12)  # at most (g + 1)^4 links per verdict
+    assert is_hamiltonian_fast(n, m) == is_hamiltonian_fast(m, n)
+    assert len(decompose(GridParams(n, m))) == len(decompose(GridParams(m, n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_large_side, st.data())
+def test_reflecting_the_width_keeps_the_verdict_at_scale(n, data):
+    # an observed identity, not a theorem of the paper: m -> 12n - m keeps the
+    # verdict and the diagonal count on every coprime pair tried
+    m = data.draw(st.integers(2, 12 * n - 2))
+    assume(math.gcd(n, m) == 1)
+    assert is_hamiltonian_fast(n, m) == is_hamiltonian_fast(n, 12 * n - m)
+    assert len(decompose(GridParams(n, m))) == len(decompose(GridParams(n, 12 * n - m)))
+
+
 # --- ordinary torus -------------------------------------------------------------
 
 def test_torus_formula_examples():
@@ -467,6 +505,22 @@ def test_validate_witness_rejects_garbage():
     grid = GridParams(1, 1)
     with pytest.raises(InconsistencyError):
         validate_witness(grid, HamWitness("UR", [(0, 0), (0, 1), (1, 0)]))
+
+
+def test_validate_witness_rejects_broken_cycles():
+    grid = GridParams(3, 3)
+    witness = hamiltonian_witness(3, 3)
+    cycle = witness.cycle
+    swapped = cycle[:5] + [cycle[6], cycle[5]] + cycle[7:]
+    with pytest.raises(InconsistencyError, match="breaks at"):
+        validate_witness(grid, HamWitness(witness.orientation, swapped))
+    flipped = "".join("R" if ch == "U" else "U" for ch in witness.orientation)
+    with pytest.raises(InconsistencyError, match="breaks at"):
+        validate_witness(grid, HamWitness(flipped, cycle))
+    with pytest.raises(InconsistencyError, match="repeats"):
+        validate_witness(grid, HamWitness(witness.orientation, cycle[:-1] + cycle[:1]))
+    with pytest.raises(ValueError, match="outside"):
+        validate_witness(grid, HamWitness(witness.orientation, cycle[:-1] + [(6, 0)]))
 
 
 def test_diag_count_consistency_with_reports():

@@ -1,9 +1,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bitorus.diagonals import decompose
-from bitorus.links import Link, is_knot, link_permutation, link_reduce, loop_count, orientation_link
+from bitorus.links import (
+    Link,
+    exchange_cycles,
+    is_knot,
+    link_permutation,
+    link_reduce,
+    loop_count,
+    orientation_link,
+    perm_cycles,
+)
 from bitorus.surface import GridParams
 
 
@@ -99,3 +109,89 @@ def test_orientation_link_validates_length_and_characters():
 
 def test_t_accessor():
     assert Link(1, 2, 3, 4).t == -1 + 2 + 6 + 8
+
+
+# --- Rauzy induction ------------------------------------------------------------
+
+def exchange_points(top, bot, lengths, weights):
+    """Reference: the exchange's successor and weight of every point."""
+    start, image, pos = {}, {}, 0
+    for label in top:
+        start[label], pos = pos, pos + lengths[label]
+    pos = 0
+    for label in bot:
+        image[label], pos = pos, pos + lengths[label]
+    succ, weight = [0] * pos, [0] * pos
+    for label in top:
+        for j in range(lengths[label]):
+            succ[start[label] + j] = image[label] + j
+            weight[start[label] + j] = weights[label]
+    return succ, weight
+
+
+def test_exchange_cycles_matches_a_pointwise_trace():
+    rng = random.Random(7)
+    for _ in range(500):
+        k = rng.randint(1, 7)
+        lengths = [rng.randint(0, 12) for _ in range(k)]
+        bot = list(range(k))
+        rng.shuffle(bot)
+        weights = [rng.randint(0, 3) for _ in range(k)]
+        succ, weight = exchange_points(range(k), bot, lengths, weights)
+        cycles, seen = [], [False] * len(succ)
+        for x in range(len(succ)):
+            if not seen[x]:
+                total = 0
+                while not seen[x]:
+                    seen[x] = True
+                    total += weight[x]
+                    x = succ[x]
+                cycles.append(total)
+        blocks = exchange_cycles(range(k), bot, lengths, weights)
+        assert sorted(w for count, w in blocks for _ in range(count)) == sorted(cycles)
+
+
+def test_exchange_cycles_rejects_bad_input():
+    with pytest.raises(ValueError):
+        exchange_cycles((0, 1), (1, 0), (2, -1), (0, 0))
+    with pytest.raises(ValueError):
+        exchange_cycles((0, 1), (1, 1), (2, 3), (0, 0))
+    assert exchange_cycles((0, 1), (1, 0), (0, 0), (0, 0)) == []
+
+
+def test_loop_count_rejects_the_empty_link():
+    with pytest.raises(ValueError):
+        loop_count(Link(0, 0, 0, 0))
+
+
+def test_loop_count_of_a_large_link_is_fast():
+    # the permutation trace takes about 0.1 s here
+    assert loop_count(Link(100000, 100001, 50000, 50000)) == perm_cycles(
+        link_permutation(Link(100000, 100001, 50000, 50000))
+    )
+    assert loop_count(Link(10**15, 10**15 + 1, 3, 7)) >= 1
+
+
+_small_side = st.integers(0, 300)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_small_side, _small_side, _small_side, _small_side)
+def test_induction_loop_count_equals_the_permutation_trace(a, b, c, d):
+    link = Link(a, b, c, d)
+    assume(link.total > 0)
+    assert loop_count(link) == perm_cycles(link_permutation(link))
+
+
+_big = st.integers(0, 10**14)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_big, _big, _big, _big)
+def test_link_reduce_preserves_loop_count_at_scale(c, d, extra_t, extra_a):
+    # every applicable link: t >= c + d, a > t and b = t + a - 2c - 2d > t
+    t = c + d + extra_t
+    a = max(t, 2 * (c + d)) + 1 + extra_a
+    link = Link(a, t + a - 2 * (c + d), c, d)
+    assert link.t == t
+    assert loop_count(link_reduce(link)) == loop_count(link)
