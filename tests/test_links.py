@@ -164,7 +164,7 @@ def test_loop_count_rejects_the_empty_link():
         loop_count(Link(0, 0, 0, 0))
 
 
-def test_loop_count_of_a_large_link_is_fast():
+def test_loop_count_answers_large_links():
     # the permutation trace takes about 0.1 s here
     assert loop_count(Link(100000, 100001, 50000, 50000)) == perm_cycles(
         link_permutation(Link(100000, 100001, 50000, 50000))
@@ -183,7 +183,7 @@ def test_induction_loop_count_equals_the_permutation_trace(a, b, c, d):
     assert loop_count(link) == perm_cycles(link_permutation(link))
 
 
-_big = st.integers(0, 10**14)
+_big = st.integers(0, 2 * 10**14)  # sides up to about 10^15
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
