@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitorus.diagonals as diagonals
 from bitorus.diagonals import (
@@ -202,6 +203,15 @@ def test_induction_groups_match_the_run_walk():
             diags, groups = walk_diagonals(grid)
             walked = Counter((len(group), diags[group[0]].profile) for group in groups)
             assert Counter(induction_groups(grid)) == walked, (n, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 500), st.integers(1, 500), st.integers(1, 4))
+def test_induction_groups_match_the_run_walk_on_larger_grids(n, m, common):
+    grid = GridParams(common * n, common * m)  # keep pairs with gcd > 1
+    diags, groups = walk_diagonals(grid)
+    walked = Counter((len(group), diags[group[0]].profile) for group in groups)
+    assert Counter(induction_groups(grid)) == walked
 
 
 def test_decompose_walks_only_when_diagonals_are_read():
