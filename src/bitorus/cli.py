@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or domain error, 2 internal
-inconsistency (two routes that must agree disagreed).
+inconsistency (two routes that must agree disagreed), 141 output pipe
+closed early (128 + SIGPIPE, as when piped into `head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .census import diag_distribution, exceptional_pairs
@@ -196,7 +198,14 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so shutdown's flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

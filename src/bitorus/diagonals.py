@@ -5,16 +5,16 @@ exactly one.  Interior steps are forced (+1, +1), so a diagonal is a
 cyclic sequence of straight runs, each starting on the top row or the
 left column and ending on the last row or the last column.  A run is
 the whole line col - row = c - r of the rectangle, so the 2n + 2m - 1
-lines each belong to one diagonal, and "next run start" is a map on
-lines.  Two routes read the diagonals off that map:
+lines each belong to one diagonal.  Two routes find the diagonals:
 
-* Rauzy induction (`induction_groups`): the map is a five-piece
-  interval exchange, so its cycles, with each line's boundary flags
-  summed, come out in O(log(n + m)) steps.  This gives the profile
-  groups, which is all the Hamiltonicity search needs;
+* Rauzy induction (`induction_groups`): the diagonals are the loops of
+  the link (m, m, n, n), so `link_cycles` finds them, with their
+  boundary crossings summed, in O(log(n + m)) steps.  This gives the
+  profile groups, which is all the Hamiltonicity search needs;
 * the run walk (`walk_diagonals`, `diag_count_naive`): O(n + m) steps
-  that enumerate every orbit, the reference route.  The diagonal count
-  is the number of orbits, and the walk needs one byte per line.
+  that enumerate every orbit, the reference route and the induction's
+  check.  The diagonal count is the number of orbits, and the walk
+  needs one byte per line.
 
 Read off the walk:
 
@@ -45,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InconsistencyError
-from .links import exchange_cycles
+from .links import Link, link_cycles
 from .surface import Cell, GridParams
 
 # A straight stretch of a diagonal: start row, start column, cell count.
@@ -312,64 +312,27 @@ def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], list[tuple[int, ..
 
 
 def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
-    """(size, profile) per profile group, by Rauzy induction on the run map.
+    """(size, profile) per profile group: the loops of the link (m, m, n, n).
 
-    Index runs by their line d = col - row in [1 - 2n, 2m).  The run
-    walk's "next run start" is then a five-piece translation of the
-    lines, read off its wrap rules:
+    The grid's diagonals are exactly the loops of the link (m, m, n, n)
+    (checked against the run walk and the tree counter, not proved
+    here), whose four intervals carry the grid's B, A, D and C crossings
+    in that order.  Packed into one int, those flags are `link_cycles`'
+    weights, so each emitted block is a set of diagonals with one
+    profile; blocks of equal profile merge into a group.  O(log(n + m))
+    induction steps; groups come in the order the induction emits them.
+    The run walk is the check: `DiagonalDecomposition` compares the two
+    on first read of the diagonals.
 
-    * [1 - 2n, m - 2n)      -> d + 2n + m  (ends on the last row)
-    * [m - 2n, 2m - 2n)     -> d + 2n - m  (ends on the last row)
-    * [2m - 2n, 2m - n)     -> d + n - 2m  (ends on the last column)
-    * {2m - n}              -> m           (ends on the last column, row n - 1)
-    * [2m - n + 1, 2m)      -> d - 2m - n  (ends on the last column)
-
-    so it is a discrete interval exchange whose cycles are the
-    diagonals.  Cut further at 0 and m, each line's boundary flags are
-    constant per interval: A for 0 <= d < m, B for d >= m (run starts
-    on the top row), C for d >= 2m - n, D for 2m - 2n <= d < 2m - n
-    (run ends on the last column above and below row n).  Packed into
-    one int, they are the exchange's weights, so each emitted block is
-    a set of diagonals with one profile; blocks of equal profile merge
-    into a group.  O(log(n + m)) induction steps; groups come in the
-    order the induction emits them.
-
-    The piece images must tile the lines, and the groups must obey what
-    the walk guarantees: at most 4g diagonals in at most 4 groups of at
-    least g members, with profiles summing to (m, m, n, n).
+    The groups must obey what the walk guarantees: at most 4g diagonals
+    in at most 4 groups of at least g members, with profiles summing to
+    (m, m, n, n).
     """
     n, m, g = grid.n, grid.m, grid.g
-    pieces = (
-        (1 - 2 * n, m - 2 * n, 2 * n + m),
-        (m - 2 * n, 2 * m - 2 * n, 2 * n - m),
-        (2 * m - 2 * n, 2 * m - n, n - 2 * m),
-        (2 * m - n, 2 * m - n + 1, n - m),
-        (2 * m - n + 1, 2 * m, -2 * m - n),
-    )
-    los, lengths, images = [], [], []
-    for lo, hi, shift in pieces:
-        for cut in (0, m, hi):
-            if lo < cut <= hi:
-                los.append(lo)
-                lengths.append(cut - lo)
-                images.append(lo + shift)
-                lo = cut
-    bot = sorted(range(len(los)), key=images.__getitem__)
-    reach = 1 - 2 * n
-    for x in bot:
-        if images[x] != reach:
-            raise InconsistencyError(f"run map pieces of grid ({n},{m}) do not tile the lines")
-        reach += lengths[x]
     bits = (2 * (n + m)).bit_length()
-    weights = [
-        (0 <= lo < m)
-        | (lo >= m) << bits
-        | (lo >= 2 * m - n) << 2 * bits
-        | (2 * m - 2 * n <= lo < 2 * m - n) << 3 * bits
-        for lo in los
-    ]
+    weights = (1 << bits, 1, 1 << 3 * bits, 1 << 2 * bits)
     sizes: dict[int, int] = {}
-    for count, weight in exchange_cycles(range(len(los)), bot, lengths, weights):
+    for count, weight in link_cycles(Link(m, m, n, n), weights):
         sizes[weight] = sizes.get(weight, 0) + count
     mask = (1 << bits) - 1
     groups = []
@@ -395,7 +358,8 @@ def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
 def decompose(grid: GridParams) -> DiagonalDecomposition:
     """Profile groups by induction now, diagonals by run walk when read.
 
-    O(log(n + m)): `induction_groups` answers the Hamiltonicity search.
+    O(log(n + m)): `induction_groups`, the loops of the link
+    (m, m, n, n), answers the Hamiltonicity search.
     The diagonals and the walk-ordered groups come from one
     `walk_diagonals`, O(n + m), on the first read of either, and that
     walk must find the induction's (size, profile) groups.

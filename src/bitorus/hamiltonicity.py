@@ -10,10 +10,11 @@ tiers implement this:
   whether the induced boundary link is a knot;
 * closed-form constructions for square grids and for height-2 grids.
 
-The link tier walks no run: `decompose` finds the profile groups by
-Rauzy induction on the run map and `loop_count` counts each link's
-loops by induction on the link, O(log(n + m)) steps each.  Everything
-else reads the runs of `decompose` and expands no cell.  A run
+The link tier walks no run: `decompose` finds the profile groups as
+the loops of the link (m, m, n, n) and `loop_count` counts each
+candidate link's loops, both by Rauzy induction in O(log(n + m))
+steps; the run walk checks the groups when a diagonal is read.
+Everything else reads the runs of `decompose` and expands no cell.  A run
 (r, c, L) covers the flat indices r*cols + c + j*(cols + 1), j < L,
 so one strided slice per run fills the per-cell diagonal-id table and
 the brute sweep's successor table.  A run is also a whole line
@@ -330,8 +331,8 @@ def is_hamiltonian_fast(n: int, m: int) -> bool:
     """Knot test over per-group up-counts; at most (g+1)^4 links.
 
     No run is walked and no cell is materialised: the profile groups
-    come from Rauzy induction on the run map and each link's loop count
-    from induction on the link, O(log(n + m)) steps each.
+    are the loops of the link (m, m, n, n) and each candidate link's
+    loop count comes from the same induction, O(log(n + m)) steps each.
     """
     return _first_knot(decompose(GridParams(n, m)).profile_groups) is not None
 

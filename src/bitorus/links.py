@@ -6,10 +6,14 @@ order-preserving interval map; the number of loops is the number of
 cycles of that map.  A link with a single loop is a knot.
 
 That map is a discrete interval exchange: four intervals A B C D,
-translated into the order D C B A.  `exchange_cycles` counts the cycles
+translated into the order D C B A.  `exchange_cycles` finds the cycles
 of any such exchange by discrete Rauzy induction with Zorich's
-acceleration, in a Euclid-like number of steps, so `loop_count` takes
-O(log(a + b + c + d)) arithmetic steps.  The permutation trace
+acceleration, in a Euclid-like number of steps.  `link_cycles` is the
+one link exchange built on it, behind both the loops and the diagonals:
+`loop_count` counts its cycles in O(log(a + b + c + d)) arithmetic
+steps, and a grid's diagonals are the loops of the link (m, m, n, n),
+so `diagonals.induction_groups` reads them, with their boundary
+crossings as weights, from the same exchange.  The permutation trace
 `perm_cycles(link_permutation(link))`, O(a + b + c + d), stays as the
 reference it is checked against.
 """
@@ -172,16 +176,25 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
     return blocks
 
 
+def link_cycles(link: Link, weights) -> list[tuple[int, int]]:
+    """The link's loops as (multiplicity, weight) blocks: the exchange A B C D -> D C B A.
+
+    `weights` gives each of the four intervals' points a weight, in the
+    order A, B, C, D; a loop's weight is the sum over its points.
+    O(log(a + b + c + d)) induction steps.
+    """
+    return exchange_cycles((0, 1, 2, 3), (3, 2, 1, 0), link.as_tuple(), weights)
+
+
 def loop_count(link: Link) -> int:
-    """Number of loops: the cycles of the exchange A B C D -> D C B A.
+    """Number of loops: the cycles of `link_cycles`.
 
     O(log(a + b + c + d)) induction steps; `perm_cycles` of the
     link's permutation is the reference.
     """
     if link.total == 0:
         raise ValueError("empty link")
-    blocks = exchange_cycles((0, 1, 2, 3), (3, 2, 1, 0), link.as_tuple(), (0, 0, 0, 0))
-    return sum(count for count, _ in blocks)
+    return sum(count for count, _ in link_cycles(link, (0, 0, 0, 0)))
 
 
 def is_knot(link: Link) -> bool:

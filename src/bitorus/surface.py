@@ -36,8 +36,6 @@ UP_INV = "U_inv"
 RIGHT_INV = "R_inv"
 MOVES = (UP, RIGHT, UP_INV, RIGHT_INV)
 
-QUADRANTS = ("TL", "TR", "BL", "BR")
-
 
 def check_sizes(n, m) -> tuple[int, int]:
     """Grid sizes as ints; ValueError unless both are positive integers.

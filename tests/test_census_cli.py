@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,23 @@ def test_cli_ham_witness_from_link_tier(capsys):
 def test_cli_ham_no_witness_lines_when_negative(capsys):
     assert cli_main(["ham", "2", "3", "--witness"]) == 0
     assert capsys.readouterr().out.strip() == "false"
+
+
+def test_cli_exits_141_when_the_reader_closes_the_pipe():
+    # about 280 KB of witness, several pipe buffers, so the writer must meet the closed pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bitorus.cli", "ham", "100", "101", "--witness"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"true\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
 
 
 def test_cli_ham_size_one_note(capsys):

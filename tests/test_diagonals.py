@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bitorus.diagonals as diagonals
+from bitorus.counting import diag_count_tree
 from bitorus.diagonals import (
     BoundaryProfile,
     DiagonalDecomposition,
@@ -19,6 +20,7 @@ from bitorus.diagonals import (
     walk_diagonals,
 )
 from bitorus.errors import InconsistencyError
+from bitorus.links import Link, loop_count
 from bitorus.surface import GridParams, diag_successor, diag_successor_indices, right_power
 
 
@@ -214,6 +216,16 @@ def test_induction_groups_match_the_run_walk_on_larger_grids(n, m, common):
     assert Counter(induction_groups(grid)) == walked
 
 
+_large_side = st.one_of(st.integers(1, 10**4), st.integers(1, 10**12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_large_side, _large_side, st.integers(1, 6))
+def test_diagonals_are_the_loops_of_the_link_m_m_n_n_at_scale(n, m, common):
+    n, m = common * n, common * m  # keep pairs with gcd > 1
+    assert len(decompose(GridParams(n, m))) == diag_count_tree(n, m) == loop_count(Link(m, m, n, n))
+
+
 def test_decompose_walks_only_when_diagonals_are_read():
     dec = decompose(GridParams(10**6, 10**6 + 1))
     assert len(dec) == 3 and "_walk" not in vars(dec)
@@ -232,10 +244,10 @@ def test_walk_that_disagrees_with_the_induction_raises():
 def test_induction_blocks_are_checked(monkeypatch):
     # blocks whose profiles do not add up to the boundary, or too many groups
     grid = GridParams(3, 5)
-    monkeypatch.setattr(diagonals, "exchange_cycles", lambda *args: [(2, 1)])
+    monkeypatch.setattr(diagonals, "link_cycles", lambda *args: [(2, 1)])
     with pytest.raises(InconsistencyError):
         induction_groups(grid)
-    monkeypatch.setattr(diagonals, "exchange_cycles", lambda *args: [(1, w) for w in range(5)])
+    monkeypatch.setattr(diagonals, "link_cycles", lambda *args: [(1, w) for w in range(5)])
     with pytest.raises(InconsistencyError):
         induction_groups(grid)
 
