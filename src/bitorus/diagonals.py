@@ -10,7 +10,7 @@ lines each belong to one diagonal.  Two routes find the diagonals:
 * Rauzy induction (`induction_groups`): the diagonals are the loops of
   the link (m, m, n, n), so `link_cycles` finds them, with their
   boundary crossings summed, in O(log(n + m)) steps.  This gives the
-  profile groups, which is all the Hamiltonicity search needs;
+  one list of profile groups, which is all the Hamiltonicity search needs;
 * the run walk (`walk_diagonals`, `diag_count_naive`): O(n + m) steps
   that enumerate every orbit, the reference route and the induction's
   check.  The diagonal count is the number of orbits, and the walk
@@ -21,16 +21,16 @@ Read off the walk:
 * the boundary profile (cnt_a, cnt_b, cnt_c, cnt_d) of a diagonal counts
   its run starts on the top row and its run ends on the last column,
   which is exact because every top-row cell starts a run and every
-  last-column cell ends one;
-* diagonals with identical profiles form a group.  The induced link
-  depends only on how many members of each group are oriented up;
-* a run (r, c, L) covers the flat indices r*cols + c + j*(cols + 1),
-  j < L, so one strided slice per run fills any per-cell table, such as
-  the diagonal id of every cell, with the cell writes done in numpy;
+  last-column cell ends one.  Diagonals with identical profiles form a
+  group, and the induced link depends only on how many members of each
+  group are oriented up;
+* the line table `lines`: the diagonal id of each line col - row.  Any
+  per-cell table, such as the diagonal id of every cell, is one numpy
+  gather from it;
 * a diagonal's cells are expanded from its runs only when read.
 
 `decompose` runs the induction at once and the walk on first read of
-its diagonals, and the two must agree on the groups.
+its diagonals, and the walk must find the induction's groups.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class Diagonal:
     id: int
     runs: list[Run]
     profile: BoundaryProfile
-    group_id: int
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
@@ -89,35 +88,48 @@ class DiagonalDecomposition:
     """A grid's profile groups, with its diagonals walked on first read.
 
     `profile_groups` holds (size, profile) per group, in the induction's
-    order.  `diagonals` and `groups` (member ids per group, ordered by
-    smallest member) come from one cached run walk, which must agree
-    with `profile_groups` as a multiset.
+    order; it is the one group list.  `diagonals` and `lines`, the
+    diagonal id of each line col - row at index col - row + rows - 1,
+    come from one cached run walk, whose profiles must agree with
+    `profile_groups` as a multiset.
     """
 
     grid: GridParams
     profile_groups: list[tuple[int, BoundaryProfile]]
 
     @cached_property
-    def _walk(self) -> tuple[list[Diagonal], list[tuple[int, ...]]]:
-        diagonals, groups = walk_diagonals(self.grid)
-        walked = Counter((len(group), diagonals[group[0]].profile) for group in groups)
+    def _walk(self) -> tuple[list[Diagonal], np.ndarray]:
+        diagonals, lines = walk_diagonals(self.grid)
+        counts = Counter(diag.profile for diag in diagonals)
+        walked = Counter((size, prof) for prof, size in counts.items())
         if walked != Counter(self.profile_groups):
             raise InconsistencyError(
                 f"run walk of grid ({self.grid.n},{self.grid.m}) found groups "
-                f"{list(walked.items())}, induction {self.profile_groups}"
+                f"{list(walked)}, induction {self.profile_groups}"
             )
-        return diagonals, groups
+        return diagonals, lines
 
     @property
     def diagonals(self) -> list[Diagonal]:
         return self._walk[0]
 
     @property
-    def groups(self) -> list[tuple[int, ...]]:
+    def lines(self) -> np.ndarray:
         return self._walk[1]
 
     def __len__(self) -> int:
         return sum(size for size, _ in self.profile_groups)
+
+    def ups(self, omega: str) -> list[bool]:
+        """Per diagonal, whether the orientation string orients it up (U) or right (R)."""
+        if len(omega) != len(self.diagonals):
+            raise ValueError(
+                f"orientation string length {len(omega)} != {len(self.diagonals)} diagonals"
+            )
+        for direction in omega:
+            if direction not in ("U", "R"):
+                raise ValueError(f"orientation characters must be U or R, got {direction!r}")
+        return [direction == "U" for direction in omega]
 
 
 def run_slice(grid: GridParams, run: Run) -> slice:
@@ -129,40 +141,13 @@ def run_slice(grid: GridParams, run: Run) -> slice:
 
 
 def diagonal_ids(dec: DiagonalDecomposition) -> np.ndarray:
-    """The diagonal id of every cell by flat index, one slice per run.
+    """The diagonal id of every cell by flat index, gathered from `dec.lines`.
 
-    O(n + m) Python steps; no cell is expanded.  A cell no run covers
-    is an internal inconsistency.
+    Cell (r, c) lies on line c - r, so one broadcast index reads the
+    whole table; no cell is expanded.
     """
-    grid = dec.grid
-    ids = np.full(grid.size, -1, dtype=np.intp)
-    for diag in dec.diagonals:
-        for run in diag.runs:
-            ids[run_slice(grid, run)] = diag.id
-    if ids.min() < 0:
-        raise InconsistencyError(
-            f"runs of grid ({grid.n},{grid.m}) do not cover every cell"
-        )
-    return ids
-
-
-def line_ids(dec: DiagonalDecomposition) -> np.ndarray:
-    """The diagonal id of each line col - row = d, at index d + rows - 1.
-
-    Each such line of the rectangle is exactly one run: it starts on the
-    top row or the left column and ends on the last row or the last
-    column.  A line no run covers is an internal inconsistency.
-    """
-    grid = dec.grid
-    ids = np.full(grid.rows + grid.cols - 1, -1, dtype=np.intp)
-    for diag in dec.diagonals:
-        for r, c, _ in diag.runs:
-            ids[c - r + grid.rows - 1] = diag.id
-    if ids.min() < 0:
-        raise InconsistencyError(
-            f"runs of grid ({grid.n},{grid.m}) do not cover every line"
-        )
-    return ids
+    rows, cols = dec.grid.rows, dec.grid.cols
+    return dec.lines[np.arange(cols) - np.arange(rows)[:, None] + rows - 1].ravel()
 
 
 def profile(grid: GridParams, cells) -> BoundaryProfile:
@@ -251,64 +236,60 @@ def _run_profile(grid: GridParams, runs: list[Run]) -> BoundaryProfile:
     return BoundaryProfile(a, b, c, d)
 
 
-def _block_cross_check(grid: GridParams, orbit_of, group_of) -> None:
-    """Validate groups against the 1 x g blocks at each quadrant corner.
+def _block_cross_check(grid: GridParams, lines: np.ndarray, profiles) -> None:
+    """Validate profiles against the 1 x g blocks at each quadrant corner.
 
     The g cells of each block must hit g distinct diagonals that share
-    a single profile group, and the four blocks must reach every
-    diagonal.  A cell's diagonal is that of its line col - row, and
-    `orbit_of` maps line index col - row + rows - 1 to ids.
+    a single profile, and the four blocks must reach every diagonal.  A
+    block's cells lie on consecutive lines col - row, so its diagonal
+    ids are one slice of `lines`.
     """
     g = grid.g
     n, m = grid.n, grid.m
     off = grid.rows - 1
     covered = set()
     for top, left in ((0, 0), (0, m), (n, 0), (n, m)):
-        ids = [orbit_of[col - top + off] for col in range(left, left + g)]
-        if len(set(ids)) != g:
+        ids = set(lines[left - top + off : left - top + off + g].tolist())
+        if len(ids) != g:
             raise InconsistencyError(
-                f"corner block of grid ({n},{m}) hits {len(set(ids))} diagonals, expected {g}"
+                f"corner block of grid ({n},{m}) hits {len(ids)} diagonals, expected {g}"
             )
-        if len({group_of[i] for i in ids}) != 1:
+        if len({profiles[i] for i in ids}) != 1:
             raise InconsistencyError(
                 f"corner block of grid ({n},{m}) spans multiple profile groups"
             )
         covered.update(ids)
-    if len(covered) != len(group_of):
-        raise InconsistencyError(
-            f"corner blocks of grid ({n},{m}) miss some diagonals"
-        )
+    if len(covered) != len(profiles):
+        raise InconsistencyError(f"corner blocks of grid ({n},{m}) miss some diagonals")
 
 
-def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], list[tuple[int, ...]]]:
-    """Diagonals and profile groups from one run walk, O(n + m).
+def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], np.ndarray]:
+    """Diagonals and the line table from one run walk, O(n + m).
 
-    The reference route: every orbit is enumerated, so the count, the
-    profiles and the groups are read off actual runs.  Ids follow the
-    row-major-minimal cells; groups are ordered by their smallest
-    member, members ascending.  The count must be at most 4g and the
-    groups must pass the corner-block check.
+    The reference route: every orbit is enumerated, so the count and
+    the profiles are read off actual runs.  Ids follow the
+    row-major-minimal cells.  `lines` (np.intp) holds the diagonal id of
+    line col - row = d at index d + rows - 1.  The count must be at most
+    4g, the runs must cover every line and the profiles must pass the
+    corner-block check.  No groups are built: they come from the
+    induction.
     """
     runs = list(_orbit_runs(grid))
     if len(runs) > 4 * grid.g:
         raise InconsistencyError(
             f"grid ({grid.n},{grid.m}) produced {len(runs)} diagonals, more than 4*gcd"
         )
-    profiles = [_run_profile(grid, orbit) for orbit in runs]
-    members: dict[BoundaryProfile, list[int]] = {}
-    for oid, prof in enumerate(profiles):
-        members.setdefault(prof, []).append(oid)
-    groups = [tuple(ids) for ids in members.values()]
-    group_of = {oid: gid for gid, ids in enumerate(groups) for oid in ids}
-    orbit_of = [0] * (grid.rows + grid.cols - 1)
+    lines = [-1] * (grid.rows + grid.cols - 1)
     for oid, orbit in enumerate(runs):
         for r, c, _ in orbit:
-            orbit_of[c - r + grid.rows - 1] = oid
-    _block_cross_check(grid, orbit_of, group_of)
-    diagonals = [
-        Diagonal(oid, orbit, profiles[oid], group_of[oid]) for oid, orbit in enumerate(runs)
-    ]
-    return diagonals, groups
+            lines[c - r + grid.rows - 1] = oid
+    if -1 in lines:
+        raise InconsistencyError(f"runs of grid ({grid.n},{grid.m}) do not cover every line")
+    lines = np.array(lines, dtype=np.intp)
+    profiles = [_run_profile(grid, orbit) for orbit in runs]
+    _block_cross_check(grid, lines, profiles)
+    diagonals = [Diagonal(oid, orbit, profiles[oid]) for oid, orbit in enumerate(runs)]
+    return diagonals, lines
 
 
 def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
@@ -321,8 +302,8 @@ def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
     weights, so each emitted block is a set of diagonals with one
     profile; blocks of equal profile merge into a group.  O(log(n + m))
     induction steps; groups come in the order the induction emits them.
-    The run walk is the check: `DiagonalDecomposition` compares the two
-    on first read of the diagonals.
+    This is the one group list; the run walk's profiles must match it
+    when `DiagonalDecomposition` first reads the diagonals.
 
     The groups must obey what the walk guarantees: at most 4g diagonals
     in at most 4 groups of at least g members, with profiles summing to
@@ -360,9 +341,9 @@ def decompose(grid: GridParams) -> DiagonalDecomposition:
 
     O(log(n + m)): `induction_groups`, the loops of the link
     (m, m, n, n), answers the Hamiltonicity search.
-    The diagonals and the walk-ordered groups come from one
-    `walk_diagonals`, O(n + m), on the first read of either, and that
-    walk must find the induction's (size, profile) groups.
+    The diagonals and the line table come from one `walk_diagonals`,
+    O(n + m), on the first read of either, and that walk must find the
+    induction's (size, profile) groups.
     """
     return DiagonalDecomposition(grid, induction_groups(grid))
 

@@ -14,14 +14,14 @@ The link tier walks no run: `decompose` finds the profile groups as
 the loops of the link (m, m, n, n) and `loop_count` counts each
 candidate link's loops, both by Rauzy induction in O(log(n + m))
 steps; the run walk checks the groups when a diagonal is read.
-Everything else reads the runs of `decompose` and expands no cell.  A run
-(r, c, L) covers the flat indices r*cols + c + j*(cols + 1), j < L,
-so one strided slice per run fills the per-cell diagonal-id table and
-the brute sweep's successor table.  A run is also a whole line
-col - row = d of the rectangle, which lets witnesses and
-`trace_components` walk cycles line by line: O(n + m) Python steps per
-cycle, with every cell written by numpy.  Only the brute sweep, the
-independent reference, walks cell by cell.
+Everything else reads the run walk of `decompose` and expands no cell.
+A run is a whole line col - row = d of the rectangle, so the per-cell
+diagonal-id table is one numpy gather from the decomposition's line
+table, and witnesses and `trace_components` walk cycles line by line:
+O(n + m) Python steps per cycle, with every cell written by numpy.  The
+brute sweep rewrites its successor table one strided slice per run: a
+run (r, c, L) covers the flat indices r*cols + c + j*(cols + 1), j < L.
+Only the brute sweep, the independent reference, walks cell by cell.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from itertools import product
 import numpy as np
 
 from .counting import diag_count_tree
-from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_ids, run_slice
+from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, run_slice
 from .errors import CapExceededError, InconsistencyError
-from .links import Link, is_knot, perm_cycles
+from .links import Link, group_link, is_knot, perm_cycles
 from .surface import (
     Cell,
     GridParams,
@@ -69,14 +69,7 @@ def _dec(n: int, m: int) -> DiagonalDecomposition:
 
 def _omega_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
     """Per diagonal, whether the orientation string orients it up."""
-    if len(omega) != len(dec.diagonals):
-        raise ValueError(
-            f"orientation string length {len(omega)} != {len(dec.diagonals)} diagonals"
-        )
-    for direction in omega:
-        if direction not in ("U", "R"):
-            raise ValueError(f"orientation characters must be U or R, got {direction!r}")
-    return np.array([direction == "U" for direction in omega], dtype=bool)
+    return np.array(dec.ups(omega), dtype=bool)
 
 
 def _cell_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
@@ -87,7 +80,7 @@ def _cell_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
 def _line_tables(dec: DiagonalDecomposition, omega: str) -> tuple:
     """Per line x = col - row + rows - 1: up lines below each x (as an
     array and as a list), the up lines and the right lines."""
-    line_up = _omega_up(dec, omega)[line_ids(dec)]
+    line_up = _omega_up(dec, omega)[dec.lines]
     ups = np.concatenate(([0], np.cumsum(line_up)))
     return ups, ups.tolist(), np.flatnonzero(line_up).tolist(), np.flatnonzero(~line_up).tolist()
 
@@ -194,8 +187,8 @@ def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
     """Cells on up-oriented diagonals, summed over runs without expanding cells."""
     return sum(
         length
-        for diag, ch in zip(dec.diagonals, omega)
-        if ch == "U"
+        for diag, up in zip(dec.diagonals, dec.ups(omega))
+        if up
         for _, _, length in diag.runs
     )
 
@@ -276,39 +269,12 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
     return True, _witness_from_omega(dec, omega)
 
 
-def group_profiles(dec: DiagonalDecomposition):
-    """(size, shared profile) per walk-ordered profile group."""
-    return [(len(group), dec.diagonals[group[0]].profile) for group in dec.groups]
-
-
-def _group_link(groups, up_counts) -> Link:
-    """Link induced by orienting `up_counts[k]` members of group k up."""
-    a = b = c = d = 0
-    for (size, prof), ups in zip(groups, up_counts):
-        rights = size - ups
-        a += ups * prof.cnt_a
-        b += ups * prof.cnt_b
-        c += rights * prof.cnt_c
-        d += rights * prof.cnt_d
-    return Link(a, b, c, d)
-
-
-def grouped_link(dec: DiagonalDecomposition, up_counts) -> Link:
-    """Link induced by orienting `up_counts[k]` members of walk group k up."""
-    if len(up_counts) != len(dec.groups):
-        raise ValueError("one up-count per profile group required")
-    groups = group_profiles(dec)
-    for (size, _), ups in zip(groups, up_counts):
-        if not 0 <= ups <= size:
-            raise ValueError(f"up-count {ups} outside group of size {size}")
-    return _group_link(groups, up_counts)
-
-
-def expand_grouped(dec: DiagonalDecomposition, up_counts) -> str:
-    """One orientation string realising the given per-group up-counts."""
+def expand_grouped(dec: DiagonalDecomposition, groups, up_counts) -> str:
+    """One orientation string: up the `up_counts[k]` smallest ids of group k's profile."""
     chars = ["R"] * len(dec.diagonals)
-    for group, ups in zip(dec.groups, up_counts):
-        for diag_id in group[:ups]:
+    for (_, prof), ups in zip(groups, up_counts):
+        members = [diag.id for diag in dec.diagonals if diag.profile == prof]
+        for diag_id in members[:ups]:
             chars[diag_id] = "U"
     return "".join(chars)
 
@@ -322,7 +288,7 @@ def _first_knot(groups):
     if len(groups) > 4:
         raise InconsistencyError(f"{len(groups)} profile groups, expected <= 4")
     for counts in product(*(range(size + 1) for size, _ in groups)):
-        if is_knot(_group_link(groups, counts)):
+        if is_knot(group_link(groups, counts)):
             return counts
     return None
 
@@ -338,12 +304,18 @@ def is_hamiltonian_fast(n: int, m: int) -> bool:
 
 
 def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
-    """A validated witness from the link tier, without a full sweep."""
+    """A validated witness from the link tier, without a full sweep.
+
+    Groups are searched in the order of their first diagonal by id, so
+    the witness does not depend on the order the induction emits them.
+    """
     dec = _dec(n, m)
-    counts = _first_knot(group_profiles(dec))
+    profiles = [diag.profile for diag in dec.diagonals]
+    groups = sorted(dec.profile_groups, key=lambda group: profiles.index(group[1]))
+    counts = _first_knot(groups)
     if counts is None:
         return None
-    return _witness_from_omega(dec, expand_grouped(dec, counts))
+    return _witness_from_omega(dec, expand_grouped(dec, groups, counts))
 
 
 def validate_witness(grid: GridParams, witness: HamWitness) -> None:

@@ -212,25 +212,27 @@ def link_reduce(link: Link) -> Link:
     return Link(link.a - t, link.b - t, link.c, link.d)
 
 
+def group_link(groups, up_counts) -> Link:
+    """Link induced by orienting `up_counts[k]` members of group k up.
+
+    `groups` lists (size, profile) per group.  Up-oriented diagonals
+    cross the top halves A and B, right-oriented ones the right halves
+    C and D.
+    """
+    a = b = c = d = 0
+    for (size, prof), ups in zip(groups, up_counts):
+        rights = size - ups
+        a += ups * prof.cnt_a
+        b += ups * prof.cnt_b
+        c += rights * prof.cnt_c
+        d += rights * prof.cnt_d
+    return Link(a, b, c, d)
+
+
 def orientation_link(dec, omega: str) -> Link:
     """Link induced by orienting each diagonal up (U) or right (R).
 
     a and b count up-oriented cells on the top boundary halves, c and d
     right-oriented cells on the right boundary halves.
     """
-    if len(omega) != len(dec.diagonals):
-        raise ValueError(
-            f"orientation string length {len(omega)} != {len(dec.diagonals)} diagonals"
-        )
-    a = b = c = d = 0
-    for diag, direction in zip(dec.diagonals, omega):
-        p = diag.profile
-        if direction == "U":
-            a += p.cnt_a
-            b += p.cnt_b
-        elif direction == "R":
-            c += p.cnt_c
-            d += p.cnt_d
-        else:
-            raise ValueError(f"orientation characters must be U or R, got {direction!r}")
-    return Link(a, b, c, d)
+    return group_link([(1, diag.profile) for diag in dec.diagonals], dec.ups(omega))

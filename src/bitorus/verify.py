@@ -157,17 +157,20 @@ def check_periodicity(limit: int) -> CheckResult:
 def check_induction_groups(limit: int) -> CheckResult:
     """Rauzy induction agrees with the traces it replaces.
 
-    Per grid, the run walk of a decomposition must find the induction's
-    (size, profile) groups, as it checks on first read; per link, its loop count equals the cycle
-    trace of the link's permutation.  Links are capped at sides <= 10,
-    14,640 of them, to keep the default suite fast.
+    Per grid, the run walk's diagonal profiles must match the
+    induction's (size, profile) groups as a multiset, as the
+    decomposition checks on first read, and the walk's own checks (the
+    4g bound, line coverage, corner blocks) must pass; per link, its
+    loop count equals the cycle trace of the link's permutation.  Links
+    are capped at sides <= 10, 14,640 of them, to keep the default suite
+    fast.
     """
     bad = []
     for n in range(1, limit + 1):
         for m in range(1, limit + 1):
             grid = GridParams(n, m)
             try:
-                DiagonalDecomposition(grid, induction_groups(grid)).groups
+                DiagonalDecomposition(grid, induction_groups(grid)).diagonals
             except InconsistencyError:
                 bad.append((n, m))
     sides = min(limit, 10)

@@ -15,7 +15,6 @@ from bitorus.diagonals import (
     diag_count_naive,
     diagonal_ids,
     induction_groups,
-    line_ids,
     profile,
     walk_diagonals,
 )
@@ -126,15 +125,20 @@ def test_profile_function_matches_stored_profiles():
         assert profile(dec.grid, diag.cells) == diag.profile
 
 
+def group_members(dec):
+    """Each profile group's members: the diagonal ids with that group's profile."""
+    return [
+        tuple(d.id for d in dec.diagonals if d.profile == prof) for _, prof in dec.profile_groups
+    ]
+
+
 def test_groups_share_boundary_profiles_and_lengths():
     for n in range(1, 11):
         for m in range(1, 11):
             dec = decompose(GridParams(n, m))
-            for group in dec.groups:
-                profiles = {dec.diagonals[i].profile.as_tuple() for i in group}
-                lengths = {len(dec.diagonals[i].cells) for i in group}
-                assert len(profiles) == 1
-                assert len(lengths) == 1
+            for (size, _), group in zip(dec.profile_groups, group_members(dec)):
+                assert len(group) == size
+                assert len({len(dec.diagonals[i].cells) for i in group}) == 1
 
 
 def test_group_members_are_right_translates():
@@ -142,7 +146,7 @@ def test_group_members_are_right_translates():
         for m in range(1, 13):
             dec = decompose(GridParams(n, m))
             grid = dec.grid
-            for group in dec.groups:
+            for group in group_members(dec):
                 first = dec.diagonals[group[0]].cells
                 for y in group[1:]:
                     cells_y = set(dec.diagonals[y].cells)
@@ -164,7 +168,7 @@ def test_corner_blocks_land_in_single_groups():
         for top, left in ((0, 0), (0, m), (n, 0), (n, m)):
             block = [owner[(top, left + j)] for j in range(g)]
             assert len({d.id for d in block}) == g
-            assert len({d.group_id for d in block}) == 1
+            assert len({d.profile for d in block}) == 1
 
 
 def test_run_walk_counter_matches_cell_walk():
@@ -193,7 +197,8 @@ def test_run_tables_match_cell_by_cell_tables():
                     assert ref_lines[col - row + grid.rows - 1] in (-1, diag.id)
                     ref_lines[col - row + grid.rows - 1] = diag.id
             assert (diagonal_ids(dec) == ref).all(), (n, m)
-            assert (line_ids(dec) == ref_lines).all(), (n, m)
+            assert dec.lines.dtype == np.intp
+            assert (dec.lines == ref_lines).all(), (n, m)
 
 
 # --- Rauzy induction on the run map ----------------------------------------------
@@ -202,8 +207,9 @@ def test_induction_groups_match_the_run_walk():
     for n in range(1, 41):
         for m in range(1, 41):
             grid = GridParams(n, m)
-            diags, groups = walk_diagonals(grid)
-            walked = Counter((len(group), diags[group[0]].profile) for group in groups)
+            diags, _ = walk_diagonals(grid)
+            counts = Counter(d.profile for d in diags)
+            walked = Counter((size, prof) for prof, size in counts.items())
             assert Counter(induction_groups(grid)) == walked, (n, m)
 
 
@@ -211,8 +217,9 @@ def test_induction_groups_match_the_run_walk():
 @given(st.integers(1, 500), st.integers(1, 500), st.integers(1, 4))
 def test_induction_groups_match_the_run_walk_on_larger_grids(n, m, common):
     grid = GridParams(common * n, common * m)  # keep pairs with gcd > 1
-    diags, groups = walk_diagonals(grid)
-    walked = Counter((len(group), diags[group[0]].profile) for group in groups)
+    diags, _ = walk_diagonals(grid)
+    counts = Counter(d.profile for d in diags)
+    walked = Counter((size, prof) for prof, size in counts.items())
     assert Counter(induction_groups(grid)) == walked
 
 
@@ -239,6 +246,33 @@ def test_walk_that_disagrees_with_the_induction_raises():
     dec = DiagonalDecomposition(grid, [(2, BoundaryProfile(5, 5, 3, 3))])
     with pytest.raises(InconsistencyError, match="run walk"):
         dec.diagonals
+
+
+@pytest.mark.parametrize(
+    "n,m,plant,message",
+    [
+        # every run its own orbit: 15 runs where g = 1 allows at most 4
+        (3, 5, lambda runs: [[run] for orbit in runs for run in orbit], r"more than 4\*gcd"),
+        (3, 5, lambda runs: [runs[0][1:], *runs[1:]], "do not cover every line"),
+        # g = 2: one orbit cannot fill a corner block, and no block meets an empty orbit
+        (2, 4, lambda runs: [[run for orbit in runs for run in orbit]], "hits 1 diagonals"),
+        (2, 4, lambda runs: [*runs, []], "miss some diagonals"),
+    ],
+)
+def test_walk_checks_catch_planted_runs(monkeypatch, n, m, plant, message):
+    runs = list(diagonals._orbit_runs(GridParams(n, m)))
+    monkeypatch.setattr(diagonals, "_orbit_runs", lambda grid: plant(runs))
+    with pytest.raises(InconsistencyError, match=message):
+        walk_diagonals(GridParams(n, m))
+
+
+def test_walk_with_split_corner_block_raises(monkeypatch):
+    # (2, 4) has g = 2: two diagonals per corner block, which must share a profile
+    monkeypatch.setattr(
+        diagonals, "_run_profile", lambda grid, runs: BoundaryProfile(*runs[0], 0)
+    )
+    with pytest.raises(InconsistencyError, match="spans multiple profile groups"):
+        walk_diagonals(GridParams(2, 4))
 
 
 def test_induction_blocks_are_checked(monkeypatch):

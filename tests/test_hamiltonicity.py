@@ -14,7 +14,6 @@ from bitorus.hamiltonicity import (
     HamWitness,
     _dec,
     expand_grouped,
-    grouped_link,
     ham_torus1,
     hamiltonian_witness,
     is_hamiltonian_brute,
@@ -31,7 +30,7 @@ from bitorus.hamiltonicity import (
     up_cell_count,
     validate_witness,
 )
-from bitorus.links import loop_count, orientation_link
+from bitorus.links import group_link, loop_count, orientation_link
 from bitorus.surface import GridParams, step
 
 
@@ -216,17 +215,21 @@ def test_fast_examples():
 def test_grouped_link_matches_expanded_orientation():
     for n, m in [(2, 4), (3, 6), (2, 2), (4, 6)]:
         dec = _dec(n, m)
-        ranges = [range(len(g) + 1) for g in dec.groups]
-        for counts in product(*ranges):
-            omega = expand_grouped(dec, counts)
-            assert grouped_link(dec, counts) == orientation_link(dec, omega)
+        groups = dec.profile_groups
+        for counts in product(*(range(size + 1) for size, _ in groups)):
+            omega = expand_grouped(dec, groups, counts)
+            assert omega.count("U") == sum(counts)
+            assert group_link(groups, counts) == orientation_link(dec, omega)
 
 
 def test_swapping_parallel_diagonals_preserves_components():
     rng = random.Random(42)
     for n, m in [(2, 4), (2, 6), (3, 6), (6, 9), (4, 6), (3, 9)]:
         dec = _dec(n, m)
-        multi = [g for g in dec.groups if len(g) >= 2]
+        members = [
+            [d.id for d in dec.diagonals if d.profile == prof] for _, prof in dec.profile_groups
+        ]
+        multi = [g for g in members if len(g) >= 2]
         if not multi:
             continue
         for _ in range(10):
@@ -499,6 +502,15 @@ def test_up_cell_count_sums_runs_without_expanding_cells():
             sum(len(diag.cells) for diag, ch in zip(dec.diagonals, omega) if ch == "U")
             for omega in product("UR", repeat=len(dec.diagonals))
         ]
+
+
+def test_up_cells_and_k_validate_the_orientation_string():
+    dec = _dec(3, 4)  # one diagonal
+    for count in (up_cell_count, orientation_k):
+        with pytest.raises(ValueError, match="length 6 != 1 diagonals"):
+            count(dec, "UUUUUU")
+        with pytest.raises(ValueError, match="must be U or R"):
+            count(dec, "X")
 
 
 def test_validate_witness_rejects_garbage():
