@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import diag_count_tree, tree_map_table
+from .errors import check_int
 from .hamiltonicity import is_hamiltonian_fast
 
 
@@ -55,8 +56,7 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
     Single-diagonal grids are never Hamiltonian, so these are the
     genuinely exceptional sizes.  Sorted lexicographically.
     """
-    if max_m < 2:
-        raise ValueError(f"need max_m >= 2, got {max_m}")
+    max_m = check_int(max_m, 2, "max_m")
     records = []
     for n in range(1, max_m):
         for m in range(n + 1, max_m + 1):
@@ -108,8 +108,7 @@ def diag_distribution(h: int) -> DistributionReport:
     table lookup and its count one more; every odd-odd pair has 2
     diagonals, so that walk only counts nodes.
     """
-    if h < 2:
-        raise ValueError(f"need h >= 2, got {h}")
+    h = check_int(h, 2, "h")
     table = tree_map_table()
     tally = [0, 0, 0, 0]
     for value, visits in zip(table.values, _tree_visits((2, 1), h, table.children)):

@@ -1,11 +1,12 @@
-"""Diagonal orbits of the folded grid, walked run by run, and their profile groups.
+"""Diagonal orbits of the folded grid, walked line by line, and their profile groups.
 
 A diagonal is an orbit of the step right-then-down; every cell lies on
 exactly one.  Interior steps are forced (+1, +1), so a diagonal is a
 cyclic sequence of straight runs, each starting on the top row or the
 left column and ending on the last row or the last column.  A run is
-the whole line col - row = c - r of the rectangle, so the 2n + 2m - 1
-lines each belong to one diagonal.  Two routes find the diagonals:
+the whole line col - row = d of the rectangle, so a diagonal is a cyclic
+list of lines, and each of the 2n + 2m - 1 lines lies on one of them.
+Two routes find the diagonals:
 
 * Rauzy induction (`induction_groups`): the diagonals are the loops of
   the link (m, m, n, n), so `link_cycles` finds them, with their
@@ -18,16 +19,16 @@ lines each belong to one diagonal.  Two routes find the diagonals:
 
 Read off the walk:
 
-* the boundary profile (cnt_a, cnt_b, cnt_c, cnt_d) of a diagonal counts
-  its run starts on the top row and its run ends on the last column,
-  which is exact because every top-row cell starts a run and every
-  last-column cell ends one.  Diagonals with identical profiles form a
-  group, and the induced link depends only on how many members of each
-  group are oriented up;
 * the line table `lines`: the diagonal id of each line col - row.  Any
   per-cell table, such as the diagonal id of every cell, is one numpy
   gather from it;
-* a diagonal's cells are expanded from its runs only when read.
+* the boundary profile (cnt_a, cnt_b, cnt_c, cnt_d) of a diagonal counts
+  its lines in four ranges: top-row cell (0, c) lies on line c and
+  last-column cell (r, 2m - 1) on line 2m - 1 - r, so A, B, C and D are
+  the m, m, n and n lines [0, m), [m, 2m), [2m - n, 2m) and
+  [2m - 2n, 2m - n), the link (m, m, n, n).  Diagonals with identical
+  profiles form a group; the induced link depends only on the groups' up counts;
+* a diagonal's cells are expanded from its lines only when read.
 
 `decompose` runs the induction at once and the walk on first read of
 its diagonals, and the walk must find the induction's groups.
@@ -46,10 +47,7 @@ import numpy as np
 
 from .errors import InconsistencyError
 from .links import Link, link_cycles
-from .surface import Cell, GridParams
-
-# A straight stretch of a diagonal: start row, start column, cell count.
-Run = tuple[int, int, int]
+from .surface import Cell, GridParams, classify, orientation_ups
 
 
 @dataclass(frozen=True)
@@ -67,20 +65,22 @@ class BoundaryProfile:
 
 @dataclass
 class Diagonal:
-    """One orbit, kept as its runs; the cells are expanded on first use."""
+    """One orbit, kept as its lines col - row in successor order; cells expand on first use."""
 
     id: int
-    runs: list[Run]
+    grid: GridParams
+    lines: list[int]
     profile: BoundaryProfile
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
         """Cells in successor order, from the row-major-minimal one.
 
-        The library reads runs only; this expansion is the cell-level
-        reference the tests check the run-based tables against.
+        The library reads lines only; this expansion is the cell-level
+        reference the tests check the line-based tables against.
         """
-        return tuple((r + j, c + j) for r, c, length in self.runs for j in range(length))
+        runs = [line_run(self.grid, d) for d in self.lines]
+        return tuple((r + j, c + j) for r, c, length in runs for j in range(length))
 
 
 @dataclass
@@ -122,19 +122,18 @@ class DiagonalDecomposition:
 
     def ups(self, omega: str) -> list[bool]:
         """Per diagonal, whether the orientation string orients it up (U) or right (R)."""
-        if len(omega) != len(self.diagonals):
-            raise ValueError(
-                f"orientation string length {len(omega)} != {len(self.diagonals)} diagonals"
-            )
-        for direction in omega:
-            if direction not in ("U", "R"):
-                raise ValueError(f"orientation characters must be U or R, got {direction!r}")
-        return [direction == "U" for direction in omega]
+        return orientation_ups(omega, len(self.diagonals))
 
 
-def run_slice(grid: GridParams, run: Run) -> slice:
-    """Flat indices of a run's cells: r*cols + c + j*(cols + 1) for j < L."""
-    r, c, length = run
+def line_run(grid: GridParams, d: int) -> tuple[int, int, int]:
+    """The cells of line col - row = d: start row, start column, cell count."""
+    r, c = (0, d) if d >= 0 else (-d, 0)
+    return r, c, min(grid.rows - r, grid.cols - c)
+
+
+def line_slice(grid: GridParams, d: int) -> slice:
+    """Flat indices of a line's cells: r*cols + c + j*(cols + 1) for j < L."""
+    r, c, length = line_run(grid, d)
     stride = grid.cols + 1
     start = r * grid.cols + c
     return slice(start, start + (length - 1) * stride + 1, stride)
@@ -151,39 +150,24 @@ def diagonal_ids(dec: DiagonalDecomposition) -> np.ndarray:
 
 
 def profile(grid: GridParams, cells) -> BoundaryProfile:
-    """Count cells of one diagonal on boundaries A, B, C and D."""
-    n, m = grid.n, grid.m
-    last_col = grid.cols - 1
-    a = b = c = d = 0
-    for row, col in cells:
-        if row == 0:
-            if col < m:
-                a += 1
-            else:
-                b += 1
-        if col == last_col:
-            if row < n:
-                c += 1
-            else:
-                d += 1
-    return BoundaryProfile(a, b, c, d)
+    """Count cells of one diagonal on boundaries A, B, C and D, as `classify` flags them."""
+    flags = [classify(grid, cell) for cell in cells]
+    return BoundaryProfile(*(sum(getattr(f, "on_" + side) for f in flags) for side in "abcd"))
 
 
-def _run_walk(grid: GridParams) -> Iterator[tuple[int, int, int, int]]:
-    """Every run as (orbit id, row, column, length), orbit after orbit.
+def _run_walk(grid: GridParams) -> Iterator[tuple[int, int]]:
+    """Every line d = col - row as (orbit id, d), orbit after orbit.
 
-    Run starts are scanned along the top row, then down the left column.
-    A diagonal's row-major-minimal cell is a run start (its predecessor
-    would otherwise be smaller), so each diagonal is met at that cell
-    and its runs are listed from there, in successor order.  Jumping run
-    ends in O(1) makes the walk O(n + m) while still enumerating every
-    orbit of the successor map.  A run is the whole line col - row, so
-    the visited starts are one byte per line; a start visited twice is
-    an internal inconsistency.
+    Line starts are scanned along the top row, then down the left
+    column.  A diagonal's row-major-minimal cell starts a line (its
+    predecessor would otherwise be smaller), so each diagonal is met at
+    that line and listed from there, in successor order.  The next line
+    follows from d alone, so the walk is O(n + m) and still enumerates
+    every orbit; a line visited twice is an internal inconsistency.
     """
     n, m = grid.n, grid.m
     rows, cols = grid.rows, grid.cols
-    off = rows - 1  # line d = col - row sits at index d + off
+    off = rows - 1  # line d sits at index d + off
     visited = bytearray(rows + cols - 1)
     budget = len(visited)
     oid = 0
@@ -195,45 +179,32 @@ def _run_walk(grid: GridParams) -> Iterator[tuple[int, int, int, int]]:
             visited[d + off] = 1
             budget -= 1
             if budget < 0:
-                raise InconsistencyError("run walk revisited a run start")
-            r, c = (0, d) if d >= 0 else (-d, 0)
-            k = min(rows - 1 - r, cols - 1 - c)
-            yield oid, r, c, k + 1
-            r += k
-            c += k
-            if c == cols - 1:
-                r2 = (r + n) % rows
-                d = -(r2 + 1) if r2 < rows - 1 else m
+                raise InconsistencyError("run walk revisited a line")
+            yield oid, d
+            if d >= cols - rows:
+                # ends on the last column at row cols - 1 - d, wraps right
+                r = (cols - 1 - d + n) % rows
+                d = -(r + 1) if r < rows - 1 else m
             else:
-                d = (c + 1 + m) % cols
+                # ends on the last row at column d + rows - 1, wraps down
+                d = (d + rows + m) % cols
             if d == start:
                 break
         oid += 1
 
 
-def _orbit_runs(grid: GridParams) -> Iterator[list[Run]]:
-    """Each diagonal as its runs in successor order, in row-major order."""
-    for _, runs in groupby(_run_walk(grid), key=itemgetter(0)):
-        yield [(r, c, length) for _, r, c, length in runs]
+def _orbit_lines(grid: GridParams) -> Iterator[list[int]]:
+    """Each diagonal as its lines in successor order, in row-major order."""
+    for _, lines in groupby(_run_walk(grid), key=itemgetter(0)):
+        yield [d for _, d in lines]
 
 
-def _run_profile(grid: GridParams, runs: list[Run]) -> BoundaryProfile:
-    """A and B are run starts on the top row, C and D run ends on the last column."""
-    n, m = grid.n, grid.m
-    last_col = grid.cols - 1
-    a = b = c = d = 0
-    for row, col, length in runs:
-        if row == 0:
-            if col < m:
-                a += 1
-            else:
-                b += 1
-        if col + length - 1 == last_col:
-            if row + length - 1 < n:
-                c += 1
-            else:
-                d += 1
-    return BoundaryProfile(a, b, c, d)
+def _line_profiles(grid: GridParams, lines: np.ndarray, count: int) -> list[BoundaryProfile]:
+    """Every diagonal's profile: how many of its lines lie in each of A, B, C and D's ranges."""
+    n, m, off = grid.n, grid.m, grid.rows - 1
+    ranges = ((0, m), (m, 2 * m), (2 * m - n, 2 * m), (2 * m - 2 * n, 2 * m - n))
+    counts = [np.bincount(lines[lo + off : hi + off], minlength=count) for lo, hi in ranges]
+    return [BoundaryProfile(*profile) for profile in np.array(counts).T.tolist()]
 
 
 def _block_cross_check(grid: GridParams, lines: np.ndarray, profiles) -> None:
@@ -266,29 +237,29 @@ def _block_cross_check(grid: GridParams, lines: np.ndarray, profiles) -> None:
 def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], np.ndarray]:
     """Diagonals and the line table from one run walk, O(n + m).
 
-    The reference route: every orbit is enumerated, so the count and
-    the profiles are read off actual runs.  Ids follow the
-    row-major-minimal cells.  `lines` (np.intp) holds the diagonal id of
-    line col - row = d at index d + rows - 1.  The count must be at most
-    4g, the runs must cover every line and the profiles must pass the
-    corner-block check.  No groups are built: they come from the
-    induction.
+    The reference route: every orbit is enumerated, so the count is
+    read off actual orbits.  Ids follow the row-major-minimal cells.
+    `lines` (np.intp) holds the diagonal id of line col - row = d at
+    index d + rows - 1, and the profiles are read from it.  The count
+    must be at most 4g, the orbits must cover every line and the
+    profiles must pass the corner-block check.  No groups are built:
+    they come from the induction.
     """
-    runs = list(_orbit_runs(grid))
-    if len(runs) > 4 * grid.g:
+    orbits = list(_orbit_lines(grid))
+    if len(orbits) > 4 * grid.g:
         raise InconsistencyError(
-            f"grid ({grid.n},{grid.m}) produced {len(runs)} diagonals, more than 4*gcd"
+            f"grid ({grid.n},{grid.m}) produced {len(orbits)} diagonals, more than 4*gcd"
         )
     lines = [-1] * (grid.rows + grid.cols - 1)
-    for oid, orbit in enumerate(runs):
-        for r, c, _ in orbit:
-            lines[c - r + grid.rows - 1] = oid
+    for oid, orbit in enumerate(orbits):
+        for d in orbit:
+            lines[d + grid.rows - 1] = oid
     if -1 in lines:
-        raise InconsistencyError(f"runs of grid ({grid.n},{grid.m}) do not cover every line")
+        raise InconsistencyError(f"orbits of grid ({grid.n},{grid.m}) do not cover every line")
     lines = np.array(lines, dtype=np.intp)
-    profiles = [_run_profile(grid, orbit) for orbit in runs]
+    profiles = _line_profiles(grid, lines, len(orbits))
     _block_cross_check(grid, lines, profiles)
-    diagonals = [Diagonal(oid, orbit, profiles[oid]) for oid, orbit in enumerate(runs)]
+    diagonals = [Diagonal(oid, grid, orbit, profiles[oid]) for oid, orbit in enumerate(orbits)]
     return diagonals, lines
 
 
@@ -359,6 +330,6 @@ def diag_count_naive(n: int, m: int) -> int:
     deriving the count from a formula.
     """
     count = 0
-    for oid, _, _, _ in _run_walk(GridParams(n, m)):
+    for oid, _ in _run_walk(GridParams(n, m)):
         count = oid + 1
     return count

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+from operator import index
 
 
 class InconsistencyError(RuntimeError):
@@ -13,3 +15,17 @@ class InconsistencyError(RuntimeError):
 
 class CapExceededError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
+
+
+def check_int(value, low: float, what: str) -> int:
+    """`value` as an int; ValueError unless it is an integer of at least `low`.
+
+    Anything `operator.index` accepts counts as an integer, except bool.
+    """
+    if type(value) is not int:
+        if type(value) is bool or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = index(value)
+    if value < low:
+        raise ValueError(f"need {what} >= {low}, got {value}")
+    return value

@@ -15,12 +15,13 @@ the loops of the link (m, m, n, n) and `loop_count` counts each
 candidate link's loops, both by Rauzy induction in O(log(n + m))
 steps; the run walk checks the groups when a diagonal is read.
 Everything else reads the run walk of `decompose` and expands no cell.
-A run is a whole line col - row = d of the rectangle, so the per-cell
-diagonal-id table is one numpy gather from the decomposition's line
-table, and witnesses and `trace_components` walk cycles line by line:
-O(n + m) Python steps per cycle, with every cell written by numpy.  The
-brute sweep rewrites its successor table one strided slice per run: a
-run (r, c, L) covers the flat indices r*cols + c + j*(cols + 1), j < L.
+A diagonal is a list of whole lines col - row = d of the rectangle, so
+the per-cell diagonal-id table is one numpy gather from the
+decomposition's line table, and witnesses and `trace_components` walk
+cycles line by line: O(n + m) Python steps per cycle, with every cell
+written by numpy.  The brute sweep rewrites its successor table one
+strided slice per line: a line from (r, c) with L cells covers the
+flat indices r*cols + c + j*(cols + 1), j < L.
 Only the brute sweep, the independent reference, walks cell by cell.
 """
 
@@ -35,16 +36,19 @@ from itertools import product
 import numpy as np
 
 from .counting import diag_count_tree
-from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, run_slice
-from .errors import CapExceededError, InconsistencyError
+from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_run, line_slice
+from .errors import CapExceededError, InconsistencyError, check_int
 from .links import Link, group_link, is_knot, perm_cycles
 from .surface import (
+    UP,
     Cell,
     GridParams,
     check_sizes,
     diag_successor,
+    orientation_ups,
     right_indices,
     right_power,
+    step,
     up_indices,
 )
 
@@ -184,12 +188,12 @@ def trace_components(grid: GridParams, omega: str) -> list[list[Cell]]:
 
 
 def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
-    """Cells on up-oriented diagonals, summed over runs without expanding cells."""
+    """Cells on up-oriented diagonals, summed over lines without expanding cells."""
     return sum(
-        length
+        line_run(dec.grid, d)[2]
         for diag, up in zip(dec.diagonals, dec.ups(omega))
         if up
-        for _, _, length in diag.runs
+        for d in diag.lines
     )
 
 
@@ -219,7 +223,7 @@ def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
     This walk goes cell by cell, independently of the line walk that
     builds the witness, so every brute witness checks one against the
     other.  Between strings only the diagonals whose direction changed
-    are rewritten, one run slice at a time.  A numpy sweep over batches
+    are rewritten, one line slice at a time.  A numpy sweep over batches
     of strings lost to this walk on every benchmark brute grid
     (2^c * 4nm <= 1e5) and on every n <= m <= 10, so there is no other.
     """
@@ -227,7 +231,7 @@ def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
     size = grid.size
     su = up_indices(grid).tolist()
     sr = right_indices(grid).tolist()
-    slices = [[run_slice(grid, run) for run in diag.runs] for diag in dec.diagonals]
+    slices = [[line_slice(grid, d) for d in diag.lines] for diag in dec.diagonals]
     succ = [0] * size
     prev = ("",) * len(slices)
     for omega in product("UR", repeat=len(slices)):
@@ -361,8 +365,7 @@ def _square_cycle(n: int, start_row: int) -> np.ndarray | None:
     rows, cols = grid.rows, grid.cols
     starts = [(start_row, 0)]
     for _ in range(n):
-        row, col = right_power(grid, starts[-1], 4 * n - 1)
-        starts.append((row - 1, col) if row > 0 else (rows - 1, (col + n) % cols))
+        starts.append(step(grid, right_power(grid, starts[-1], 4 * n - 1), UP))
     if starts.pop() != starts[0]:
         return None
     start_rows, start_cols = np.array(starts).T
@@ -379,8 +382,7 @@ def _square_cycle(n: int, start_row: int) -> np.ndarray | None:
 
 def square_construction(n: int) -> HamWitness:
     """Closed-form Hamiltonian cycle of the (n, n) grid."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = check_int(n, 1, "n")
     # The walk starts at row n, counted from the top; the tests show row
     # n - 1 does not close.
     flat = _square_cycle(n, n)
@@ -447,14 +449,21 @@ def _n2_omega_for(m: int, layout) -> str | None:
 
 def n2_orientation(m: int) -> str:
     """Hamiltonian orientation of the (2, m) grid from the residue rules."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    m = check_int(m, 1, "m")
     if m % 8 in (3, 5):
         raise ValueError(f"no Hamiltonian orientation exists for width {m} (mod 8 in 3,5)")
     omega = _n2_omega_for(m, _n2_stacked)
     if omega is None:
         raise InconsistencyError(f"height-2 rule failed to validate at width {m}")
     return omega
+
+
+def _segment_args(m, d) -> tuple[int, int]:
+    """m and d as ints; ValueError unless m >= 2 and -3 <= d <= 2m - 1."""
+    m, d = check_int(m, 2, "m"), check_int(d, -3, "segment index")
+    if d > 2 * m - 1:
+        raise ValueError(f"segment index {d} outside [-3, {2 * m - 1}]")
+    return m, d
 
 
 def segment_successor(m: int, d: int) -> int:
@@ -464,10 +473,7 @@ def segment_successor(m: int, d: int) -> int:
     generic step adds m + 4 modulo 2m; the four segments meeting the
     wrap corner behave specially.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if not -3 <= d <= 2 * m - 1:
-        raise ValueError(f"segment index {d} outside [-3, {2 * m - 1}]")
+    m, d = _segment_args(m, d)
     if d == 2 * m - 4:
         return -2
     if d == 2 * m - 3:
@@ -481,10 +487,7 @@ def segment_successor(m: int, d: int) -> int:
 
 def segment_successor_from_grid(m: int, d: int) -> int:
     """Same map, read off the grid: step from the last cell of a segment."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if not -3 <= d <= 2 * m - 1:
-        raise ValueError(f"segment index {d} outside [-3, {2 * m - 1}]")
+    m, d = _segment_args(m, d)
     grid = GridParams(2, m)
     row = min(3, 2 * m - 1 - d)
     nxt = diag_successor(grid, (row, row + d))
@@ -545,6 +548,7 @@ def periodicity_check(n: int, m: int) -> bool:
     exists, but it is 4*(4g)!*n: already at g = 2 that is far beyond
     any feasible computation, so no operation exposes it.
     """
+    n, m = check_sizes(n, m)
     if math.gcd(n, m) != 1:
         raise ValueError(f"periodicity check needs coprime sizes, got ({n}, {m})")
     return is_hamiltonian_fast(n, m) == is_hamiltonian_fast(n, m + 12 * n)
@@ -568,9 +572,8 @@ def torus1_components(n: int, m: int, orientation: str) -> int:
 
     Torus diagonals are the residues of column minus row mod gcd(n, m).
     """
+    n, m = check_sizes(n, m)
     g = math.gcd(n, m)
-    if len(orientation) != g:
-        raise ValueError(f"need one direction per torus diagonal ({g})")
     r, c = np.divmod(np.arange(n * m), m)
-    up = np.array([ch == "U" for ch in orientation])[(c - r) % g]
+    up = np.array(orientation_ups(orientation, g))[(c - r) % g]
     return perm_cycles(np.where(up, (r - 1) % n * m + c, r * m + (c + 1) % m).tolist())

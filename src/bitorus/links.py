@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistencyError
+from .errors import InconsistencyError, check_int
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,10 @@ class Link:
     d: int
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValueError(f"link parameters must be nonnegative: {self}")
+        a, b, c, d = fields = self.as_tuple()
+        if not (type(a) is type(b) is type(c) is type(d) is int and min(fields) >= 0):
+            for name, value in zip("abcd", fields):
+                object.__setattr__(self, name, check_int(value, 0, f"link parameter {name}"))
 
     @property
     def total(self) -> int:

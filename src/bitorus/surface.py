@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
+
+from .errors import check_int
 
 Cell = tuple[int, int]
 
@@ -38,20 +39,25 @@ MOVES = (UP, RIGHT, UP_INV, RIGHT_INV)
 
 
 def check_sizes(n, m) -> tuple[int, int]:
-    """Grid sizes as ints; ValueError unless both are positive integers.
-
-    Anything `operator.index` accepts counts as an integer, except bool.
-    """
+    """Grid sizes as ints; ValueError unless both are positive integers."""
     if type(n) is not int or type(m) is not int:
         try:
-            if type(n) is bool or type(m) is bool:
-                raise TypeError
-            n, m = index(n), index(m)
-        except TypeError:
+            n, m = check_int(n, -math.inf, "n"), check_int(m, -math.inf, "m")
+        except ValueError:
             raise ValueError(f"grid sizes must be integers, got ({n!r}, {m!r})") from None
     if n < 1 or m < 1:
         raise ValueError(f"grid sizes must be positive, got ({n}, {m})")
     return n, m
+
+
+def orientation_ups(omega: str, count: int) -> list[bool]:
+    """Per diagonal, whether the orientation string orients it up (U) or right (R)."""
+    if len(omega) != count:
+        raise ValueError(f"orientation string length {len(omega)} != {count} diagonals")
+    for direction in omega:
+        if direction not in (UP, RIGHT):
+            raise ValueError(f"orientation characters must be U or R, got {direction!r}")
+    return [direction == UP for direction in omega]
 
 
 @dataclass(frozen=True)
@@ -165,17 +171,11 @@ def _flat_coords(grid: GridParams):
 
 
 def diag_successor_indices(grid: GridParams) -> np.ndarray:
-    """Flat-index table of the diagonal step for every cell."""
-    n, m = grid.n, grid.m
-    rows, cols = grid.rows, grid.cols
-    r0, c0 = _flat_coords(grid)
-    wrap_right = c0 == cols - 1
-    r1 = np.where(wrap_right, (r0 + n) % rows, r0)
-    c1 = np.where(wrap_right, 0, c0 + 1)
-    wrap_down = r1 == rows - 1
-    r2 = np.where(wrap_down, 0, r1 + 1)
-    c2 = np.where(wrap_down, (c1 + m) % cols, c1)
-    return r2 * cols + c2
+    """Flat-index table of the diagonal step: right, then down (the inverse of up)."""
+    up = up_indices(grid)
+    down = np.empty_like(up)
+    down[up] = np.arange(grid.size)
+    return down[right_indices(grid)]
 
 
 def up_indices(grid: GridParams) -> np.ndarray:

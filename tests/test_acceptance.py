@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible under pytest -s or -v
 via live logging of stdout on failure) with its runtime.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -38,11 +39,13 @@ from bitorus.links import Link, is_knot, link_permutation, link_reduce, loop_cou
 from bitorus.surface import GridParams
 from bitorus.verify import (
     check_canon_rules,
+    check_census_tree,
     check_counting_agreement,
     check_cycle_link_equivalence,
     check_induction_groups,
     check_link_balance,
     check_periodicity,
+    check_string_construction,
     check_tier_equivalence,
 )
 
@@ -256,6 +259,11 @@ def test_12_interleaving_identity():
     _report(12, "floor/ceil interleaving identity on 1000 random instances", started, ok)
 
 
+def _one_tally_off(h):
+    report = diag_distribution(h)
+    return dataclasses.replace(report, count3=report.count3 + 1)
+
+
 def test_verify_checks_fail_on_a_planted_disagreement(monkeypatch):
     # Each check the tests above rely on must fail when one of its routes
     # is wrong; otherwise a check that always passes would go unnoticed.
@@ -268,6 +276,8 @@ def test_verify_checks_fail_on_a_planted_disagreement(monkeypatch):
         ("diag_count_naive", lambda n, m: n * m, lambda: check_canon_rules(8)),
         ("induction_groups", lambda grid: [], lambda: check_induction_groups(3)),
         ("loop_count", lambda link: 0, lambda: check_induction_groups(3)),
+        ("string_powers", lambda n, m: "d", lambda: check_string_construction(5)),
+        ("diag_distribution", _one_tally_off, lambda: check_census_tree(2)),
     ]
     for name, wrong, check in planted:
         assert check().ok, name

@@ -44,6 +44,8 @@ def test_exceptional_pairs_records_are_coprime_and_sorted():
 def test_exceptional_pairs_validates_input():
     with pytest.raises(ValueError):
         exceptional_pairs(1)
+    with pytest.raises(ValueError, match="must be an integer"):  # raised TypeError
+        exceptional_pairs(10.5)
 
 
 def test_distribution_single_pair():
@@ -83,6 +85,8 @@ def test_distribution_exact_tallies():
 def test_distribution_validates_input():
     with pytest.raises(ValueError):
         diag_distribution(1)
+    with pytest.raises(ValueError, match="must be an integer"):  # reported h = 10.5
+        diag_distribution(10.5)
 
 
 def test_tree_map_table_is_closed_and_valued_at_the_image_of_the_root():

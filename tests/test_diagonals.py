@@ -251,17 +251,17 @@ def test_walk_that_disagrees_with_the_induction_raises():
 @pytest.mark.parametrize(
     "n,m,plant,message",
     [
-        # every run its own orbit: 15 runs where g = 1 allows at most 4
-        (3, 5, lambda runs: [[run] for orbit in runs for run in orbit], r"more than 4\*gcd"),
-        (3, 5, lambda runs: [runs[0][1:], *runs[1:]], "do not cover every line"),
+        # every line its own orbit: 15 lines where g = 1 allows at most 4
+        (3, 5, lambda orbits: [[d] for orbit in orbits for d in orbit], r"more than 4\*gcd"),
+        (3, 5, lambda orbits: [orbits[0][1:], *orbits[1:]], "do not cover every line"),
         # g = 2: one orbit cannot fill a corner block, and no block meets an empty orbit
-        (2, 4, lambda runs: [[run for orbit in runs for run in orbit]], "hits 1 diagonals"),
-        (2, 4, lambda runs: [*runs, []], "miss some diagonals"),
+        (2, 4, lambda orbits: [[d for orbit in orbits for d in orbit]], "hits 1 diagonals"),
+        (2, 4, lambda orbits: [*orbits, []], "miss some diagonals"),
     ],
 )
 def test_walk_checks_catch_planted_runs(monkeypatch, n, m, plant, message):
-    runs = list(diagonals._orbit_runs(GridParams(n, m)))
-    monkeypatch.setattr(diagonals, "_orbit_runs", lambda grid: plant(runs))
+    orbits = list(diagonals._orbit_lines(GridParams(n, m)))
+    monkeypatch.setattr(diagonals, "_orbit_lines", lambda grid: plant(orbits))
     with pytest.raises(InconsistencyError, match=message):
         walk_diagonals(GridParams(n, m))
 
@@ -269,10 +269,25 @@ def test_walk_checks_catch_planted_runs(monkeypatch, n, m, plant, message):
 def test_walk_with_split_corner_block_raises(monkeypatch):
     # (2, 4) has g = 2: two diagonals per corner block, which must share a profile
     monkeypatch.setattr(
-        diagonals, "_run_profile", lambda grid, runs: BoundaryProfile(*runs[0], 0)
+        diagonals,
+        "_line_profiles",
+        lambda grid, lines, count: [BoundaryProfile(i, 0, 0, 0) for i in range(count)],
     )
     with pytest.raises(InconsistencyError, match="spans multiple profile groups"):
         walk_diagonals(GridParams(2, 4))
+
+
+class _ForgetfulBytes(bytearray):
+    """A visited table that drops every mark, so the walk meets its lines again."""
+
+    def __setitem__(self, index, value):
+        pass
+
+
+def test_walk_that_revisits_a_line_raises(monkeypatch):
+    monkeypatch.setattr(diagonals, "bytearray", _ForgetfulBytes, raising=False)
+    with pytest.raises(InconsistencyError, match="revisited a line"):
+        diag_count_naive.__wrapped__(3, 5)
 
 
 def test_induction_blocks_are_checked(monkeypatch):

@@ -359,6 +359,10 @@ def test_segment_successor_examples():
         segment_successor(5, 10)
     with pytest.raises(ValueError):
         segment_successor(5, -4)
+    for m, d in [(4.0, 1), (4, 1.0), (True, 0)]:  # (4.0, 1) returned 1.0
+        for successor in (segment_successor, segment_successor_from_grid):
+            with pytest.raises(ValueError, match="must be an integer"):
+                successor(m, d)
 
 
 def test_segment_successor_matches_grid():
@@ -419,6 +423,16 @@ def test_periodicity_rejects_common_factor():
         periodicity_check(2, 4)
 
 
+@pytest.mark.parametrize(
+    "build,args",
+    # these raised KeyError and TypeError
+    [(n2_orientation, (10.5,)), (periodicity_check, (2.5, 3))],
+)
+def test_height_two_and_periodicity_reject_non_integers(build, args):
+    with pytest.raises(ValueError, match="must be (an integer|integers)"):
+        build(*args)
+
+
 def test_width_one_grids_break_periodicity():
     # size-1 grids are outside the paper's domain: (4, 1) is Hamiltonian, (4, 49) is not
     assert all(periodicity_check(n, 1) for n in (1, 2, 3))
@@ -469,6 +483,20 @@ def test_torus_formula_rejects_non_integer_sizes():
     for n, m in [(True, 2), (2, 2.0), (0, 2)]:
         with pytest.raises(ValueError):
             ham_torus1(n, m)
+
+
+@pytest.mark.parametrize(
+    "n,m,orientation,message",
+    [
+        # these returned 0, 0 and 1 cycles
+        (-2, 4, "UU", "must be positive"),
+        (0, 4, "UUUU", "must be positive"),
+        (2, 4, "UX", "must be U or R"),
+    ],
+)
+def test_torus_components_validate_sizes_and_orientation(n, m, orientation, message):
+    with pytest.raises(ValueError, match=message):
+        torus1_components(n, m, orientation)
 
 
 def test_torus_formula_against_trace():

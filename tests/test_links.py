@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -36,6 +37,22 @@ def test_empty_link_rejected():
         link_permutation(Link(0, 0, 0, 0))
     with pytest.raises(ValueError):
         Link(-1, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "query,fields",
+    [(loop_count, (1.5, 1, 0, 0)), (is_knot, (0.5, 0, 0, 0)), (loop_count, (True, 0, 0, 0))],
+)
+def test_link_rejects_non_integer_fields(query, fields):
+    # these raised InconsistencyError, returned False and returned 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        query(Link(*fields))
+
+
+def test_link_takes_any_index_type_as_an_int():
+    link = Link(np.int64(2), 1, 0, np.uint8(1))
+    assert link.as_tuple() == (2, 1, 0, 1) and {type(v) for v in link.as_tuple()} == {int}
+    assert loop_count(link) == 1
 
 
 def test_permutation_bijective_exhaustively():
