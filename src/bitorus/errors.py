@@ -18,14 +18,14 @@ class CapExceededError(RuntimeError):
 
 
 def check_int(value, low: float, what: str) -> int:
-    """`value` as an int; ValueError unless it is an integer of at least `low`.
-
-    Anything `operator.index` accepts counts as an integer, except bool.
-    """
+    """`value` as an int; ValueError if it is a bool, `operator.index` refuses it, or < `low`."""
     if type(value) is not int:
-        if type(value) is bool or not hasattr(type(value), "__index__"):
-            raise ValueError(f"{what} must be an integer, got {value!r}")
-        value = index(value)
+        try:
+            if type(value) is bool:
+                raise TypeError
+            value = index(value)
+        except TypeError:
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if value < low:
         raise ValueError(f"need {what} >= {low}, got {value}")
     return value

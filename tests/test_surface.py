@@ -31,9 +31,13 @@ def test_grid_params_rejects_nonpositive(n, m):
         GridParams(n, m)
 
 
-@pytest.mark.parametrize("n,m", [(2.5, 3), (2.0, 3), ("2", 3), (True, 3), (3, False)])
+@pytest.mark.parametrize(
+    "n,m",
+    [(2.5, 3), (2.0, 3), ("2", 3), (True, 3), (3, False), (np.array([3]), 4), (np.array(2.5), 4)],
+)
 def test_grid_params_rejects_non_integers(n, m):
-    # GridParams(2.5, 3) used to be accepted with size 30.0
+    # GridParams(2.5, 3) used to be accepted with size 30.0; the arrays define
+    # __index__ but refuse it with TypeError
     with pytest.raises(ValueError):
         GridParams(n, m)
 
