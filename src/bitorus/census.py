@@ -1,19 +1,19 @@
 """Batch surveys over coprime grid sizes.
 
-`diag_distribution` enumerates the coprime pairs n < m <= h top-down,
-as two ternary trees sharing the children (2m - n, m), (2m + n, m) and
-(m + 2n, n): the even-odd pairs below (2, 1) and the odd-odd pairs
-below (3, 1).  Each pair is visited once, at O(1) cost: no gcd filter
-and no walk back to the root.
+`diag_distribution` and `exceptional_pairs` enumerate the coprime
+pairs n < m <= h top-down, as two ternary trees sharing the children
+(2m - n, m), (2m + n, m) and (m + 2n, n): the even-odd pairs below
+(2, 1) and the odd-odd pairs below (3, 1).  Each pair is visited once,
+at O(1) cost: no gcd filter and no walk back to the root.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import diag_count_tree, tree_map_table
+from .counting import tree_map_table
 from .errors import check_int
 from .hamiltonicity import is_hamiltonian_fast
 
@@ -54,18 +54,53 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
     """Coprime pairs n < m <= max_m with several diagonals yet no cycle.
 
     Single-diagonal grids are never Hamiltonian, so these are the
-    genuinely exceptional sizes.  Sorted lexicographically.
+    genuinely exceptional sizes.  The pairs come from top-down walks of
+    the two coprime trees, each with its diagonal count: an even-odd
+    pair's is the value of the map id the walk carries, and every
+    odd-odd pair has 2.  Only the pairs with at least 2 diagonals get
+    the link tier's `is_hamiltonian_fast`.  Sorted lexicographically.
     """
     max_m = check_int(max_m, 2, "max_m")
-    records = []
-    for n in range(1, max_m):
-        for m in range(n + 1, max_m + 1):
-            if math.gcd(n, m) != 1:
-                continue
-            diag = diag_count_tree(n, m)
-            if diag >= 2 and not is_hamiltonian_fast(n, m):
-                records.append(PairRecord(n, m, diag, False, "link"))
-    return records
+    table = tree_map_table()
+    values = table.values
+    found = [
+        (n, m, values[f])
+        for m, n, f in _tree_nodes((2, 1), max_m, table.children)
+        if values[f] >= 2 and not is_hamiltonian_fast(n, m)
+    ]
+    found += [
+        (n, m, 2)
+        for m, n, _ in _tree_nodes((3, 1), max_m, ((0, 0, 0),))
+        if not is_hamiltonian_fast(n, m)
+    ]
+    return [PairRecord(n, m, diag, False, "link") for n, m, diag in sorted(found)]
+
+
+def _tree_nodes(
+    root: tuple[int, int], h: int, children: tuple[tuple[int, int, int], ...]
+) -> Iterator[tuple[int, int, int]]:
+    """Each node (m, n, f) of the tree below `root` with m <= h.
+
+    The walk of `_tree_visits`, yielding the nodes it counts there.  The
+    census keeps its own copy of the walk: counting through this
+    generator made the even-odd walk about 30% slower at h = 1000.
+    """
+    stack = [(*root, 0)] if root[0] <= h else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        m, n, f = pop()
+        while True:
+            yield m, n, f
+            gamma, delta, lam = children[f]
+            c = m + 2 * n
+            if c <= h:
+                push((c, n, lam))
+            c = 2 * m - n
+            if c > h:
+                break
+            if c + 2 * n <= h:
+                push((c + 2 * n, m, delta))
+            m, n, f = c, m, gamma
 
 
 def _tree_visits(

@@ -31,7 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import InconsistencyError
+from .errors import InconsistencyError, check_int
 from .links import perm_cycles
 from .surface import RIGHT, UP_INV, GridParams, check_sizes, step
 from .diagonals import diag_count_naive
@@ -113,11 +113,12 @@ def _quad_perms() -> tuple[QuadPerm, QuadPerm]:
     return derive_quad_perms()
 
 
-def _check_string_args(n: int, m: int) -> None:
-    if n <= 1 or m <= 1:
-        raise ValueError(f"crossing strings need n, m > 1, got ({n}, {m})")
+def _check_string_args(n: int, m: int) -> tuple[int, int]:
+    """n and m as ints; ValueError unless both are > 1 and coprime."""
+    n, m = check_int(n, 2, "n"), check_int(m, 2, "m")
     if math.gcd(n, m) != 1:
         raise ValueError(f"crossing strings need coprime sizes, got ({n}, {m})")
+    return n, m
 
 
 def string_intervals(n: int, m: int) -> str:
@@ -127,7 +128,7 @@ def string_intervals(n: int, m: int) -> str:
     right-crossings accumulated since the previous multiple, then one
     down-crossing.
     """
-    _check_string_args(n, m)
+    n, m = _check_string_args(n, m)
     parts = []
     for j in range(1, m + 1):
         i = (j * n) // m - ((j - 1) * n) // m
@@ -140,7 +141,7 @@ def string_powers(n: int, m: int) -> str:
 
     Equals the bottom-first string conjugated by one down-crossing.
     """
-    _check_string_args(n, m)
+    n, m = _check_string_args(n, m)
     k, p = divmod(m, n)
     parts = []
     for i in range(n):
@@ -370,13 +371,16 @@ def apply_tree_string(ts: str, pair: tuple[int, int] = (2, 1)) -> tuple[int, int
     return m, n
 
 
-def _check_tree_pair(m: int, n: int) -> None:
-    if not (m > n >= 1):
+def _check_tree_pair(m: int, n: int) -> tuple[int, int]:
+    """m and n as ints; ValueError unless m > n >= 1, coprime, m + n odd."""
+    m, n = check_int(m, 1, "m"), check_int(n, 1, "n")
+    if m <= n:
         raise ValueError(f"tree pairs need m > n >= 1, got ({m}, {n})")
     if math.gcd(m, n) != 1:
         raise ValueError(f"tree pairs must be coprime, got ({m}, {n})")
     if (m + n) % 2 == 0:
         raise ValueError(f"tree pairs need m + n odd, got ({m}, {n})")
+    return m, n
 
 
 def tree_string(m: int, n: int) -> str:
@@ -385,7 +389,7 @@ def tree_string(m: int, n: int) -> str:
     Characters are produced outermost first: the first character is the
     last map applied on the way from the root to (m, n).
     """
-    _check_tree_pair(m, n)
+    m, n = _check_tree_pair(m, n)
     chars = []
     while (m, n) != (2, 1):
         if m < 2 * n:
@@ -541,8 +545,7 @@ def tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
     O(log m) runs.  The pair is checked when this is called, before
     the first run is read.
     """
-    _check_tree_pair(m, n)
-    return _tree_runs(m, n)
+    return _tree_runs(*_check_tree_pair(m, n))
 
 
 def _tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:

@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -287,22 +287,34 @@ def _first_knot(groups):
     """First per-group up-counts, in lexicographic order, inducing a knot.
 
     `groups` lists (size, profile) per profile group.  None when no link
-    is a knot.
+    is a knot.  The first candidate, all right, induces the link
+    (0, 0, n, n), which has n loops, and the last, all up, induces
+    (m, m, 0, 0), which has m loops; so each is tried only when its side
+    is 1, which leaves the first knot unchanged.
     """
     if len(groups) > 4:
         raise InconsistencyError(f"{len(groups)} profile groups, expected <= 4")
-    for counts in product(*(range(size + 1) for size, _ in groups)):
+    n = sum(size * prof.cnt_c for size, prof in groups)
+    m = sum(size * prof.cnt_a for size, prof in groups)
+    candidates = product(*(range(size + 1) for size, _ in groups))
+    total = math.prod(size + 1 for size, _ in groups)
+    start = 1 if n > 1 else 0
+    stop = total - 1 if m > 1 else total
+    for counts in islice(candidates, start, stop):
         if is_knot(group_link(groups, counts)):
             return counts
     return None
 
 
 def is_hamiltonian_fast(n: int, m: int) -> bool:
-    """Knot test over per-group up-counts; at most (g+1)^4 links.
+    """Knot test over per-group up-counts, never walking a run or a cell.
 
-    No run is walked and no cell is materialised: the profile groups
-    are the loops of the link (m, m, n, n) and each candidate link's
-    loop count comes from the same induction, O(log(n + m)) steps each.
+    The profile groups are the loops of the link (m, m, n, n), and each
+    candidate link's loop count comes from the same induction,
+    O(log(n + m)) steps each.  For n, m >= 2 there are prod(size + 1) - 2
+    candidates: at most (g+1)^4 - 2 under the checked bound of 4g
+    diagonals in at most 4 groups, and (g+1)(2g+1) - 2 on the group
+    shapes (g), (g, g) and (g, 2g) seen so far, g = gcd(n, m).
     """
     return _first_knot(decompose(GridParams(n, m)).profile_groups) is not None
 

@@ -96,7 +96,7 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
     labels in domain order and `bot` in image order: the points of each
     interval are translated, in order, onto its place in the image.  A
     point's weight is its interval's, a cycle's weight is the sum over its
-    points, and weights may be any values that add, such as ints packing
+    points, and weights may be any numbers that add, such as ints packing
     several counters.  The blocks list every cycle once.
 
     Discrete right Rauzy induction (Rauzy 1979): with a and b the last
@@ -125,7 +125,6 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
     bot = [x for x in bot if lam[x]]
     if sorted(top) != sorted(bot):
         raise ValueError(f"domain order {top} and image order {bot} differ in labels")
-    length = lam.__getitem__
     blocks = []
     while top:
         a = top[-1]
@@ -140,13 +139,16 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
         elif la > lb:
             i = bot.index(a) + 1
             tail = bot[i:]
-            span = sum(map(length, tail))
+            span = 0
+            for x in tail:
+                span += lam[x]
             if la > span:
                 q = (la - 1) // span
                 cut = q * span
                 wa = q * w[a]
-                for x in tail:
-                    w[x] += wa
+                if wa:
+                    for x in tail:
+                        w[x] += wa
             else:
                 cut = lb
                 bot.insert(i, bot.pop())
@@ -155,13 +157,16 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
         elif lb > la:
             i = top.index(b) + 1
             tail = top[i:]
-            span = sum(map(length, tail))
+            span = 0
+            for x in tail:
+                span += lam[x]
             if lb > span:
                 q = (lb - 1) // span
                 cut = q * span
                 wb = q * w[b]
-                for x in tail:
-                    w[x] += wb
+                if wb:
+                    for x in tail:
+                        w[x] += wb
             else:
                 cut = la
                 top.insert(i, top.pop())

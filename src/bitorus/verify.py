@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
-from .census import diag_distribution
+from .census import diag_distribution, exceptional_pairs
 from .counting import (
     DELTA,
     GAMMA,
@@ -24,7 +24,7 @@ from .counting import (
     string_powers,
 )
 from .diagonals import DiagonalDecomposition, diag_count_naive, induction_groups
-from .errors import InconsistencyError
+from .errors import InconsistencyError, check_int
 from .hamiltonicity import (
     _dec,
     is_hamiltonian_brute,
@@ -231,9 +231,31 @@ def check_census_tree(limit: int) -> CheckResult:
     )
 
 
+def check_table_route(limit: int) -> CheckResult:
+    """The tree-walk table lists what the per-pair loop over coprime pairs lists.
+
+    The loop is the table's former route: a gcd filter, then
+    `diag_count_tree` and `is_hamiltonian_fast` per pair.  It runs up to
+    m <= 6 * limit, the paper's table at the default limit.
+    """
+    h = 6 * limit
+    want = []
+    for n, m in _coprime_pairs(h, strict=True):
+        diag = diag_count_tree(n, m)
+        if diag >= 2 and not is_hamiltonian_fast(n, m):
+            want.append((n, m, diag))
+    got = [(r.n, r.m, r.diag) for r in exceptional_pairs(h)]
+    odd = sorted(set(got) ^ set(want))
+    return CheckResult(
+        "table-route",
+        got == want,
+        f"coprime n < m <= {h}, {len(want)} rows"
+        + ("" if got == want else f", rows of one route only {odd[:3]}"),
+    )
+
+
 def run_verify(limit: int = 10) -> list[CheckResult]:
-    if limit < 2:
-        raise ValueError(f"need limit >= 2, got {limit}")
+    limit = check_int(limit, 2, "limit")
     return [
         check_tier_equivalence(limit),
         check_counting_agreement(limit),
@@ -244,4 +266,5 @@ def run_verify(limit: int = 10) -> list[CheckResult]:
         check_canon_rules(limit),
         check_census_tree(limit),
         check_induction_groups(limit),
+        check_table_route(limit),
     ]

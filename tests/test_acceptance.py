@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 import bitorus.verify as verify
-from bitorus.census import diag_distribution
+from bitorus.census import diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
 from bitorus.counting import (
     TERMINAL_PAIRS,
@@ -46,6 +46,7 @@ from bitorus.verify import (
     check_link_balance,
     check_periodicity,
     check_string_construction,
+    check_table_route,
     check_tier_equivalence,
 )
 
@@ -278,6 +279,7 @@ def test_verify_checks_fail_on_a_planted_disagreement(monkeypatch):
         ("loop_count", lambda link: 0, lambda: check_induction_groups(3)),
         ("string_powers", lambda n, m: "d", lambda: check_string_construction(5)),
         ("diag_distribution", _one_tally_off, lambda: check_census_tree(2)),
+        ("exceptional_pairs", lambda h: exceptional_pairs(h)[1:], lambda: check_table_route(4)),
     ]
     for name, wrong, check in planted:
         assert check().ok, name

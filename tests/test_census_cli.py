@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from bitorus.census import diag_distribution, exceptional_pairs
+import bitorus.census as census
+from bitorus.census import _tree_nodes, diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
 from bitorus.counting import (
     _TRANSITIONS,
@@ -22,6 +23,7 @@ from bitorus.counting import (
     tree_map_table,
 )
 from bitorus.diagonals import diag_count_naive
+from bitorus.hamiltonicity import is_hamiltonian_fast
 from bitorus.verify import run_verify
 
 
@@ -46,6 +48,42 @@ def test_exceptional_pairs_validates_input():
         exceptional_pairs(1)
     with pytest.raises(ValueError, match="must be an integer"):  # raised TypeError
         exceptional_pairs(10.5)
+
+
+def test_exceptional_pairs_matches_the_per_pair_loop_at_every_limit(monkeypatch):
+    # The table's former route: a gcd filter, then diag_count_tree and
+    # is_hamiltonian_fast per pair.  The verdicts are computed once and
+    # served to every limit, so each limit costs only the walk.
+    verdicts = {}
+    for n in range(1, 120):
+        for m in range(n + 1, 121):
+            if math.gcd(n, m) == 1:
+                diag = diag_count_tree(n, m)
+                verdicts[n, m] = diag, diag >= 2 and is_hamiltonian_fast(n, m)
+    monkeypatch.setattr(census, "is_hamiltonian_fast", lambda n, m: verdicts[n, m][1])
+    for k in range(2, 121):
+        want = [
+            (n, m, diag)
+            for (n, m), (diag, hamiltonian) in sorted(verdicts.items())
+            if m <= k and diag >= 2 and not hamiltonian
+        ]
+        records = exceptional_pairs(k)
+        assert [(r.n, r.m, r.diag) for r in records] == want, k
+        assert all(r.method == "link" and not r.hamiltonian for r in records)
+
+
+def test_table_walk_yields_each_coprime_pair_once_with_its_count():
+    table = tree_map_table()
+    walked = Counter()
+    for m, n, f in _tree_nodes((2, 1), 200, table.children):
+        walked[n, m] += 1
+        assert table.values[f] == diag_count_tree(n, m), (n, m)
+    for m, n, f in _tree_nodes((3, 1), 200, ((0, 0, 0),)):
+        walked[n, m] += 1
+        assert f == 0 and diag_count_tree(n, m) == 2, (n, m)
+    assert set(walked.values()) == {1}
+    assert set(walked) == set(_coprime(200))
+    assert list(_tree_nodes((3, 1), 2, ((0, 0, 0),))) == []
 
 
 def test_distribution_single_pair():
@@ -228,12 +266,18 @@ def test_cli_census_csv(capsys):
 def test_cli_verify(capsys):
     assert cli_main(["verify", "--max", "10"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 9 and "FAIL" not in out
+    assert out.count("ok ") == 10 and "FAIL" not in out
     assert "census-tree" in out and "induction-groups" in out
+    assert "table-route (coprime n < m <= 60, 31 rows)" in out
 
 
 def test_run_verify_all_green():
     assert all(res.ok for res in run_verify(6))
+
+
+def test_run_verify_refuses_a_non_integer_limit():
+    with pytest.raises(ValueError, match="must be an integer"):  # raised TypeError
+        run_verify(2.5)
 
 
 def test_deterministic_table_output(capsys):

@@ -104,6 +104,12 @@ def test_string_preconditions():
         string_powers(4, 2)
 
 
+def test_string_builders_refuse_non_integer_sizes():
+    for build in (string_intervals, string_powers):
+        with pytest.raises(ValueError, match="must be an integer"):  # raised TypeError
+            build(2.0, 3)
+
+
 def test_string_cycles_examples():
     assert string_cycles("") == 4
     assert string_cycles(string_powers(2, 3)) == 1
@@ -260,6 +266,12 @@ def test_tree_runs_rejects_bad_pairs_when_called():
     for m, n in ((3, 1), (2, 4), (6, 3)):
         with pytest.raises(ValueError):
             tree_runs(m, n)
+
+
+def test_tree_address_refuses_non_integer_pairs():
+    for address in (tree_runs, tree_string):
+        with pytest.raises(ValueError, match="must be an integer"):  # raised TypeError
+            address(4.0, 1)
 
 
 def test_canonicalize_examples():

@@ -222,6 +222,16 @@ def test_grouped_link_matches_expanded_orientation():
             assert group_link(groups, counts) == orientation_link(dec, omega)
 
 
+def test_first_knot_skips_no_knot_of_the_full_search():
+    # the full lexicographic search, all-right and all-up candidates included
+    for n in range(1, 41):
+        for m in range(n, 41):
+            groups = decompose(GridParams(n, m)).profile_groups
+            full = product(*(range(size + 1) for size, _ in groups))
+            want = next((c for c in full if loop_count(group_link(groups, c)) == 1), None)
+            assert ham._first_knot(groups) == want, (n, m)
+
+
 def test_swapping_parallel_diagonals_preserves_components():
     rng = random.Random(42)
     for n, m in [(2, 4), (2, 6), (3, 6), (6, 9), (4, 6), (3, 9)]:
