@@ -199,6 +199,12 @@ class ReductionState:
 
 
 def euclid_state(n: int, m: int) -> ReductionState:
+    """Euclidean data of a coprime pair 1 <= n <= m; ValueError for any other input."""
+    return _euclid_state(check_int(n, 1, "n"), check_int(m, 1, "m"))
+
+
+def _euclid_state(n: int, m: int) -> ReductionState:
+    """`euclid_state` without the integer check, for the reduction loop's own pairs."""
     if not (1 <= n <= m):
         raise ValueError(f"need 1 <= n <= m, got ({n}, {m})")
     if math.gcd(n, m) != 1:
@@ -249,7 +255,7 @@ def _branch(n: int, m: int) -> tuple[ReductionState, int, tuple[int, int]] | Non
     """
     if (n, m) in TERMINAL_PAIRS:
         return None
-    s = euclid_state(n, m)
+    s = _euclid_state(n, m)
     matches = _branch_rules(s)
     if len(matches) != 1:
         raise InconsistencyError(
@@ -265,7 +271,7 @@ def reduce_pair(n: int, m: int) -> tuple[int, int] | None:
     The emitted pair is returned raw and may need reordering by the
     caller.
     """
-    found = _branch(n, m)
+    found = _branch(check_int(n, 1, "n"), check_int(m, 1, "m"))
     return None if found is None else found[2]
 
 
@@ -582,38 +588,3 @@ def diag_count_tree(n: int, m: int) -> int:
         state = _run_transition(state, ch, k)
     return g * _canonical_values()[state]
 
-
-# ---------------------------------------------------------------------------
-# Interleaving identity for permutation products
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def floor_swap_identity_check(phi, pi, n: int, m: int) -> bool:
-    """Check the two interleavings of phi and pi powers agree.
-
-    Left side: for i = 1..m apply phi^(ceil(in/m) - ceil((i-1)n/m))
-    then pi.  Right side: for j = 1..n apply phi then
-    pi^(floor(jm/n) - floor((j-1)m/n)).  Factors act first to last.
-    """
-    if n < 1 or m < 1:
-        raise ValueError(f"need positive n, m, got ({n}, {m})")
-    size = len(phi)
-    if len(pi) != size:
-        raise ValueError("permutations must act on the same set")
-    ident = tuple(range(size))
-    lhs = ident
-    for i in range(1, m + 1):
-        e = _ceil_div(i * n, m) - _ceil_div((i - 1) * n, m)
-        for _ in range(e):
-            lhs = compose(phi, lhs)
-        lhs = compose(pi, lhs)
-    rhs = ident
-    for j in range(1, n + 1):
-        rhs = compose(phi, rhs)
-        e = (j * m) // n - ((j - 1) * m) // n
-        for _ in range(e):
-            rhs = compose(pi, rhs)
-    return lhs == rhs

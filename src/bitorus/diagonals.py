@@ -319,9 +319,10 @@ def decompose(grid: GridParams) -> DiagonalDecomposition:
     return DiagonalDecomposition(grid, induction_groups(grid))
 
 
-# `bitorus verify --max 20` asks for 947 distinct pairs (243 at --max 10),
-# so this bound keeps every verify hit while capping a long-lived process.
-@lru_cache(maxsize=1024)
+# `bitorus verify` asks for about 3,100 distinct pairs, most once, in its
+# reduction-rules sweep; this bound keeps most repeat hits while capping a
+# long-lived process.  Typed keys keep validation ahead of every hit.
+@lru_cache(maxsize=1024, typed=True)
 def diag_count_naive(n: int, m: int) -> int:
     """Number of diagonals: the orbits of one run walk, in O(n + m).
 

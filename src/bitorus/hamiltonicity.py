@@ -35,10 +35,9 @@ from itertools import islice, product
 
 import numpy as np
 
-from .counting import diag_count_tree
 from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_run, line_slice
 from .errors import CapExceededError, InconsistencyError, check_int
-from .links import Link, group_link, is_knot, perm_cycles
+from .links import group_link, is_knot, perm_cycles
 from .surface import (
     UP,
     Cell,
@@ -65,8 +64,9 @@ class HamWitness:
 
 # Callers reuse a decomposition only while they work on one grid (brute
 # sweep, witness, tracing), so a small bound keeps the hits and drops the
-# decompositions of grids already answered.
-@lru_cache(maxsize=64)
+# decompositions of grids already answered.  Typed keys keep validation
+# ahead of every hit: (2.0, 3) or (True, 3) never reads the entry of (2, 3).
+@lru_cache(maxsize=64, typed=True)
 def _dec(n: int, m: int) -> DiagonalDecomposition:
     return decompose(GridParams(n, m))
 
@@ -507,63 +507,7 @@ def segment_successor_from_grid(m: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Single-diagonal grids
-
-
-@dataclass
-class OneDiagonalReport:
-    n: int
-    m: int
-    diagonal_count: int
-    applicable: bool
-    base_not_hamiltonian: bool | None = None
-    doubled_hamiltonian: bool | None = None
-    doubled_link: Link | None = None
-    doubled_link_is_knot: bool | None = None
-
-
-def one_diagonal_checks(n: int, m: int) -> OneDiagonalReport:
-    """Consequences of a grid having a single diagonal.
-
-    Such a grid is never Hamiltonian (for sizes above 1), but doubling
-    both sides always gives a Hamiltonian grid whose two diagonals
-    induce the knot (m, m, n, n).
-    """
-    count = diag_count_tree(n, m)
-    if count != 1:
-        return OneDiagonalReport(n, m, count, applicable=False)
-    report = OneDiagonalReport(n, m, count, applicable=True)
-    if n > 1 and m > 1:
-        report.base_not_hamiltonian = not is_hamiltonian_fast(n, m)
-        if not report.base_not_hamiltonian:
-            raise InconsistencyError(
-                f"single-diagonal grid ({n},{m}) claimed Hamiltonian"
-            )
-    report.doubled_hamiltonian = is_hamiltonian_fast(2 * n, 2 * m)
-    report.doubled_link = Link(m, m, n, n)
-    report.doubled_link_is_knot = is_knot(report.doubled_link)
-    if not (report.doubled_hamiltonian and report.doubled_link_is_knot):
-        raise InconsistencyError(
-            f"doubling single-diagonal grid ({n},{m}) did not give a Hamiltonian grid"
-        )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Periodicity and the one-holed torus
-
-
-def periodicity_check(n: int, m: int) -> bool:
-    """Does adding 12n columns preserve Hamiltonicity?  Expected always.
-
-    Only the coprime case is implemented.  For gcd g > 1 a period also
-    exists, but it is 4*(4g)!*n: already at g = 2 that is far beyond
-    any feasible computation, so no operation exposes it.
-    """
-    n, m = check_sizes(n, m)
-    if math.gcd(n, m) != 1:
-        raise ValueError(f"periodicity check needs coprime sizes, got ({n}, {m})")
-    return is_hamiltonian_fast(n, m) == is_hamiltonian_fast(n, m + 12 * n)
+# The one-holed torus
 
 
 def ham_torus1(n: int, m: int) -> bool:

@@ -24,7 +24,7 @@ from bitorus.counting import (
 )
 from bitorus.diagonals import diag_count_naive
 from bitorus.hamiltonicity import is_hamiltonian_fast
-from bitorus.verify import run_verify
+from bitorus.verify import CHECKS, run_verify
 
 
 def test_exceptional_pairs_below_first_entry():
@@ -266,7 +266,7 @@ def test_cli_census_csv(capsys):
 def test_cli_verify(capsys):
     assert cli_main(["verify", "--max", "10"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") == 10 and "FAIL" not in out
+    assert out.count("ok ") == len(CHECKS) and "FAIL" not in out
     assert "census-tree" in out and "induction-groups" in out
     assert "table-route (coprime n < m <= 60, 31 rows)" in out
 

@@ -22,7 +22,6 @@ from bitorus.counting import (
     diag_count_string,
     diag_count_tree,
     euclid_state,
-    floor_swap_identity_check,
     perm_cycles,
     reduce_pair,
     reduction_base,
@@ -37,6 +36,7 @@ from bitorus.counting import (
 from bitorus.diagonals import diag_count_naive
 from bitorus.errors import InconsistencyError
 from bitorus.surface import GridParams
+from bitorus.verify import CHECKS, run_check
 
 
 def coprime_pairs(limit, lo=1):
@@ -89,10 +89,7 @@ def test_string_character_counts():
 
 
 def test_powers_is_conjugated_intervals():
-    for n, m in coprime_pairs(40, lo=2):
-        s = string_intervals(n, m)
-        assert s.endswith("d")
-        assert string_powers(n, m) == "d" + s[:-1]
+    assert run_check("string-construction", 40).ok
 
 
 def test_string_preconditions():
@@ -171,6 +168,17 @@ def test_euclid_state_fields():
         euclid_state(7, 5)
 
 
+@pytest.mark.parametrize(
+    "entry,n,m",
+    # euclid_state(5.0, 19) and reduce_pair(5.0, 19) raised TypeError; reduce_pair(2.0, 3)
+    # and reduce_pair(True, 2) returned None, reading them as the base pairs (2, 3) and (1, 2)
+    [(euclid_state, 5.0, 19), (reduce_pair, 5.0, 19), (reduce_pair, 2.0, 3), (reduce_pair, True, 2)],
+)
+def test_reduction_entries_refuse_non_integer_sizes(entry, n, m):
+    with pytest.raises(ValueError, match="must be an integer"):
+        entry(n, m)
+
+
 def test_reduce_pair_examples():
     assert reduce_pair(1, 9) == (1, 5)
     assert reduce_pair(2, 7) == (2, 1)
@@ -193,13 +201,7 @@ def test_base_pair_values():
 
 
 def test_each_step_preserves_count_and_parity():
-    for n, m in coprime_pairs(40):
-        if n > m or (n, m) in TERMINAL_PAIRS:
-            continue
-        emitted = reduce_pair(n, m)
-        a, b = sorted(emitted)
-        assert diag_count_naive(a, b) == diag_count_naive(n, m)
-        assert (a + b) % 2 == (n + m) % 2
+    assert run_check("reduction-rules", 4).ok  # coprime n < m <= 40
 
 
 def test_diag_count_reduction_values():
@@ -400,19 +402,18 @@ def test_counters_accept_index_types():
 
 def test_floor_swap_identity_trivial_and_crossing_perms():
     ident = (0, 1, 2, 3)
-    assert floor_swap_identity_check(ident, ident, 5, 9)
+    assert CHECKS["floor-swap"].holds(ident, ident, 5, 9)
     d, r = derive_quad_perms()
-    assert floor_swap_identity_check(d, r, 2, 3)
+    assert CHECKS["floor-swap"].holds(d, r, 2, 3)
 
 
-def test_floor_swap_identity_randomized():
-    rng = random.Random(99)
-    for _ in range(300):
-        size = rng.randint(1, 8)
-        phi = list(range(size))
-        pi = list(range(size))
-        rng.shuffle(phi)
-        rng.shuffle(pi)
-        n = rng.randint(1, 30)
-        m = rng.randint(1, 30)
-        assert floor_swap_identity_check(tuple(phi), tuple(pi), n, m)
+_permutation_pairs = st.integers(1, 8).flatmap(
+    lambda size: st.tuples(st.permutations(range(size)), st.permutations(range(size)))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_permutation_pairs, st.integers(1, 30), st.integers(1, 30))
+def test_floor_swap_identity_randomized(pair, n, m):
+    phi, pi = pair
+    assert CHECKS["floor-swap"].holds(tuple(phi), tuple(pi), n, m)

@@ -21,6 +21,7 @@ from bitorus.diagonals import (
 from bitorus.errors import InconsistencyError
 from bitorus.links import Link, loop_count
 from bitorus.surface import GridParams, diag_successor, diag_successor_indices, right_power
+from bitorus.verify import CHECKS
 
 
 def coprime_pairs(limit):
@@ -204,23 +205,14 @@ def test_run_tables_match_cell_by_cell_tables():
 # --- Rauzy induction on the run map ----------------------------------------------
 
 def test_induction_groups_match_the_run_walk():
-    for n in range(1, 41):
-        for m in range(1, 41):
-            grid = GridParams(n, m)
-            diags, _ = walk_diagonals(grid)
-            counts = Counter(d.profile for d in diags)
-            walked = Counter((size, prof) for prof, size in counts.items())
-            assert Counter(induction_groups(grid)) == walked, (n, m)
+    holds = CHECKS["induction-groups"].holds
+    assert all(holds(n, m) for n in range(1, 41) for m in range(1, 41))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 500), st.integers(1, 500), st.integers(1, 4))
 def test_induction_groups_match_the_run_walk_on_larger_grids(n, m, common):
-    grid = GridParams(common * n, common * m)  # keep pairs with gcd > 1
-    diags, _ = walk_diagonals(grid)
-    counts = Counter(d.profile for d in diags)
-    walked = Counter((size, prof) for prof, size in counts.items())
-    assert Counter(induction_groups(grid)) == walked
+    assert CHECKS["induction-groups"].holds(common * n, common * m)  # keep pairs with gcd > 1
 
 
 _large_side = st.one_of(st.integers(1, 10**4), st.integers(1, 10**12))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bitorus.hamiltonicity as ham
 from bitorus.counting import diag_count_tree
-from bitorus.diagonals import decompose
+from bitorus.diagonals import decompose, diag_count_naive
 from bitorus.errors import CapExceededError, InconsistencyError
 from bitorus.hamiltonicity import (
     HamWitness,
@@ -19,9 +19,7 @@ from bitorus.hamiltonicity import (
     is_hamiltonian_brute,
     is_hamiltonian_fast,
     n2_orientation,
-    one_diagonal_checks,
     orientation_k,
-    periodicity_check,
     segment_successor,
     segment_successor_from_grid,
     square_construction,
@@ -32,6 +30,7 @@ from bitorus.hamiltonicity import (
 )
 from bitorus.links import group_link, loop_count, orientation_link
 from bitorus.surface import GridParams, step
+from bitorus.verify import CHECKS, run_check
 
 
 def coprime_pairs(limit):
@@ -55,13 +54,7 @@ def test_trace_rejects_wrong_length():
 
 
 def test_component_count_equals_link_loops_small():
-    for n, m in [(1, 3), (2, 3), (3, 5), (1, 2)]:
-        dec = _dec(n, m)
-        for omega in product("UR", repeat=len(dec.diagonals)):
-            omega = "".join(omega)
-            assert len(trace_components(dec.grid, omega)) == loop_count(
-                orientation_link(dec, omega)
-            )
+    assert run_check("cycle-link-equivalence", 5).ok  # covers (1, 3), (2, 3), (3, 5), (1, 2)
 
 
 # --- brute force tier ---------------------------------------------------------
@@ -76,6 +69,25 @@ def test_brute_witness_is_lexicographically_first():
     verdict, witness = is_hamiltonian_brute(1, 3)
     assert verdict and witness.orientation == "UR"
     validate_witness(GridParams(1, 3), witness)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize(
+    "query,sizes,valid",
+    # once the equal int sizes were cached, these answered 1, 2 and (False, None)
+    [
+        (diag_count_naive, (2.0, 3), (2, 3)),
+        (diag_count_naive, (True, 3), (1, 3)),
+        (is_hamiltonian_brute, (2.0, 3), (2, 3)),
+    ],
+)
+def test_cached_queries_refuse_non_integer_sizes_cold_or_warm(query, sizes, valid, warm):
+    diag_count_naive.cache_clear()
+    ham._dec.cache_clear()
+    if warm:
+        query(*valid)
+    with pytest.raises(ValueError, match="must be integers"):
+        query(*sizes)
 
 
 def test_brute_cap(monkeypatch):
@@ -201,9 +213,7 @@ def test_witnesses_sweeps_and_tracing_expand_no_cells():
 # --- link tier -----------------------------------------------------------------
 
 def test_fast_tier_matches_brute_small():
-    for n in range(1, 7):
-        for m in range(n, 7):
-            assert is_hamiltonian_brute(n, m)[0] == is_hamiltonian_fast(n, m)
+    assert run_check("tier-equivalence", 6).ok
 
 
 def test_fast_examples():
@@ -299,9 +309,7 @@ def test_hamiltonian_edge_covers_are_diagonal_constant():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_square_construction_produces_valid_cycles(n):
-    witness = square_construction(n)
-    assert len(witness.cycle) == 4 * n * n
-    validate_witness(GridParams(n, n), witness)
+    assert CHECKS["square"].holds(n)
 
 
 def test_square_walk_start_row_calibration():
@@ -331,10 +339,7 @@ def test_square_construction_agrees_with_brute():
 # --- height-2 grids -------------------------------------------------------------
 
 def test_n2_rules_produce_hamiltonian_witnesses():
-    for m in (1, 2, 4, 6, 7, 8, 9, 14, 15, 16, 17):
-        omega = n2_orientation(m)
-        cycles = trace_components(GridParams(2, m), omega)
-        assert len(cycles) == 1
+    assert all(CHECKS["height-2"].holds(m) for m in (1, 2, 4, 6, 7, 8, 9, 14, 15, 16, 17))
 
 
 def test_n2_stacked_layout_calibration():
@@ -356,9 +361,7 @@ def test_n2_rejects_residues_three_and_five():
 
 
 def test_height_two_classification():
-    for m in range(1, 25):
-        expected = m % 8 not in (3, 5)
-        assert is_hamiltonian_fast(2, m) == expected
+    assert run_check("height-2", 6).ok  # widths m <= 24
 
 
 def test_segment_successor_examples():
@@ -376,47 +379,32 @@ def test_segment_successor_examples():
 
 
 def test_segment_successor_matches_grid():
-    for m in range(2, 25):
-        for d in range(-3, 2 * m):
-            assert segment_successor(m, d) == segment_successor_from_grid(m, d)
+    assert run_check("segment-map", 8).ok  # widths 2 <= m <= 24
 
 
 def test_segment_orbit_covers_everything_when_single_diagonal():
-    for m in (3, 5, 11, 13):
-        seen = {0}
-        d = segment_successor(m, 0)
-        while d != 0:
-            seen.add(d)
-            d = segment_successor(m, d)
-        assert len(seen) == 2 * m + 3
+    assert all(diag_count_tree(2, m) == 1 for m in (3, 5, 11, 13))
+    assert all(CHECKS["segment-map"].holds(m) for m in (3, 5, 11, 13))
 
 
-# --- single-diagonal reports -------------------------------------------------
+# --- single-diagonal grids ---------------------------------------------------
 
 def test_one_diagonal_checks_applicable():
-    report = one_diagonal_checks(2, 3)
-    assert report.applicable
-    assert report.base_not_hamiltonian
-    assert report.doubled_hamiltonian
-    assert report.doubled_link.as_tuple() == (3, 3, 2, 2)
-    assert report.doubled_link_is_knot
-
-    report = one_diagonal_checks(2, 5)
-    assert report.doubled_link.as_tuple() == (5, 5, 2, 2)
+    one_diagonal = CHECKS["one-diagonal"]
+    assert (2, 3) in one_diagonal.cases(2) and (2, 5) in one_diagonal.cases(3)
+    assert one_diagonal.holds(2, 3) and one_diagonal.holds(2, 5)
+    assert not is_hamiltonian_fast(2, 3) and is_hamiltonian_fast(4, 6)
 
 
 def test_one_diagonal_checks_not_applicable():
-    report = one_diagonal_checks(3, 5)
-    assert not report.applicable
-    assert report.base_not_hamiltonian is None
+    assert diag_count_tree(3, 5) == 2
+    assert (3, 5) not in CHECKS["one-diagonal"].cases(3)
 
 
 # --- periodicity ---------------------------------------------------------------
 
 def test_periodicity_examples():
-    assert periodicity_check(1, 2)
-    assert periodicity_check(2, 3)
-    assert periodicity_check(3, 5)
+    assert all(CHECKS["periodicity"].holds(n, m) for n, m in [(1, 2), (2, 3), (3, 5)])
     assert is_hamiltonian_fast(2, 3) is False and is_hamiltonian_fast(2, 27) is False
     assert is_hamiltonian_fast(3, 5) is True and is_hamiltonian_fast(3, 41) is True
 
@@ -424,19 +412,14 @@ def test_periodicity_examples():
 def test_link_tier_on_large_grids():
     assert is_hamiltonian_fast(300, 701) is False
     assert is_hamiltonian_fast(1000, 1001) is True
-    assert periodicity_check(300, 701)
-    assert periodicity_check(1000, 1001)
-
-
-def test_periodicity_rejects_common_factor():
-    with pytest.raises(ValueError):
-        periodicity_check(2, 4)
+    assert CHECKS["periodicity"].holds(300, 701)
+    assert CHECKS["periodicity"].holds(1000, 1001)
 
 
 @pytest.mark.parametrize(
     "build,args",
-    # these raised KeyError and TypeError
-    [(n2_orientation, (10.5,)), (periodicity_check, (2.5, 3))],
+    # this raised KeyError
+    [(n2_orientation, (10.5,))],
 )
 def test_height_two_and_periodicity_reject_non_integers(build, args):
     with pytest.raises(ValueError, match="must be (an integer|integers)"):
@@ -445,8 +428,9 @@ def test_height_two_and_periodicity_reject_non_integers(build, args):
 
 def test_width_one_grids_break_periodicity():
     # size-1 grids are outside the paper's domain: (4, 1) is Hamiltonian, (4, 49) is not
-    assert all(periodicity_check(n, 1) for n in (1, 2, 3))
-    assert not any(periodicity_check(n, 1) for n in (4, 8, 12))
+    periodic = CHECKS["periodicity"].holds
+    assert all(periodic(n, 1) for n in (1, 2, 3))
+    assert not any(periodic(n, 1) for n in (4, 8, 12))
 
 
 _large_side = st.one_of(st.integers(1, 10**4), st.integers(1, 10**12))
@@ -457,7 +441,7 @@ _large_side = st.one_of(st.integers(1, 10**4), st.integers(1, 10**12))
 def test_periodicity_at_scale(n, m):
     # the paper's theorem: adding 12n columns keeps the verdict, for m >= 2
     assume(m >= 2 and math.gcd(n, m) == 1)
-    assert periodicity_check(n, m)
+    assert CHECKS["periodicity"].holds(n, m)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -510,24 +494,13 @@ def test_torus_components_validate_sizes_and_orientation(n, m, orientation, mess
 
 
 def test_torus_formula_against_trace():
-    # sizes >= 2: a length-1 cycle factor degenerates into self-loops
-    for n in range(2, 9):
-        for m in range(2, 9):
-            g = math.gcd(n, m)
-            traced = any(
-                torus1_components(n, m, "".join(omega)) == 1
-                for omega in product("UR", repeat=g)
-            )
-            assert traced == ham_torus1(n, m)
+    assert run_check("torus1", 8).ok
 
 
 # --- misc -----------------------------------------------------------------------
 
 def test_orientation_k_integral_for_coprime_sizes():
-    for n, m in coprime_pairs(8):
-        dec = _dec(n, m)
-        for omega in product("UR", repeat=len(dec.diagonals)):
-            assert 0 <= orientation_k(dec, "".join(omega)) <= 4
+    assert run_check("link-balance", 8).ok  # 0 <= k <= 4 on every orientation
 
 
 def test_up_cell_count_sums_runs_without_expanding_cells():

@@ -16,6 +16,7 @@ from bitorus.links import (
     perm_cycles,
 )
 from bitorus.surface import GridParams
+from bitorus.verify import CHECKS, run_check
 
 
 def all_links_of_total(total):
@@ -84,19 +85,7 @@ def test_reduce_example():
 
 
 def test_reduce_preserves_loop_count_randomized():
-    rng = random.Random(0xBEEF)
-    done = 0
-    while done < 2000:
-        c = rng.randint(0, 15)
-        d = rng.randint(0, 15)
-        a = rng.randint(1, 90)
-        b = rng.randint(1, 90)
-        link = Link(a, b, c, d)
-        t = link.t
-        if not (a > t and b > t and t >= c + d):
-            continue
-        done += 1
-        assert loop_count(link_reduce(link)) == loop_count(link)
+    assert run_check("link-reduce", 2).ok  # 2,000 seeded links
 
 
 def test_orientation_link_matches_known_tuple():
@@ -195,9 +184,8 @@ _small_side = st.integers(0, 300)
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_small_side, _small_side, _small_side, _small_side)
 def test_induction_loop_count_equals_the_permutation_trace(a, b, c, d):
-    link = Link(a, b, c, d)
-    assume(link.total > 0)
-    assert loop_count(link) == perm_cycles(link_permutation(link))
+    assume(a + b + c + d > 0)
+    assert CHECKS["induction-groups"].holds(a, b, c, d)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -219,4 +207,4 @@ def test_link_reduce_preserves_loop_count_at_scale(c, d, extra_t, extra_a):
     a = max(t, 2 * (c + d)) + 1 + extra_a
     link = Link(a, t + a - 2 * (c + d), c, d)
     assert link.t == t
-    assert loop_count(link_reduce(link)) == loop_count(link)
+    assert CHECKS["link-reduce"].holds(link)
