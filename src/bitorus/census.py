@@ -1,10 +1,12 @@
 """Batch surveys over coprime grid sizes.
 
 `diag_distribution` and `exceptional_pairs` enumerate the coprime
-pairs n < m <= h top-down, as two ternary trees sharing the children
-(2m - n, m), (2m + n, m) and (m + 2n, n): the even-odd pairs below
-(2, 1) and the odd-odd pairs below (3, 1).  Each pair is visited once,
-at O(1) cost: no gcd filter and no walk back to the root.
+pairs n < m <= h top-down with one walk, `_tree_walk`, over two ternary
+trees sharing the children (2m - n, m), (2m + n, m) and (m + 2n, n):
+the even-odd pairs below (2, 1) and the odd-odd pairs below (3, 1).
+Each node carries a map id whose value is the pair's diagonal count;
+the odd-odd tree has one map, valued 2.  Each pair is visited once, at
+O(1) cost: no gcd filter and no walk back to the root.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from fractions import Fraction
 from .counting import tree_map_table
 from .errors import check_int
 from .hamiltonicity import is_hamiltonian_fast
+
+Children = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -54,99 +58,79 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
     """Coprime pairs n < m <= max_m with several diagonals yet no cycle.
 
     Single-diagonal grids are never Hamiltonian, so these are the
-    genuinely exceptional sizes.  The pairs come from top-down walks of
-    the two coprime trees, each with its diagonal count: an even-odd
-    pair's is the value of the map id the walk carries, and every
-    odd-odd pair has 2.  Only the pairs with at least 2 diagonals get
-    the link tier's `is_hamiltonian_fast`.  Sorted lexicographically.
+    genuinely exceptional sizes.  The tree walk yields only the pairs
+    whose map id values at least 2 diagonals, and only those get the
+    link tier's `is_hamiltonian_fast`.  Sorted lexicographically.
     """
     max_m = check_int(max_m, 2, "max_m")
-    table = tree_map_table()
-    values = table.values
-    found = [
-        (n, m, values[f])
-        for m, n, f in _tree_nodes((2, 1), max_m, table.children)
-        if values[f] >= 2 and not is_hamiltonian_fast(n, m)
-    ]
-    found += [
-        (n, m, 2)
-        for m, n, _ in _tree_nodes((3, 1), max_m, ((0, 0, 0),))
-        if not is_hamiltonian_fast(n, m)
-    ]
+    found = []
+    for root, children, values in _trees():
+        keep = [value >= 2 for value in values]
+        found += [
+            (n, m, values[f])
+            for m, n, f in _tree_walk(root, max_m, children, [0] * len(values), keep)
+            if not is_hamiltonian_fast(n, m)
+        ]
     return [PairRecord(n, m, diag, False, "link") for n, m, diag in sorted(found)]
-
-
-def _tree_nodes(
-    root: tuple[int, int], h: int, children: tuple[tuple[int, int, int], ...]
-) -> Iterator[tuple[int, int, int]]:
-    """Each node (m, n, f) of the tree below `root` with m <= h.
-
-    The walk of `_tree_visits`, yielding the nodes it counts there.  The
-    census keeps its own copy of the walk: counting through this
-    generator made the even-odd walk about 30% slower at h = 1000.
-    """
-    stack = [(*root, 0)] if root[0] <= h else []
-    pop, push = stack.pop, stack.append
-    while stack:
-        m, n, f = pop()
-        while True:
-            yield m, n, f
-            gamma, delta, lam = children[f]
-            c = m + 2 * n
-            if c <= h:
-                push((c, n, lam))
-            c = 2 * m - n
-            if c > h:
-                break
-            if c + 2 * n <= h:
-                push((c + 2 * n, m, delta))
-            m, n, f = c, m, gamma
-
-
-def _tree_visits(
-    root: tuple[int, int], h: int, children: tuple[tuple[int, int, int], ...]
-) -> list[int]:
-    """Visits per map id over the tree below `root`, pruned at m > h.
-
-    children[f] holds the map ids of the gamma-, delta- and lambda-child
-    of a node with map id f; the root has id 0.  Each node pushes its
-    lambda- and delta-child and moves on to its gamma-child, which is
-    pruned whenever the delta-child is.  The stack is explicit because
-    the tree is up to h/2 deep.
-    """
-    visits = [0] * len(children)
-    stack = [(*root, 0)] if root[0] <= h else []
-    pop, push = stack.pop, stack.append
-    while stack:
-        m, n, f = pop()
-        while True:
-            visits[f] += 1
-            gamma, delta, lam = children[f]
-            c = m + 2 * n
-            if c <= h:
-                push((c, n, lam))
-            c = 2 * m - n
-            if c > h:
-                break
-            if c + 2 * n <= h:
-                push((c + 2 * n, m, delta))
-            m, n, f = c, m, gamma
-    return visits
 
 
 def diag_distribution(h: int) -> DistributionReport:
     """Exact diagonal-count distribution over coprime pairs m > n, m <= h.
 
     One top-down walk of each tree visits every pair once, at O(1) cost
-    per pair.  An even-odd node carries the automaton's state map of its
-    tree string as an id into `tree_map_table`, so its child's map is one
-    table lookup and its count one more; every odd-odd pair has 2
-    diagonals, so that walk only counts nodes.
+    per pair, keeping no node: an even-odd node carries the automaton's
+    state map of its tree string as an id into `tree_map_table`, so its
+    child's map is one table lookup, and the tally adds each map's value
+    once per visit.
     """
     h = check_int(h, 2, "h")
-    table = tree_map_table()
     tally = [0, 0, 0, 0]
-    for value, visits in zip(table.values, _tree_visits((2, 1), h, table.children)):
-        tally[value] += visits
-    tally[2] += _tree_visits((3, 1), h, ((0, 0, 0),))[0]  # one map: every pair counts 2
+    for root, children, values in _trees():
+        visits = [0] * len(values)
+        for _ in _tree_walk(root, h, children, visits, [False] * len(values)):
+            pass
+        for value, count in zip(values, visits):
+            tally[value] += count
     return DistributionReport(h, sum(tally), tally[1], tally[2], tally[3])
+
+
+def _trees() -> tuple[tuple[tuple[int, int], Children, tuple[int, ...]], ...]:
+    """Both coprime trees as (root, children, values) of their map ids.
+
+    The even-odd tree takes `tree_map_table`'s maps; every odd-odd pair
+    has 2 diagonals, so that tree has one map.
+    """
+    table = tree_map_table()
+    return ((2, 1), table.children, table.values), ((3, 1), ((0, 0, 0),), (2,))
+
+
+def _tree_walk(
+    root: tuple[int, int], h: int, children: Children, visits: list[int], keep: list[bool]
+) -> Iterator[tuple[int, int, int]]:
+    """Each node (m, n, f) of the tree below `root` with m <= h and keep[f].
+
+    Every node with m <= h adds 1 to visits[f].  children[f] holds the
+    map ids of the gamma-, delta- and lambda-child of a node with map
+    id f; the root has id 0.  Each node pushes its lambda- and
+    delta-child and moves on to its gamma-child, which is pruned
+    whenever the delta-child is.  The stack is explicit because the
+    tree is up to h/2 deep.
+    """
+    stack = [(*root, 0)] if root[0] <= h else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        m, n, f = pop()
+        while True:
+            visits[f] += 1
+            if keep[f]:
+                yield m, n, f
+            gamma, delta, lam = children[f]
+            c = m + 2 * n
+            if c <= h:
+                push((c, n, lam))
+            c = 2 * m - n
+            if c > h:
+                break
+            if c + 2 * n <= h:
+                push((c + 2 * n, m, delta))
+            m, n, f = c, m, gamma

@@ -36,6 +36,13 @@ def _positive(value: str) -> int:
     return number
 
 
+def _at_least_two(value: str) -> int:
+    number = int(value)
+    if number < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {value}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bitorus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_verify = sub.add_parser("verify", help="run the internal cross-check suites")
-    p_verify.add_argument("--max", type=_positive, default=10, dest="max_k")
+    p_verify.add_argument("--max", type=_at_least_two, default=10, dest="max_k")
 
     return parser
 

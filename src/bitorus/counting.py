@@ -357,11 +357,6 @@ def diag_count_reduction(n: int, m: int) -> int:
 # Ternary tree of even-odd coprime pairs
 
 
-def tree_children(m: int, n: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The three tree children of (m, n)."""
-    return (2 * m - n, m), (2 * m + n, m), (m + 2 * n, n)
-
-
 def apply_tree_string(ts: str, pair: tuple[int, int] = (2, 1)) -> tuple[int, int]:
     """Evaluate a tree string, innermost (rightmost) character first."""
     m, n = pair

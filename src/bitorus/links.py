@@ -8,14 +8,17 @@ cycles of that map.  A link with a single loop is a knot.
 That map is a discrete interval exchange: four intervals A B C D,
 translated into the order D C B A.  `exchange_cycles` finds the cycles
 of any such exchange by discrete Rauzy induction with Zorich's
-acceleration, in a Euclid-like number of steps.  `link_cycles` is the
-one link exchange built on it, behind both the loops and the diagonals:
-`loop_count` counts its cycles in O(log(a + b + c + d)) arithmetic
-steps, and a grid's diagonals are the loops of the link (m, m, n, n),
-so `diagonals.induction_groups` reads them, with their boundary
-crossings as weights, from the same exchange.  The permutation trace
-`perm_cycles(link_permutation(link))`, O(a + b + c + d), stays as the
-reference it is checked against.
+acceleration, in a Euclid-like number of steps.  Its one unequal-length
+step serves both winners: when the image's last interval is the longer,
+it steps the inverse exchange, which has the same cycles.
+
+`link_cycles` is the one link exchange built on it, behind both the
+loops and the diagonals: `loop_count` counts its cycles in
+O(log(a + b + c + d)) arithmetic steps, and a grid's diagonals are the
+loops of the link (m, m, n, n), so `diagonals.induction_groups` reads
+them, with their boundary crossings as weights, from the same exchange.
+The permutation trace `perm_cycles(link_permutation(link))`,
+O(a + b + c + d), stays as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -106,16 +109,15 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
     * a == b: the last len a points are fixed; emit them and drop a.
     * len a > len b: b's image moves to just after a's, len a -= len b,
       and b's weight absorbs a's.
-    * len b > len a: a's domain moves to just after b's, len b -= len a,
-      and a's weight absorbs b's.
+    * len b > len a: the same step on the inverse exchange, `top` and
+      `bot` swapped, which has the same cycles with the same weights.
     * equal lengths: a's domain is cut, b takes a's image place, and b's
       weight absorbs a's.
 
     Repeating the second case rotates the labels after a in `bot`, so q
     whole rotations are taken in one step (Zorich 1996), as long as len a
-    stays positive; likewise the third case in `top`.  Every step cuts
-    the domain, which bounds the loop; a step that does not is an
-    internal inconsistency.
+    stays positive.  Every step cuts the domain, which bounds the loop; a
+    step that does not is an internal inconsistency.
     """
     lam = list(lengths)
     w = list(weights)
@@ -136,7 +138,9 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
             top.pop()
             bot.pop()
             cut = la
-        elif la > lb:
+        elif la != lb:
+            if lb > la:  # the same step on the inverse exchange
+                top, bot, a, b, la, lb = bot, top, b, a, lb, la
             i = bot.index(a) + 1
             tail = bot[i:]
             span = 0
@@ -154,24 +158,6 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
                 bot.insert(i, bot.pop())
                 w[b] += w[a]
             lam[a] = la - cut
-        elif lb > la:
-            i = top.index(b) + 1
-            tail = top[i:]
-            span = 0
-            for x in tail:
-                span += lam[x]
-            if lb > span:
-                q = (lb - 1) // span
-                cut = q * span
-                wb = q * w[b]
-                if wb:
-                    for x in tail:
-                        w[x] += wb
-            else:
-                cut = la
-                top.insert(i, top.pop())
-                w[a] += w[b]
-            lam[b] = lb - cut
         else:
             top.pop()
             bot.pop()

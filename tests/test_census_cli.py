@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bitorus.census as census
-from bitorus.census import _tree_nodes, diag_distribution, exceptional_pairs
+from bitorus.census import _tree_walk, _trees, diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
 from bitorus.counting import (
     _TRANSITIONS,
@@ -73,17 +73,33 @@ def test_exceptional_pairs_matches_the_per_pair_loop_at_every_limit(monkeypatch)
 
 
 def test_table_walk_yields_each_coprime_pair_once_with_its_count():
-    table = tree_map_table()
-    walked = Counter()
-    for m, n, f in _tree_nodes((2, 1), 200, table.children):
-        walked[n, m] += 1
-        assert table.values[f] == diag_count_tree(n, m), (n, m)
-    for m, n, f in _tree_nodes((3, 1), 200, ((0, 0, 0),)):
-        walked[n, m] += 1
-        assert f == 0 and diag_count_tree(n, m) == 2, (n, m)
-    assert set(walked.values()) == {1}
-    assert set(walked) == set(_coprime(200))
-    assert list(_tree_nodes((3, 1), 2, ((0, 0, 0),))) == []
+    for h in (2, 3, 4, 17, 200):
+        walked = Counter()
+        visited = 0
+        for root, children, values in _trees():
+            visits = [0] * len(values)
+            nodes = list(_tree_walk(root, h, children, visits, [True] * len(values)))
+            for m, n, f in nodes:
+                walked[n, m] += 1
+                assert values[f] == diag_count_tree(n, m), (n, m)
+            assert visits == [sum(node[2] == f for node in nodes) for f in range(len(values))]
+            visited += sum(visits)
+            ids = range(len(values))
+            for keep in (
+                [value >= 2 for value in values],
+                [False] * len(values),
+                [f % 2 == 0 for f in ids],
+                [f % 2 == 1 for f in ids],
+            ):
+                kept_visits = [0] * len(values)
+                kept = list(_tree_walk(root, h, children, kept_visits, keep))
+                assert kept == [node for node in nodes if keep[node[2]]], (h, keep)
+                assert kept_visits == visits
+        assert set(walked.values()) == {1}
+        assert set(walked) == set(_coprime(h))
+        assert visited == len(walked)
+    visits = [0]
+    assert list(_tree_walk((3, 1), 2, ((0, 0, 0),), visits, [True])) == [] and visits == [0]
 
 
 def test_distribution_single_pair():
@@ -269,6 +285,12 @@ def test_cli_verify(capsys):
     assert out.count("ok ") == len(CHECKS) and "FAIL" not in out
     assert "census-tree" in out and "induction-groups" in out
     assert "table-route (coprime n < m <= 60, 31 rows)" in out
+
+
+def test_cli_verify_limit_below_two_is_a_usage_error(capsys):
+    assert cli_main(["verify", "--max", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --max: ") and ">= 2" in err
 
 
 def test_run_verify_all_green():

@@ -29,7 +29,6 @@ from bitorus.counting import (
     string_cycles,
     string_intervals,
     string_powers,
-    tree_children,
     tree_runs,
     tree_string,
 )
@@ -237,7 +236,8 @@ def test_reduction_step_that_does_not_lower_the_sum_is_inconsistent(monkeypatch)
 # --- ternary tree ----------------------------------------------------------
 
 def test_tree_children_forms():
-    assert tree_children(2, 1) == ((3, 2), (5, 2), (4, 1))
+    children = [apply_tree_string(ch, (2, 1)) for ch in (GAMMA, DELTA, LAMBDA)]
+    assert children == [(3, 2), (5, 2), (4, 1)]
 
 
 def test_tree_string_examples():

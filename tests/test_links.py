@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,6 +156,28 @@ def test_exchange_cycles_matches_a_pointwise_trace():
                 cycles.append(total)
         blocks = exchange_cycles(range(k), bot, lengths, weights)
         assert sorted(w for count, w in blocks for _ in range(count)) == sorted(cycles)
+
+
+@st.composite
+def _exchanges(draw):
+    k = draw(st.integers(1, 7))
+    sides = st.integers(0, 12) | st.integers(0, 10**9)
+    return (
+        draw(st.permutations(range(k))),
+        draw(st.permutations(range(k))),
+        draw(st.lists(sides, min_size=k, max_size=k)),
+        draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_exchanges())
+def test_an_exchange_and_its_inverse_have_the_same_cycles(exchange):
+    # exchange_cycles steps the inverse exchange whenever the image's last interval is the longer
+    top, bot, lengths, weights = exchange
+    blocks = exchange_cycles(top, bot, lengths, weights)
+    assert Counter(exchange_cycles(bot, top, lengths, weights)) == Counter(blocks)
+    assert bool(blocks) == any(lengths)
 
 
 def test_exchange_cycles_rejects_bad_input():
