@@ -29,18 +29,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return number
+def _at_least(low: int):
+    def integer(value: str) -> int:
+        number = int(value)
+        if number < low:
+            bound = "a positive integer" if low == 1 else f"an integer >= {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return number
 
-
-def _at_least_two(value: str) -> int:
-    number = int(value)
-    if number < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {value}")
-    return number
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_diag = sub.add_parser("diag", help="number of diagonals of the (n, m) grid")
-    p_diag.add_argument("n", type=_positive)
-    p_diag.add_argument("m", type=_positive)
+    p_diag.add_argument("n", type=_at_least(1))
+    p_diag.add_argument("m", type=_at_least(1))
     p_diag.add_argument(
         "--method",
         choices=("auto", "naive", "string", "reduction", "tree"),
@@ -57,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ham = sub.add_parser("ham", help="is the (n, m) grid Hamiltonian?")
-    p_ham.add_argument("n", type=_positive)
-    p_ham.add_argument("m", type=_positive)
+    p_ham.add_argument("n", type=_at_least(1))
+    p_ham.add_argument("m", type=_at_least(1))
     p_ham.add_argument("--method", choices=("auto", "brute", "link"), default="auto")
     p_ham.add_argument(
         "--witness",
@@ -69,15 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser(
         "table", help="coprime pairs with several diagonals but no Hamiltonian cycle"
     )
-    p_table.add_argument("--max", type=_positive, required=True, dest="max_m")
+    p_table.add_argument("--max", type=_at_least(2), required=True, dest="max_m")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_census = sub.add_parser("census", help="diagonal-count distribution over coprime pairs")
-    p_census.add_argument("--max", type=_positive, required=True, dest="max_h")
+    p_census.add_argument("--max", type=_at_least(2), required=True, dest="max_h")
     p_census.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_verify = sub.add_parser("verify", help="run the internal cross-check suites")
-    p_verify.add_argument("--max", type=_at_least_two, default=10, dest="max_k")
+    p_verify.add_argument("--max", type=_at_least(2), default=10, dest="max_k")
 
     return parser
 
@@ -113,8 +110,8 @@ def _cmd_ham(args) -> int:
         if witness is None:
             witness = hamiltonian_witness(args.n, args.m)
         print(witness.orientation)
-        for row, col in witness.cycle:
-            print(f"{row},{col}")
+        for i in witness.cycle.tolist():
+            print("%d,%d" % divmod(i, 2 * args.m))
     return 0
 
 

@@ -19,9 +19,11 @@ A diagonal is a list of whole lines col - row = d of the rectangle, so
 the per-cell diagonal-id table is one numpy gather from the
 decomposition's line table, and witnesses and `trace_components` walk
 cycles line by line: O(n + m) Python steps per cycle, with every cell
-written by numpy.  The brute sweep rewrites its successor table one
-strided slice per line: a line from (r, c) with L cells covers the
-flat indices r*cols + c + j*(cols + 1), j < L.
+written by numpy.  A cycle is an array of flat cell indices r*cols + c
+in cycle order, and divmod(i, cols) gives the cell (r, c).  The brute
+sweep rewrites its successor table one strided slice per line: a line
+from (r, c) with L cells covers the flat indices r*cols + c +
+j*(cols + 1), j < L.
 Only the brute sweep, the independent reference, walks cell by cell.
 """
 
@@ -56,10 +58,18 @@ BRUTE_DIAGONAL_CAP = 24
 
 @dataclass
 class HamWitness:
-    """An orientation string plus the single cycle it generates."""
+    """An orientation string plus the single cycle it generates, a read-only
+    np.intp array of flat indices i = r*cols + c: divmod(i, 2m) is (r, c)."""
 
     orientation: str
-    cycle: list[Cell]
+    cycle: np.ndarray
+
+
+def _read_only(flat: np.ndarray) -> np.ndarray:
+    """A cycle as callers get it: np.intp, and safe to share."""
+    flat = flat.astype(np.intp, copy=False)
+    flat.flags.writeable = False
+    return flat
 
 
 # Callers reuse a decomposition only while they work on one grid (brute
@@ -153,19 +163,14 @@ def _diagonal_constant(dec: DiagonalDecomposition, up: np.ndarray) -> str | None
     return "".join("U" if k else "R" for k in ups.tolist())
 
 
-def _flat_to_cells(grid: GridParams, flat) -> list[Cell]:
-    """Cells by flat index, taken from one row-major array of tuples."""
-    cells = product(range(grid.rows), range(grid.cols))
-    return np.fromiter(cells, dtype=object, count=grid.size)[flat].tolist()
-
-
-def trace_components(grid: GridParams, omega: str) -> list[list[Cell]]:
+def trace_components(grid: GridParams, omega: str) -> list[np.ndarray]:
     """Cycles of the permutation graph induced by an orientation string.
 
-    Each cycle starts at its row-major first cell, and the cycles come in
-    the order of those cells.  Every cycle wraps, and every wrap lands on
-    the bottom row or the first column, so line walks from those cells
-    that no earlier walk covered find every cycle once.
+    Each cycle is a read-only array of flat cell indices, as in
+    `HamWitness.cycle`, starting at its smallest index, and the cycles
+    come in the order of those indices.  Every cycle wraps, and every
+    wrap lands on the bottom row or the first column, so line walks from
+    those cells that no earlier walk covered find every cycle once.
     """
     lines = _line_tables(_dec(grid.n, grid.m), omega)
     rows, cols = grid.rows, grid.cols
@@ -178,13 +183,10 @@ def trace_components(grid: GridParams, omega: str) -> list[list[Cell]]:
         if covered[cycle].any():
             raise InconsistencyError("oriented edges do not form a permutation")
         covered[cycle] = True
-        cycles.append(np.roll(cycle, -int(cycle.argmin())))
+        cycles.append(_read_only(np.roll(cycle, -int(cycle.argmin()))))
     if not covered.all():
         raise InconsistencyError("oriented cycles leave cells uncovered")
-    cycles.sort(key=lambda cycle: cycle[0])
-    ends = np.cumsum([len(cycle) for cycle in cycles]).tolist()
-    cells = _flat_to_cells(grid, np.concatenate(cycles))
-    return [cells[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    return sorted(cycles, key=lambda cycle: cycle[0])
 
 
 def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
@@ -214,7 +216,7 @@ def _witness_from_omega(dec: DiagonalDecomposition, omega: str) -> HamWitness:
     cycle = _line_walk(grid, _line_tables(dec, omega), 0, 0)
     if len(cycle) != grid.size:
         raise InconsistencyError("claimed witness does not cover the grid")
-    return HamWitness("".join(omega), _flat_to_cells(grid, cycle))
+    return HamWitness("".join(omega), _read_only(cycle))
 
 
 def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
@@ -337,29 +339,28 @@ def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
 def validate_witness(grid: GridParams, witness: HamWitness) -> None:
     """Check a witness is a Hamiltonian cycle matching its orientation.
 
-    Each cell's successor in the cycle must be its up or right
-    neighbour, as its diagonal's direction says, read off the flat
-    `up_indices` and `right_indices` tables rather than the line walk
-    that builds witnesses.
+    ValueError unless the cycle is a 1-D sequence of integer flat cell
+    indices inside the grid.  Each cell's successor in the cycle must be
+    its up or right neighbour, as its diagonal's direction says, read
+    off the flat `up_indices` and `right_indices` tables rather than the
+    line walk that builds witnesses.
     """
-    cycle = witness.cycle
-    if len(cycle) != grid.size:
-        raise InconsistencyError(
-            f"witness covers {len(cycle)} cells, expected {grid.size}"
-        )
-    rows, cols = np.array(cycle, dtype=np.intp).reshape(-1, 2).T
-    outside = (rows < 0) | (rows >= grid.rows) | (cols < 0) | (cols >= grid.cols)
+    flat = np.asarray(witness.cycle)
+    if flat.ndim != 1 or flat.dtype.kind not in "iu":
+        raise ValueError(f"witness cycle is not 1-D integer cell indices: {flat.dtype} {flat.shape}")
+    if len(flat) != grid.size:
+        raise InconsistencyError(f"witness covers {len(flat)} cells, expected {grid.size}")
+    outside = (flat < 0) | (flat >= grid.size)
     if outside.any():
-        cell = cycle[int(outside.argmax())]
-        raise ValueError(f"cell {cell} outside {grid.rows}x{grid.cols} grid")
-    flat = rows * grid.cols + cols
+        raise ValueError(f"cell index {flat[outside.argmax()]} outside {grid.rows}x{grid.cols} grid")
+    flat = flat.astype(np.intp, copy=False)
     if np.bincount(flat, minlength=grid.size).max() > 1:
         raise InconsistencyError("witness repeats a cell")
     up = _cell_up(_dec(grid.n, grid.m), witness.orientation)
     succ = np.where(up, up_indices(grid), right_indices(grid))
     broken = succ[flat] != np.roll(flat, -1)
     if broken.any():
-        raise InconsistencyError(f"witness breaks at {cycle[int(broken.argmax())]}")
+        raise InconsistencyError(f"witness breaks at cell index {flat[broken.argmax()]}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +410,7 @@ def square_construction(n: int) -> HamWitness:
         raise InconsistencyError(
             f"square walk is not diagonal-constant on the ({n},{n}) grid"
         )
-    witness = HamWitness(omega, _flat_to_cells(grid, flat))
+    witness = HamWitness(omega, _read_only(flat))
     validate_witness(grid, witness)
     return witness
 

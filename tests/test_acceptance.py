@@ -176,7 +176,7 @@ PLANTED = [
     ("table-route", "exceptional_pairs", lambda h: exceptional_pairs(h)[1:], 4),
     ("one-diagonal", "is_knot", lambda link: False, 2),
     ("height-2", "is_hamiltonian_fast", lambda n, m: True, 2),
-    ("square", "square_construction", lambda n: HamWitness("R", [(0, 0)]), 2),
+    ("square", "square_construction", lambda n: HamWitness("R", [0]), 2),
     ("segment-map", "segment_successor", lambda m, d: (d + m + 4) % (2 * m), 2),
     ("reduction-rules", "diag_count_naive", lambda n, m: n * m, 2),
     ("link-reduce", "loop_count", lambda link: link.a, 2),

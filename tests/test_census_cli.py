@@ -288,9 +288,14 @@ def test_cli_verify(capsys):
 
 
 def test_cli_verify_limit_below_two_is_a_usage_error(capsys):
-    assert cli_main(["verify", "--max", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: argument --max: ") and ">= 2" in err
+    for command in ("verify", "census", "table"):
+        assert cli_main([command, "--max", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: argument --max: must be an integer >= 2, got 1\n", command
+    assert cli_main(["verify", "--max", "x"]) == 1
+    assert capsys.readouterr().err == "usage error: argument --max: invalid integer value: 'x'\n"
+    assert cli_main(["diag", "x", "3"]) == 1
+    assert capsys.readouterr().err == "usage error: argument n: invalid integer value: 'x'\n"
 
 
 def test_run_verify_all_green():

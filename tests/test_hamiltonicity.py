@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import islice, product
 
 import numpy as np
@@ -115,6 +116,11 @@ def per_cell_cycles(grid, dec, omega):
     return cycles
 
 
+def as_cells(grid, flat):
+    """The (row, col) cells of an array of flat cell indices."""
+    return [divmod(i, grid.cols) for i in flat.tolist()]
+
+
 def per_cell_walk(grid, dec, omega):
     """Reference: the oriented walk from (0, 0)."""
     return per_cell_cycles(grid, dec, omega)[0]
@@ -139,8 +145,8 @@ def test_line_walk_matches_per_cell_walk():
             grid = GridParams(n, m)
             dec = decompose(grid)
             for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
-                flat = ham._line_walk(grid, ham._line_tables(dec, omega), 0, 0).tolist()
-                assert [divmod(i, grid.cols) for i in flat] == per_cell_walk(grid, dec, omega)
+                flat = ham._line_walk(grid, ham._line_tables(dec, omega), 0, 0)
+                assert as_cells(grid, flat) == per_cell_walk(grid, dec, omega)
 
 
 def test_trace_components_matches_per_cell_cycles():
@@ -149,7 +155,8 @@ def test_trace_components_matches_per_cell_cycles():
             grid = GridParams(n, m)
             dec = decompose(grid)
             for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
-                assert trace_components(grid, "".join(omega)) == per_cell_cycles(grid, dec, omega)
+                cycles = trace_components(grid, "".join(omega))
+                assert [as_cells(grid, cycle) for cycle in cycles] == per_cell_cycles(grid, dec, omega)
 
 
 def test_trace_components_partitions_a_large_multi_cycle_grid():
@@ -158,7 +165,7 @@ def test_trace_components_partitions_a_large_multi_cycle_grid():
     omega = "".join(rng.choice("UR") for _ in dec.diagonals)
     cycles = trace_components(dec.grid, omega)
     assert len(cycles) == loop_count(orientation_link(dec, omega)) > 1
-    assert sorted(cell for cycle in cycles for cell in cycle) == list(dec.grid.cells())
+    assert np.array_equal(np.sort(np.concatenate(cycles)), np.arange(dec.grid.size))
 
 
 def test_trace_raises_when_walks_overlap_or_leave_cells_uncovered(monkeypatch):
@@ -182,7 +189,8 @@ def test_brute_matches_per_cell_sweep():
             ref = per_cell_sweep(n, m)
             assert verdict == (ref is not None), (n, m)
             if verdict:
-                assert (witness.orientation, witness.cycle) == ref, (n, m)
+                cells = as_cells(GridParams(n, m), witness.cycle)
+                assert (witness.orientation, cells) == ref, (n, m)
 
 
 def test_witness_rejects_orientation_that_does_not_cover():
@@ -195,6 +203,33 @@ def test_large_witness_validates():
     witness = hamiltonian_witness(264, 322)
     assert len(witness.cycle) == 4 * 264 * 322
     validate_witness(GridParams(264, 322), witness)
+
+
+def test_witness_memory_stays_below_forty_bytes_per_cell():
+    # a cycle of flat indices takes 8 bytes per cell; the walk's numpy
+    # temporaries bring the peak to about 24 (80 with per-cell tuples)
+    n, m = 200, 199
+    _dec(n, m)
+    tracemalloc.start()
+    try:
+        witness = hamiltonian_witness(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 4 * n * m
+    cycle = witness.cycle
+    assert cycle.dtype == np.intp and cycle.shape == (4 * n * m,)
+    assert not cycle.flags.writeable
+
+
+def test_cycles_are_read_only_flat_indices():
+    witnesses = [hamiltonian_witness(4, 6), is_hamiltonian_brute(3, 3)[1], square_construction(3)]
+    cycles = [witness.cycle for witness in witnesses]
+    cycles += trace_components(GridParams(2, 3), "U")
+    for cycle in cycles:
+        assert cycle.dtype == np.intp and cycle.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            cycle[0] = 0
 
 
 def test_witnesses_sweeps_and_tracing_expand_no_cells():
@@ -527,23 +562,35 @@ def test_up_cells_and_k_validate_the_orientation_string():
 def test_validate_witness_rejects_garbage():
     grid = GridParams(1, 1)
     with pytest.raises(InconsistencyError):
-        validate_witness(grid, HamWitness("UR", [(0, 0), (0, 1), (1, 0)]))
+        validate_witness(grid, HamWitness("UR", [0, 1, 2]))
+
+
+def test_validate_witness_refuses_cycles_that_are_not_integer_indices():
+    grid = GridParams(1, 1)
+    cells = [(0, 0), (0, 1), (1, 1), (1, 0)]  # the old (row, col) form
+    for cycle in (cells, [0.0, 1.0, 3.0, 2.0], np.array([0.5, 1, 3, 2]), [True] * 4,
+                  np.zeros((2, 2), dtype=np.intp), "0132", [0, 1, None, 2]):
+        with pytest.raises(ValueError, match="not 1-D integer cell indices"):
+            validate_witness(grid, HamWitness("U", cycle))
 
 
 def test_validate_witness_rejects_broken_cycles():
     grid = GridParams(3, 3)
     witness = hamiltonian_witness(3, 3)
     cycle = witness.cycle
-    swapped = cycle[:5] + [cycle[6], cycle[5]] + cycle[7:]
+    validate_witness(grid, HamWitness(witness.orientation, cycle.tolist()))
+    swapped = np.concatenate((cycle[:5], cycle[[6, 5]], cycle[7:]))
     with pytest.raises(InconsistencyError, match="breaks at"):
         validate_witness(grid, HamWitness(witness.orientation, swapped))
     flipped = "".join("R" if ch == "U" else "U" for ch in witness.orientation)
     with pytest.raises(InconsistencyError, match="breaks at"):
         validate_witness(grid, HamWitness(flipped, cycle))
     with pytest.raises(InconsistencyError, match="repeats"):
-        validate_witness(grid, HamWitness(witness.orientation, cycle[:-1] + cycle[:1]))
-    with pytest.raises(ValueError, match="outside"):
-        validate_witness(grid, HamWitness(witness.orientation, cycle[:-1] + [(6, 0)]))
+        validate_witness(grid, HamWitness(witness.orientation, np.append(cycle[:-1], cycle[0])))
+    for outside in ([*cycle[:-1].tolist(), grid.size], [*cycle[:-1].tolist(), -1],
+                    np.append(cycle[:-1].astype(np.uint64), np.uint64(2**63))):
+        with pytest.raises(ValueError, match="outside"):
+            validate_witness(grid, HamWitness(witness.orientation, outside))
 
 
 def test_diag_count_consistency_with_reports():
