@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .census import diag_distribution, exceptional_pairs
 from .counting import diag_count_reduction, diag_count_string, diag_count_tree
@@ -115,51 +116,33 @@ def _cmd_ham(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    records = exceptional_pairs(args.max_m)
-    if args.format == "csv":
-        print("n,m,diag,hamiltonian")
-        for rec in records:
-            print(f"{rec.n},{rec.m},{rec.diag},{'true' if rec.hamiltonian else 'false'}")
+def _csv_field(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+def _print_rows(rows: list[dict], fmt: str, columns: list[str]) -> None:
+    """CSV of `columns` under a header, or each whole row as one JSON line."""
+    if fmt == "csv":
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(_csv_field(row[col]) for col in columns))
     else:
-        for rec in records:
-            print(
-                json.dumps(
-                    {
-                        "n": rec.n,
-                        "m": rec.m,
-                        "diag": rec.diag,
-                        "hamiltonian": rec.hamiltonian,
-                        "method": rec.method,
-                    }
-                )
-            )
+        for row in rows:
+            print(json.dumps(row))
+
+
+def _cmd_table(args) -> int:
+    rows = [asdict(rec) for rec in exceptional_pairs(args.max_m)]
+    _print_rows(rows, args.format, ["n", "m", "diag", "hamiltonian"])
     return 0
 
 
 def _cmd_census(args) -> int:
     report = diag_distribution(args.max_h)
-    if args.format == "csv":
-        print("h,pairs,count1,count2,count3,p1,p2,p3")
-        print(
-            f"{report.h},{report.pairs},{report.count1},{report.count2},{report.count3},"
-            f"{float(report.p1):.6f},{float(report.p2):.6f},{float(report.p3):.6f}"
-        )
-    else:
-        print(
-            json.dumps(
-                {
-                    "h": report.h,
-                    "pairs": report.pairs,
-                    "count1": report.count1,
-                    "count2": report.count2,
-                    "count3": report.count3,
-                    "p1": float(report.p1),
-                    "p2": float(report.p2),
-                    "p3": float(report.p3),
-                }
-            )
-        )
+    row = asdict(report) | {p: float(getattr(report, p)) for p in ("p1", "p2", "p3")}
+    _print_rows([row], args.format, list(row))
     return 0
 
 

@@ -172,7 +172,7 @@ def diag_count_string(n: int, m: int) -> int:
     if a == 1 or b == 1:
         # The string construction excludes side-1 shapes.  By reduction
         # rule 1, (1, b) counts like the base pair (1, (b - 1) % 4 + 1).
-        return g * diag_count_naive(1, (max(a, b) - 1) % 4 + 1)
+        return g * _base_counts()[(1, (max(a, b) - 1) % 4 + 1)]
     return g * string_cycles(string_powers(a, b))
 
 
@@ -343,14 +343,20 @@ def reduction_base(n: int, m: int) -> tuple[int, int]:
     return pair
 
 
+@cache
+def _base_counts() -> dict[tuple[int, int], int]:
+    """Diagonal count of each base pair, from the direct counter."""
+    return {pair: diag_count_naive(*pair) for pair in TERMINAL_PAIRS}
+
+
 def diag_count_reduction(n: int, m: int) -> int:
-    """Diagonal count via the reduction system and cached base values.
+    """Diagonal count via the reduction system and the base pairs' direct counts.
 
     O(log n) rule runs: `reduction_base` applies each subtractive run of
     rule 1 or 4 with one quotient mod 4 or 3.
     """
     base = reduction_base(n, m)
-    return math.gcd(n, m) * diag_count_naive(*base)
+    return math.gcd(n, m) * _base_counts()[base]
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +533,8 @@ def canonicalize(ts: str) -> str:
 
 @cache
 def _canonical_values() -> dict[str, int]:
-    """Diagonal count at each canonical pair, from the direct counter."""
-    values = {}
-    for state in CANONICAL_STRINGS:
-        m, n = apply_tree_string(state)
-        values[state] = diag_count_naive(n, m)
-    return values
+    """Diagonal count at each canonical pair (m, n), all four base pairs."""
+    return {state: _base_counts()[apply_tree_string(state)[::-1]] for state in CANONICAL_STRINGS}
 
 
 def tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterator
@@ -319,10 +319,6 @@ def decompose(grid: GridParams) -> DiagonalDecomposition:
     return DiagonalDecomposition(grid, induction_groups(grid))
 
 
-# `bitorus verify` asks for about 3,100 distinct pairs, most once, in its
-# reduction-rules sweep; this bound keeps most repeat hits while capping a
-# long-lived process.  Typed keys keep validation ahead of every hit.
-@lru_cache(maxsize=1024, typed=True)
 def diag_count_naive(n: int, m: int) -> int:
     """Number of diagonals: the orbits of one run walk, in O(n + m).
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice, product
 
 import numpy as np
@@ -70,15 +69,6 @@ def _read_only(flat: np.ndarray) -> np.ndarray:
     flat = flat.astype(np.intp, copy=False)
     flat.flags.writeable = False
     return flat
-
-
-# Callers reuse a decomposition only while they work on one grid (brute
-# sweep, witness, tracing), so a small bound keeps the hits and drops the
-# decompositions of grids already answered.  Typed keys keep validation
-# ahead of every hit: (2.0, 3) or (True, 3) never reads the entry of (2, 3).
-@lru_cache(maxsize=64, typed=True)
-def _dec(n: int, m: int) -> DiagonalDecomposition:
-    return decompose(GridParams(n, m))
 
 
 def _omega_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
@@ -172,7 +162,7 @@ def trace_components(grid: GridParams, omega: str) -> list[np.ndarray]:
     wrap lands on the bottom row or the first column, so line walks from
     those cells that no earlier walk covered find every cycle once.
     """
-    lines = _line_tables(_dec(grid.n, grid.m), omega)
+    lines = _line_tables(decompose(grid), omega)
     rows, cols = grid.rows, grid.cols
     covered = np.zeros(grid.size, dtype=bool)
     cycles = []
@@ -262,7 +252,7 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
     Grids with more diagonals than the cap are refused; use
     is_hamiltonian_fast for those.
     """
-    dec = _dec(n, m)
+    dec = decompose(GridParams(n, m))
     c = len(dec.diagonals)
     if c > BRUTE_DIAGONAL_CAP:
         raise CapExceededError(
@@ -327,7 +317,7 @@ def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
     Groups are searched in the order of their first diagonal by id, so
     the witness does not depend on the order the induction emits them.
     """
-    dec = _dec(n, m)
+    dec = decompose(GridParams(n, m))
     profiles = [diag.profile for diag in dec.diagonals]
     groups = sorted(dec.profile_groups, key=lambda group: profiles.index(group[1]))
     counts = _first_knot(groups)
@@ -356,7 +346,7 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
     flat = flat.astype(np.intp, copy=False)
     if np.bincount(flat, minlength=grid.size).max() > 1:
         raise InconsistencyError("witness repeats a cell")
-    up = _cell_up(_dec(grid.n, grid.m), witness.orientation)
+    up = _cell_up(decompose(grid), witness.orientation)
     succ = np.where(up, up_indices(grid), right_indices(grid))
     broken = succ[flat] != np.roll(flat, -1)
     if broken.any():
@@ -405,7 +395,7 @@ def square_construction(n: int) -> HamWitness:
     # Direction used out of each cell; must be constant per diagonal.
     up = np.empty(grid.size, dtype=bool)
     up[flat] = np.roll(flat, -1) == up_indices(grid)[flat]
-    omega = _diagonal_constant(_dec(n, n), up)
+    omega = _diagonal_constant(decompose(grid), up)
     if omega is None:
         raise InconsistencyError(
             f"square walk is not diagonal-constant on the ({n},{n}) grid"
@@ -445,7 +435,7 @@ def _n2_omega_for(m: int, layout) -> str | None:
     under this layout.
     """
     rule = _N2_RIGHT_RULES[m % 8]
-    dec = _dec(2, m)
+    dec = decompose(GridParams(2, m))
     cols = dec.grid.cols
     up = np.empty(dec.grid.size, dtype=bool)
     for rho in range(8):

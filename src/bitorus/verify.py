@@ -31,10 +31,9 @@ from .counting import (
     string_intervals,
     string_powers,
 )
-from .diagonals import DiagonalDecomposition, diag_count_naive, induction_groups
+from .diagonals import DiagonalDecomposition, decompose, diag_count_naive, induction_groups
 from .errors import InconsistencyError, check_int
 from .hamiltonicity import (
-    _dec,
     ham_torus1,
     is_hamiltonian_brute,
     is_hamiltonian_fast,
@@ -95,7 +94,7 @@ def _coprime_pairs(limit: int, strict: bool = False):
 def _orientations(limit: int):
     """(n, m, omega) for coprime n, m <= limit and every orientation string."""
     for n, m in _coprime_pairs(limit):
-        for omega in product("UR", repeat=len(_dec(n, m).diagonals)):
+        for omega in product("UR", repeat=len(decompose(GridParams(n, m)))):
             yield n, m, "".join(omega)
 
 
@@ -125,7 +124,7 @@ def _strings_conjugate(n: int, m: int) -> bool:
         lambda k, _: f"coprime n,m <= {k}, all orientations", cap=8)
 def _components_are_loops(n: int, m: int, omega: str) -> bool:
     """Component count of an orientation equals its link's loop count."""
-    dec = _dec(n, m)
+    dec = decompose(GridParams(n, m))
     return len(trace_components(dec.grid, omega)) == loop_count(orientation_link(dec, omega))
 
 
@@ -133,7 +132,7 @@ def _components_are_loops(n: int, m: int, omega: str) -> bool:
         lambda k, _: f"coprime n,m <= {k}, all orientations", cap=15)
 def _link_balanced(n: int, m: int, omega: str) -> bool:
     """-a+b+2c+2d = (4-k)n for every orientation, k integral."""
-    dec = _dec(n, m)
+    dec = decompose(GridParams(n, m))
     k = orientation_k(dec, omega)
     return orientation_link(dec, omega).t == (4 - k) * n and 0 <= k <= 4
 

@@ -16,8 +16,10 @@ import bitorus.verify as verify
 from bitorus.census import diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
 from bitorus.counting import _branch
-from bitorus.hamiltonicity import HamWitness, _dec, orientation_k
+from bitorus.diagonals import decompose
+from bitorus.hamiltonicity import HamWitness, orientation_k
 from bitorus.links import orientation_link
+from bitorus.surface import GridParams
 from bitorus.verify import CHECKS, run_check
 
 EXPECTED_TABLE_60 = [
@@ -82,8 +84,8 @@ def test_07_periodicity():
         for m in range(1, 8):
             if math.gcd(n, m) != 1:
                 continue
-            base = _dec(n, m)
-            shifted = _dec(n, m + 12 * n)
+            base = decompose(GridParams(n, m))
+            shifted = decompose(GridParams(n, m + 12 * n))
             ok = ok and len(base.diagonals) == len(shifted.diagonals)
             expected = Counter()
             for omega in product("UR", repeat=len(base.diagonals)):

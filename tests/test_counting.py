@@ -13,6 +13,7 @@ from bitorus.counting import (
     LAMBDA,
     TERMINAL_PAIRS,
     TREE_CHARS,
+    _base_counts,
     _run_transition,
     apply_tree_string,
     canonicalize,
@@ -194,7 +195,7 @@ def test_reduction_traces():
 
 def test_base_pair_values():
     values = {pair: diag_count_naive(*pair) for pair in TERMINAL_PAIRS}
-    assert values == {
+    assert _base_counts() == values == {
         (1, 1): 2, (1, 2): 3, (1, 3): 2, (1, 4): 1, (2, 3): 1, (3, 4): 1,
     }
 

@@ -279,7 +279,7 @@ class _ForgetfulBytes(bytearray):
 def test_walk_that_revisits_a_line_raises(monkeypatch):
     monkeypatch.setattr(diagonals, "bytearray", _ForgetfulBytes, raising=False)
     with pytest.raises(InconsistencyError, match="revisited a line"):
-        diag_count_naive.__wrapped__(3, 5)
+        diag_count_naive(3, 5)
 
 
 def test_induction_blocks_are_checked(monkeypatch):
@@ -295,7 +295,6 @@ def test_induction_blocks_are_checked(monkeypatch):
 
 def test_reference_walk_memory_is_about_one_byte_per_line():
     # a set of run-start tuples here peaked at about 2 MB
-    diag_count_naive.cache_clear()
     tracemalloc.start()
     try:
         diag_count_naive(20, 3001)

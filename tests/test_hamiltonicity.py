@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import bitorus
 import bitorus.hamiltonicity as ham
 from bitorus.counting import diag_count_tree
 from bitorus.diagonals import decompose, diag_count_naive
 from bitorus.errors import CapExceededError, InconsistencyError
 from bitorus.hamiltonicity import (
     HamWitness,
-    _dec,
     expand_grouped,
     ham_torus1,
     hamiltonian_witness,
@@ -83,8 +83,6 @@ def test_brute_witness_is_lexicographically_first():
     ],
 )
 def test_cached_queries_refuse_non_integer_sizes_cold_or_warm(query, sizes, valid, warm):
-    diag_count_naive.cache_clear()
-    ham._dec.cache_clear()
     if warm:
         query(*valid)
     with pytest.raises(ValueError, match="must be integers"):
@@ -160,7 +158,7 @@ def test_trace_components_matches_per_cell_cycles():
 
 
 def test_trace_components_partitions_a_large_multi_cycle_grid():
-    dec = _dec(200, 300)
+    dec = decompose(GridParams(200, 300))
     rng = random.Random(2024)
     omega = "".join(rng.choice("UR") for _ in dec.diagonals)
     cycles = trace_components(dec.grid, omega)
@@ -196,7 +194,7 @@ def test_brute_matches_per_cell_sweep():
 def test_witness_rejects_orientation_that_does_not_cover():
     # the single diagonal of (2, 3) oriented up splits into three cycles
     with pytest.raises(InconsistencyError):
-        ham._witness_from_omega(_dec(2, 3), "U")
+        ham._witness_from_omega(decompose(GridParams(2, 3)), "U")
 
 
 def test_large_witness_validates():
@@ -209,7 +207,6 @@ def test_witness_memory_stays_below_forty_bytes_per_cell():
     # a cycle of flat indices takes 8 bytes per cell; the walk's numpy
     # temporaries bring the peak to about 24 (80 with per-cell tuples)
     n, m = 200, 199
-    _dec(n, m)
     tracemalloc.start()
     try:
         witness = hamiltonian_witness(n, m)
@@ -222,6 +219,26 @@ def test_witness_memory_stays_below_forty_bytes_per_cell():
     assert not cycle.flags.writeable
 
 
+def test_library_keeps_no_per_input_state_between_calls():
+    # nothing keyed on a call's input may outlive the call
+    tracemalloc.start()
+    try:
+        for n in range(100, 164):
+            hamiltonian_witness(n, n + 1)
+        for n in range(1, 11):
+            for m in range(1, 21):
+                diag_count_naive(n, m)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 64 * 1024
+
+
+def test_hamiltonian_witness_is_exported():
+    assert bitorus.hamiltonian_witness is hamiltonian_witness
+    assert "hamiltonian_witness" in bitorus.__all__
+
+
 def test_cycles_are_read_only_flat_indices():
     witnesses = [hamiltonian_witness(4, 6), is_hamiltonian_brute(3, 3)[1], square_construction(3)]
     cycles = [witness.cycle for witness in witnesses]
@@ -232,17 +249,24 @@ def test_cycles_are_read_only_flat_indices():
             cycle[0] = 0
 
 
-def test_witnesses_sweeps_and_tracing_expand_no_cells():
-    _dec.cache_clear()
+def test_witnesses_sweeps_and_tracing_expand_no_cells(monkeypatch):
+    built = []
+
+    def recording(grid):
+        built.append(decompose(grid))
+        return built[-1]
+
+    monkeypatch.setattr(ham, "decompose", recording)
     grids = [(3, 3), (2, 4), (4, 6), (5, 7), (2, 7), (6, 6)]
     for n, m in grids:
         hamiltonian_witness(n, m)
         is_hamiltonian_brute(n, m)
-        trace_components(GridParams(n, m), "U" * len(_dec(n, m).diagonals))
+        trace_components(GridParams(n, m), "U" * len(decompose(GridParams(n, m))))
     square_construction(6)
     n2_orientation(7)
-    for n, m in grids + [(2, 7)]:
-        assert not any("cells" in vars(diag) for diag in _dec(n, m).diagonals), (n, m)
+    assert {dec.grid for dec in built} == {GridParams(n, m) for n, m in grids}
+    for dec in built:
+        assert not any("cells" in vars(diag) for diag in dec.diagonals), dec.grid
 
 
 # --- link tier -----------------------------------------------------------------
@@ -259,7 +283,7 @@ def test_fast_examples():
 
 def test_grouped_link_matches_expanded_orientation():
     for n, m in [(2, 4), (3, 6), (2, 2), (4, 6)]:
-        dec = _dec(n, m)
+        dec = decompose(GridParams(n, m))
         groups = dec.profile_groups
         for counts in product(*(range(size + 1) for size, _ in groups)):
             omega = expand_grouped(dec, groups, counts)
@@ -280,7 +304,7 @@ def test_first_knot_skips_no_knot_of_the_full_search():
 def test_swapping_parallel_diagonals_preserves_components():
     rng = random.Random(42)
     for n, m in [(2, 4), (2, 6), (3, 6), (6, 9), (4, 6), (3, 9)]:
-        dec = _dec(n, m)
+        dec = decompose(GridParams(n, m))
         members = [
             [d.id for d in dec.diagonals if d.profile == prof] for _, prof in dec.profile_groups
         ]
@@ -315,7 +339,7 @@ def test_hamiltonian_edge_covers_are_diagonal_constant():
         cells = list(grid.cells())
         succ_u = {c: step(grid, c, "U") for c in cells}
         succ_r = {c: step(grid, c, "R") for c in cells}
-        dec = _dec(n, m)
+        dec = decompose(GridParams(n, m))
         diag_of = {}
         for diag in dec.diagonals:
             for cell in diag.cells:
@@ -356,7 +380,7 @@ def test_square_walk_start_row_calibration():
 
 def test_diagonal_constant_reads_orientations_and_rejects_mixed_tables():
     for n, m in [(3, 3), (4, 6), (2, 7)]:
-        dec = _dec(n, m)
+        dec = decompose(GridParams(n, m))
         for omega in islice(product("UR", repeat=len(dec.diagonals)), 16):
             up = ham._cell_up(dec, omega)
             assert ham._diagonal_constant(dec, up) == "".join(omega)
@@ -551,7 +575,7 @@ def test_up_cell_count_sums_runs_without_expanding_cells():
 
 
 def test_up_cells_and_k_validate_the_orientation_string():
-    dec = _dec(3, 4)  # one diagonal
+    dec = decompose(GridParams(3, 4))  # one diagonal
     for count in (up_cell_count, orientation_k):
         with pytest.raises(ValueError, match="length 6 != 1 diagonals"):
             count(dec, "UUUUUU")
