@@ -240,16 +240,12 @@ def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], np.ndarray]:
     The reference route: every orbit is enumerated, so the count is
     read off actual orbits.  Ids follow the row-major-minimal cells.
     `lines` (np.intp) holds the diagonal id of line col - row = d at
-    index d + rows - 1, and the profiles are read from it.  The count
-    must be at most 4g, the orbits must cover every line and the
-    profiles must pass the corner-block check.  No groups are built:
-    they come from the induction.
+    index d + rows - 1, and the profiles are read from it.  The orbits
+    must cover every line and pass the corner-block check.  No groups
+    are built: `DiagonalDecomposition` checks the walk's against the
+    induction's, whose sizes `induction_groups` checks.
     """
     orbits = list(_orbit_lines(grid))
-    if len(orbits) > 4 * grid.g:
-        raise InconsistencyError(
-            f"grid ({grid.n},{grid.m}) produced {len(orbits)} diagonals, more than 4*gcd"
-        )
     lines = [-1] * (grid.rows + grid.cols - 1)
     for oid, orbit in enumerate(orbits):
         for d in orbit:
@@ -276,9 +272,9 @@ def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
     This is the one group list; the run walk's profiles must match it
     when `DiagonalDecomposition` first reads the diagonals.
 
-    The groups must obey what the walk guarantees: at most 4g diagonals
-    in at most 4 groups of at least g members, with profiles summing to
-    (m, m, n, n).
+    The group law, checked here: the sizes are (g), (g, g) or (g, 2g),
+    g = gcd(n, m), so the link tier tries at most (g+1)(2g+1) - 2
+    links, and the profiles sum to (m, m, n, n).
     """
     n, m, g = grid.n, grid.m, grid.g
     bits = (2 * (n + m)).bit_length()
@@ -294,11 +290,10 @@ def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
         groups.append((size, BoundaryProfile(*counts)))
         for i in range(4):
             totals[i] += size * counts[i]
-    count = sum(sizes.values())
-    if count > 4 * g or len(groups) > 4 or min(sizes.values()) < g:
+    if sorted(sizes.values()) not in ([g], [g, g], [g, 2 * g]):
         raise InconsistencyError(
             f"induction on grid ({n},{m}) gave group sizes {list(sizes.values())}, "
-            f"not at most 4 groups of g = {g} or more with at most 4g diagonals"
+            f"not (g), (g, g) or (g, 2g) with g = {g}"
         )
     if totals != [m, m, n, n]:
         raise InconsistencyError(

@@ -125,7 +125,7 @@ def _strings_conjugate(n: int, m: int) -> bool:
 def _components_are_loops(n: int, m: int, omega: str) -> bool:
     """Component count of an orientation equals its link's loop count."""
     dec = decompose(GridParams(n, m))
-    return len(trace_components(dec.grid, omega)) == loop_count(orientation_link(dec, omega))
+    return len(trace_components(dec, omega)) == loop_count(orientation_link(dec, omega))
 
 
 @_check("link-balance", _orientations,
@@ -185,12 +185,12 @@ def _census_tallies_agree(h: int) -> bool:
 def _induction_matches(*case) -> bool:
     """Rauzy induction agrees with the traces it replaces.
 
-    A case (n, m) is a grid: the run walk's diagonal profiles must match
-    the induction's (size, profile) groups as a multiset, as the
-    decomposition checks on first read, and the walk's own checks (the
-    4g bound, line coverage, corner blocks) must pass.  A case
-    (a, b, c, d) is a link: its loop count equals the cycle trace of the
-    link's permutation.
+    A case (n, m) is a grid: the induction's groups must obey the group
+    law, sizes (g), (g, g) or (g, 2g), the run walk's profiles must
+    match them as a multiset, as the decomposition checks on first read,
+    and the walk's own checks (line coverage, corner blocks) must pass.
+    A case (a, b, c, d) is a link: its loop count equals the cycle trace
+    of the link's permutation.
     """
     if len(case) == 2:
         grid = GridParams(*case)
@@ -231,7 +231,7 @@ def _height_two_rule(m: int) -> bool:
     is not 3 or 5; otherwise the grid has a single diagonal."""
     if m % 8 in (3, 5):
         return not is_hamiltonian_fast(2, m) and diag_count_tree(2, m) == 1
-    cycles = trace_components(GridParams(2, m), n2_orientation(m))
+    cycles = trace_components(decompose(GridParams(2, m)), n2_orientation(m))
     return is_hamiltonian_fast(2, m) and len(cycles) == 1
 
 

@@ -23,7 +23,7 @@ from bitorus.counting import (
     tree_map_table,
 )
 from bitorus.diagonals import diag_count_naive
-from bitorus.hamiltonicity import is_hamiltonian_fast
+from bitorus.hamiltonicity import CELL_CAP, is_hamiltonian_fast
 from bitorus.verify import CHECKS, run_verify
 
 
@@ -208,6 +208,17 @@ def test_cli_ham_witness_from_link_tier(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "true"
     assert len(lines) == 2 + 4 * 4 * 6
+
+
+@pytest.mark.parametrize("route,verdict", [(["--witness"], "true\n"), (["--method", "brute"], "")])
+def test_cli_ham_refuses_to_expand_cells_past_the_cap(capsys, route, verdict):
+    # Hamiltonian, 20,007,728 cells; without the cap both routes ask numpy for every cell
+    assert 4 * 2236 * 2237 > CELL_CAP
+    assert cli_main(["ham", "2236", "2237", *route]) == 1
+    out, err = capsys.readouterr()
+    assert out == verdict
+    assert err.startswith("error: grid (2236,2237) has 20007728 cells;")
+    assert err.count("\n") == 1 and "use is_hamiltonian_fast" in err
 
 
 def test_cli_ham_no_witness_lines_when_negative(capsys):

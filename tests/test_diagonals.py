@@ -243,8 +243,8 @@ def test_walk_that_disagrees_with_the_induction_raises():
 @pytest.mark.parametrize(
     "n,m,plant,message",
     [
-        # every line its own orbit: 15 lines where g = 1 allows at most 4
-        (3, 5, lambda orbits: [[d] for orbit in orbits for d in orbit], r"more than 4\*gcd"),
+        # every line its own orbit: 15 orbits, of which the g = 1 corner blocks reach 4
+        (3, 5, lambda orbits: [[d] for orbit in orbits for d in orbit], "miss some diagonals"),
         (3, 5, lambda orbits: [orbits[0][1:], *orbits[1:]], "do not cover every line"),
         # g = 2: one orbit cannot fill a corner block, and no block meets an empty orbit
         (2, 4, lambda orbits: [[d for orbit in orbits for d in orbit]], "hits 1 diagonals"),
@@ -291,6 +291,25 @@ def test_induction_blocks_are_checked(monkeypatch):
     monkeypatch.setattr(diagonals, "link_cycles", lambda *args: [(1, w) for w in range(5)])
     with pytest.raises(InconsistencyError):
         induction_groups(grid)
+    # three single diagonals of distinct profiles summing to (5, 5, 3, 3): the
+    # shape (g, g, g), which obeys "at most 4g diagonals in at most 4 groups"
+    pack = lambda a, b, c, d: a | b << 5 | c << 10 | d << 15  # 5 bits per count on (3, 5)
+    blocks = [(1, pack(1, 2, 1, 1)), (1, pack(2, 2, 1, 1)), (1, pack(2, 1, 1, 1))]
+    monkeypatch.setattr(diagonals, "link_cycles", lambda *args: blocks)
+    with pytest.raises(InconsistencyError, match=r"group sizes \[1, 1, 1\]"):
+        induction_groups(grid)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_large_side, _large_side, st.integers(1, 10**6))
+def test_groups_of_a_grid_are_its_coprime_core_groups_times_g(n, m, k):
+    # the group law at scale: a coprime core has one diagonal, two, or three
+    # in groups of one and two, and k times the core scales each group by k
+    g = math.gcd(n, m)
+    core = induction_groups(GridParams(n // g, m // g))
+    assert sorted(size for size, _ in core) in ([1], [1, 1], [1, 2])
+    scaled = induction_groups(GridParams(k * n // g, k * m // g))
+    assert Counter(scaled) == Counter((k * size, prof) for size, prof in core)
 
 
 def test_reference_walk_memory_is_about_one_byte_per_line():

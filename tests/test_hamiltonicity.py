@@ -44,14 +44,14 @@ def coprime_pairs(limit):
 # --- component tracing -------------------------------------------------------
 
 def test_all_up_on_single_diagonal_grid():
-    cycles = trace_components(GridParams(2, 3), "U")
+    cycles = trace_components(decompose(GridParams(2, 3)), "U")
     assert len(cycles) == 3
     assert sum(len(c) for c in cycles) == 24
 
 
 def test_trace_rejects_wrong_length():
     with pytest.raises(ValueError):
-        trace_components(GridParams(2, 3), "UR")
+        trace_components(decompose(GridParams(2, 3)), "UR")
 
 
 def test_component_count_equals_link_loops_small():
@@ -153,7 +153,7 @@ def test_trace_components_matches_per_cell_cycles():
             grid = GridParams(n, m)
             dec = decompose(grid)
             for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
-                cycles = trace_components(grid, "".join(omega))
+                cycles = trace_components(dec, "".join(omega))
                 assert [as_cells(grid, cycle) for cycle in cycles] == per_cell_cycles(grid, dec, omega)
 
 
@@ -161,21 +161,21 @@ def test_trace_components_partitions_a_large_multi_cycle_grid():
     dec = decompose(GridParams(200, 300))
     rng = random.Random(2024)
     omega = "".join(rng.choice("UR") for _ in dec.diagonals)
-    cycles = trace_components(dec.grid, omega)
+    cycles = trace_components(dec, omega)
     assert len(cycles) == loop_count(orientation_link(dec, omega)) > 1
     assert np.array_equal(np.sort(np.concatenate(cycles)), np.arange(dec.grid.size))
 
 
 def test_trace_raises_when_walks_overlap_or_leave_cells_uncovered(monkeypatch):
-    grid = GridParams(2, 3)
+    dec = decompose(GridParams(2, 3))
     monkeypatch.setattr(ham, "_line_walk", lambda grid, lines, r, c: np.array([0]))
     with pytest.raises(InconsistencyError):
-        trace_components(grid, "U")
+        trace_components(dec, "U")
     monkeypatch.setattr(
         ham, "_line_walk", lambda grid, lines, r, c: np.array([r * grid.cols + c])
     )
     with pytest.raises(InconsistencyError):
-        trace_components(grid, "U")
+        trace_components(dec, "U")
 
 
 def test_brute_matches_per_cell_sweep():
@@ -242,7 +242,7 @@ def test_hamiltonian_witness_is_exported():
 def test_cycles_are_read_only_flat_indices():
     witnesses = [hamiltonian_witness(4, 6), is_hamiltonian_brute(3, 3)[1], square_construction(3)]
     cycles = [witness.cycle for witness in witnesses]
-    cycles += trace_components(GridParams(2, 3), "U")
+    cycles += trace_components(decompose(GridParams(2, 3)), "U")
     for cycle in cycles:
         assert cycle.dtype == np.intp and cycle.ndim == 1
         with pytest.raises(ValueError, match="read-only"):
@@ -261,7 +261,8 @@ def test_witnesses_sweeps_and_tracing_expand_no_cells(monkeypatch):
     for n, m in grids:
         hamiltonian_witness(n, m)
         is_hamiltonian_brute(n, m)
-        trace_components(GridParams(n, m), "U" * len(decompose(GridParams(n, m))))
+        dec = ham.decompose(GridParams(n, m))  # recorded, so its diagonals are checked below
+        trace_components(dec, "U" * len(dec))
     square_construction(6)
     n2_orientation(7)
     assert {dec.grid for dec in built} == {GridParams(n, m) for n, m in grids}
@@ -291,6 +292,17 @@ def test_grouped_link_matches_expanded_orientation():
             assert group_link(groups, counts) == orientation_link(dec, omega)
 
 
+def test_link_tier_memory_does_not_grow_with_gcd():
+    # g = 10**6: the candidates were materialised as one tuple per group, 40 MB
+    tracemalloc.start()
+    try:
+        assert is_hamiltonian_fast(2 * 10**6, 3 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_first_knot_skips_no_knot_of_the_full_search():
     # the full lexicographic search, all-right and all-up candidates included
     for n in range(1, 41):
@@ -313,11 +325,11 @@ def test_swapping_parallel_diagonals_preserves_components():
             continue
         for _ in range(10):
             omega = [rng.choice("UR") for _ in dec.diagonals]
-            base = len(trace_components(dec.grid, "".join(omega)))
+            base = len(trace_components(dec, "".join(omega)))
             group = rng.choice(multi)
             x, y = rng.sample(list(group), 2)
             omega[x], omega[y] = omega[y], omega[x]
-            assert len(trace_components(dec.grid, "".join(omega))) == base
+            assert len(trace_components(dec, "".join(omega))) == base
 
 
 def test_link_tier_witness_validates():
@@ -507,7 +519,7 @@ def test_periodicity_at_scale(n, m):
 @given(_large_side, _large_side, st.integers(1, 6))
 def test_swapping_the_sides_keeps_the_verdict_at_scale(n, m, common):
     n, m = common * n, common * m  # keep pairs with gcd > 1
-    assume(math.gcd(n, m) <= 12)  # at most (g + 1)^4 links per verdict
+    assume(math.gcd(n, m) <= 12)  # at most (g + 1)(2g + 1) links per verdict
     assert is_hamiltonian_fast(n, m) == is_hamiltonian_fast(m, n)
     assert len(decompose(GridParams(n, m))) == len(decompose(GridParams(m, n)))
 
