@@ -101,15 +101,14 @@ def _cmd_ham(args) -> int:
             f"({args.n},{args.m}) reported anyway",
             file=sys.stderr,
         )
-    witness = None
     if args.method == "brute":
         verdict, witness = is_hamiltonian_brute(args.n, args.m)
     else:
         verdict = is_hamiltonian_fast(args.n, args.m)
+        # fetched before printing, so a refused witness prints no verdict
+        witness = hamiltonian_witness(args.n, args.m) if args.witness and verdict else None
     print("true" if verdict else "false")
     if args.witness and verdict:
-        if witness is None:
-            witness = hamiltonian_witness(args.n, args.m)
         print(witness.orientation)
         for i in witness.cycle.tolist():
             print("%d,%d" % divmod(i, 2 * args.m))

@@ -172,6 +172,7 @@ def trace_components(dec: DiagonalDecomposition, omega: str) -> list[np.ndarray]
     wrap lands on the bottom row or the first column, so line walks from
     those cells that no earlier walk covered find every cycle once.
     """
+    _refuse(dec.grid, dec.grid.size, "cells", "cycle tracing", CELL_CAP)
     grid, lines = dec.grid, _line_tables(dec, omega)
     rows, cols = grid.rows, grid.cols
     covered = np.zeros(grid.size, dtype=bool)
@@ -362,50 +363,40 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
 # Square grids
 
 
-def _square_cycle(n: int, start_row: int) -> np.ndarray | None:
-    """Walk 4n-1 rights then one up, n times; None unless it closes.
+def _square_orientation(n: int, start_row: int) -> str | None:
+    """Orientation of the walk of 4n - 1 rights then one up, n times.
 
     Each stretch of 4n cells is a right power of its first cell, so only
-    the n stretch starts are stepped here; numpy writes the cells, whose
-    flat indices come back in walk order.
+    the n turn cells, where the walk goes up, are stepped here.  None
+    unless the walk closes after n distinct turns and the up diagonals
+    hold just those n cells: the walk then follows the orientation at
+    every cell, so it is the orientation's cycle.
     """
     grid = GridParams(n, n)
-    rows, cols = grid.rows, grid.cols
-    starts = [(start_row, 0)]
+    dec = decompose(grid)
+    cell, turns = (start_row, 0), set()
     for _ in range(n):
-        starts.append(step(grid, right_power(grid, starts[-1], 4 * n - 1), UP))
-    if starts.pop() != starts[0]:
+        turn = right_power(grid, cell, 4 * n - 1)
+        turns.add(turn)
+        cell = step(grid, turn, UP)
+    if cell != (start_row, 0) or len(turns) != n:
         return None
-    start_rows, start_cols = np.array(starts).T
-    col = start_cols[:, None] + np.arange(4 * n)
-    row = (start_rows[:, None] + n * (col // cols)) % rows
-    col %= cols
-    flat = (row * cols + col).ravel()
-    covered = np.zeros(grid.size, dtype=bool)
-    covered[flat] = True
-    if not covered.all():
-        return None
-    return flat
+    up = {int(dec.lines[c - r + grid.rows - 1]) for r, c in turns}
+    omega = "".join("U" if k in up else "R" for k in range(len(dec.diagonals)))
+    return omega if up_cell_count(dec, omega) == n else None
 
 
 def square_construction(n: int) -> HamWitness:
-    """Closed-form Hamiltonian cycle of the (n, n) grid."""
+    """Closed-form Hamiltonian cycle of the (n, n) grid, from cell 0."""
     n = check_int(n, 1, "n")
+    grid = GridParams(n, n)
+    _refuse(grid, grid.size, "cells", "cell expansion", CELL_CAP)
     # The walk starts at row n, counted from the top; the tests show row
     # n - 1 does not close.
-    flat = _square_cycle(n, n)
-    if flat is None:
-        raise InconsistencyError(f"square walk failed to close on the ({n},{n}) grid")
-    grid = GridParams(n, n)
-    # Direction used out of each cell; must be constant per diagonal.
-    up = np.empty(grid.size, dtype=bool)
-    up[flat] = np.roll(flat, -1) == up_indices(grid)[flat]
-    omega = _diagonal_constant(decompose(grid), up)
+    omega = _square_orientation(n, n)
     if omega is None:
-        raise InconsistencyError(
-            f"square walk is not diagonal-constant on the ({n},{n}) grid"
-        )
-    witness = HamWitness(omega, _read_only(flat))
+        raise InconsistencyError(f"square walk is no diagonal-constant cycle of the ({n},{n}) grid")
+    witness = _witness_from_omega(decompose(grid), omega)
     validate_witness(grid, witness)
     return witness
 
@@ -460,6 +451,7 @@ def n2_orientation(m: int) -> str:
     m = check_int(m, 1, "m")
     if m % 8 in (3, 5):
         raise ValueError(f"no Hamiltonian orientation exists for width {m} (mod 8 in 3,5)")
+    _refuse(GridParams(2, m), 8 * m, "cells", "height-2 rule", CELL_CAP)
     omega = _n2_omega_for(m, _n2_stacked)
     if omega is None:
         raise InconsistencyError(f"height-2 rule failed to validate at width {m}")

@@ -210,14 +210,19 @@ def test_cli_ham_witness_from_link_tier(capsys):
     assert len(lines) == 2 + 4 * 4 * 6
 
 
-@pytest.mark.parametrize("route,verdict", [(["--witness"], "true\n"), (["--method", "brute"], "")])
-def test_cli_ham_refuses_to_expand_cells_past_the_cap(capsys, route, verdict):
-    # Hamiltonian, 20,007,728 cells; without the cap both routes ask numpy for every cell
-    assert 4 * 2236 * 2237 > CELL_CAP
-    assert cli_main(["ham", "2236", "2237", *route]) == 1
+@pytest.mark.parametrize("n,m,route", [
+    (2236, 2237, ["--witness"]),
+    (2236, 2237, ["--method", "brute"]),
+    (100000, 100001, ["--witness"]),
+])
+def test_cli_ham_refuses_to_expand_cells_past_the_cap(capsys, n, m, route):
+    # Hamiltonian, past the cap; without it both routes ask numpy for every
+    # cell.  The refusal comes before the verdict, so stdout stays empty.
+    assert 4 * n * m > CELL_CAP
+    assert cli_main(["ham", str(n), str(m), *route]) == 1
     out, err = capsys.readouterr()
-    assert out == verdict
-    assert err.startswith("error: grid (2236,2237) has 20007728 cells;")
+    assert out == ""
+    assert err.startswith(f"error: grid ({n},{m}) has {4 * n * m} cells;")
     assert err.count("\n") == 1 and "use is_hamiltonian_fast" in err
 
 

@@ -30,7 +30,7 @@ from bitorus.hamiltonicity import (
     validate_witness,
 )
 from bitorus.links import group_link, loop_count, orientation_link
-from bitorus.surface import GridParams, step
+from bitorus.surface import GridParams, right_power, step
 from bitorus.verify import CHECKS, run_check
 
 
@@ -282,6 +282,33 @@ def test_fast_examples():
     assert all(is_hamiltonian_fast(n, n) for n in range(1, 13))
 
 
+def trace_all_up(n, m):
+    dec = decompose(GridParams(n, m))
+    return trace_components(dec, "U" * len(dec))
+
+
+@pytest.mark.parametrize(
+    "route,args",
+    [
+        (square_construction, (2300,)),
+        (square_construction, (10**5,)),
+        (trace_all_up, (2300, 2301)),
+        (n2_orientation, (2_500_001,)),
+    ],
+)
+def test_cell_expanding_routes_refuse_past_the_cap_up_front(route, args):
+    # past 2e7 cells numpy would ask for GBs; refused before any line table
+    # is built, even the square at n = 10^5 stays far below 64 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="cells;"):
+            route(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_grouped_link_matches_expanded_orientation():
     for n, m in [(2, 4), (3, 6), (2, 2), (4, 6)]:
         dec = decompose(GridParams(n, m))
@@ -386,8 +413,29 @@ def test_square_construction_produces_valid_cycles(n):
 def test_square_walk_start_row_calibration():
     # square_construction starts at row n: that offset closes on the three
     # smallest squares, and the other plausible reading, row n - 1, does not.
-    assert all(ham._square_cycle(n, n) is not None for n in (1, 2, 3))
-    assert any(ham._square_cycle(n, n - 1) is None for n in (1, 2, 3))
+    assert all(ham._square_orientation(n, n) is not None for n in (1, 2, 3))
+    assert any(ham._square_orientation(n, n - 1) is None for n in (1, 2, 3))
+
+
+def test_square_witness_is_the_papers_walk():
+    # n stretches of 4n cells from (n, 0), each turning up after its last cell
+    for n in range(1, 13):
+        grid = GridParams(n, n)
+        cycle = square_construction(n).cycle
+        assert cycle[0] == 0
+        start = n * grid.cols
+        walk, cell = [], (n, 0)
+        for _ in range(n):
+            walk += [right_power(grid, cell, j) for j in range(4 * n)]
+            cell = step(grid, walk[-1], "U")
+        assert cell == (n, 0)
+        rotated = np.roll(cycle, -int(np.flatnonzero(cycle == start)[0]))
+        assert rotated.tolist() == [r * grid.cols + c for r, c in walk]
+
+
+def test_square_orientation_ups_only_the_last_diagonal():
+    for n in range(1, 61):
+        assert square_construction(n).orientation == "R" * (2 * n - 1) + "U"
 
 
 def test_diagonal_constant_reads_orientations_and_rejects_mixed_tables():
