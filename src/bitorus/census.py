@@ -1,25 +1,43 @@
 """Batch surveys over coprime grid sizes.
 
 `diag_distribution` and `exceptional_pairs` enumerate the coprime
-pairs n < m <= h top-down with one walk, `_tree_walk`, over two ternary
+pairs n < m <= h top-down with one walk, `_run_walk`, over two ternary
 trees sharing the children (2m - n, m), (2m + n, m) and (m + 2n, n):
 the even-odd pairs below (2, 1) and the odd-odd pairs below (3, 1).
 Each node carries a map id whose value is the pair's diagonal count;
-the odd-odd tree has one map, valued 2.  Each pair is visited once, at
-O(1) cost: no gcd filter and no walk back to the root.
+the odd-odd tree has one map, valued 2.
+
+The walk takes the trees a run at a time, in numpy, as
+`diag_count_tree` reads one pair's address in runs: from a frontier
+node (m, n) it takes the whole gamma run (m + kd, n + kd), d = m - n,
+the whole lambda run (m + 2kn, n) and the delta child (2m + n, m).  A
+node's generation is the number of runs in its address, so a horizon h
+takes O(log h) generations: 9, 10 and 11 at h = 1000, 2000 and 4000,
+and at most log2(h) + 1 for every h <= 4000.  Run steps whose children
+all exceed h are leaves, counted by map id from a prefix-count table
+over the powers of the run's child map; only the others are built, a
+quarter of the pairs (76,048 of 304,191 at h = 1000).  A step expands
+at most `_CHUNK` frontier nodes, last in first out, so the frontier
+holds a few chunks per generation: memory grows with the generations,
+not with the O(h^2) pairs (a tracemalloc peak of 1.5 MB at h = 1000
+and 1.9 MB at h = 4000).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+
+import numpy as np
 
 from .counting import tree_map_table
-from .errors import check_int
+from .errors import CapExceededError, check_int
 from .hamiltonicity import is_hamiltonian_fast
 
-Children = tuple[tuple[int, int, int], ...]
+_CHUNK = 4096  # frontier nodes expanded per step; bounds the walk's memory
+_MAX_H = 2**60  # the walk's int64 columns hold values up to 5 h
+_GAMMA, _LAMBDA, _BOTH = 1, 2, 3  # frontier flags: the runs a node starts
 
 
 @dataclass(frozen=True)
@@ -58,79 +76,215 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
     """Coprime pairs n < m <= max_m with several diagonals yet no cycle.
 
     Single-diagonal grids are never Hamiltonian, so these are the
-    genuinely exceptional sizes.  The tree walk yields only the pairs
-    whose map id values at least 2 diagonals, and only those get the
-    link tier's `is_hamiltonian_fast`.  Sorted lexicographically.
+    genuinely exceptional sizes.  The run walk builds every node and
+    keeps those whose map id values at least 2 diagonals; only those
+    get the link tier's `is_hamiltonian_fast`, in lexicographic order.
     """
     max_m = check_int(max_m, 2, "max_m")
-    found = []
-    for root, children, values in _trees():
-        keep = [value >= 2 for value in values]
-        found += [
-            (n, m, values[f])
-            for m, n, f in _tree_walk(root, max_m, children, [0] * len(values), keep)
-            if not is_hamiltonian_fast(n, m)
-        ]
-    return [PairRecord(n, m, diag, False, "link") for n, m, diag in sorted(found)]
+    values = _forest().values
+    _, (m, n, f), _ = _run_walk(max_m, values >= 2)
+    order = np.lexsort((m, n))
+    return [
+        PairRecord(n, m, diag, False, "link")
+        for n, m, diag in zip(*(a[order].tolist() for a in (n, m, values[f])))
+        if not is_hamiltonian_fast(n, m)
+    ]
 
 
 def diag_distribution(h: int) -> DistributionReport:
     """Exact diagonal-count distribution over coprime pairs m > n, m <= h.
 
-    One top-down walk of each tree visits every pair once, at O(1) cost
-    per pair, keeping no node: an even-odd node carries the automaton's
-    state map of its tree string as an id into `tree_map_table`, so its
-    child's map is one table lookup, and the tally adds each map's value
-    once per visit.
+    One run walk counts every pair's map id, building a quarter of the
+    pairs and counting the rest run by run: an even-odd node's id names
+    the automaton's state map of its tree string in `tree_map_table`,
+    whose value is the pair's count.  O(log h) generations of numpy
+    steps over at most `_CHUNK` nodes each.
     """
     h = check_int(h, 2, "h")
+    values = _forest().values
+    visits, _, _ = _run_walk(h, np.zeros(len(values), bool))
     tally = [0, 0, 0, 0]
-    for root, children, values in _trees():
-        visits = [0] * len(values)
-        for _ in _tree_walk(root, h, children, visits, [False] * len(values)):
-            pass
-        for value, count in zip(values, visits):
-            tally[value] += count
+    for value, count in zip(values.tolist(), visits.tolist()):
+        tally[value] += count
     return DistributionReport(h, sum(tally), tally[1], tally[2], tally[3])
 
 
-def _trees() -> tuple[tuple[tuple[int, int], Children, tuple[int, ...]], ...]:
-    """Both coprime trees as (root, children, values) of their map ids.
+@dataclass(frozen=True)
+class _RunIds:
+    """Map ids along a run of one child map phi, from its power table.
 
-    The even-odd tree takes `tree_map_table`'s maps; every odd-odd pair
-    has 2 diagonals, so that tree has one map.
+    powers[j, f] is phi^j(f) for j < transient + period, where
+    phi^(transient + period) = phi^transient; counts[j, f, g] counts
+    the steps k < j with phi^k(f) = g.
+    """
+
+    powers: np.ndarray
+    counts: np.ndarray
+    transient: int
+    period: int
+
+    @classmethod
+    def of(cls, phi: np.ndarray) -> _RunIds:
+        powers = [np.arange(len(phi))]
+        while not any(np.array_equal(phi[powers[-1]], p) for p in powers):
+            powers.append(phi[powers[-1]])
+        image = phi[powers[-1]]
+        transient = next(j for j, p in enumerate(powers) if np.array_equal(image, p))
+        steps = np.eye(len(phi), dtype=np.int64)[powers].cumsum(axis=0)
+        counts = np.concatenate((np.zeros((1, len(phi), len(phi)), np.int64), steps))
+        return cls(np.array(powers), counts, transient, len(powers) - transient)
+
+    def _phase(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(whole periods q, table row k - q period) of step k."""
+        q = np.maximum((k - self.transient) // self.period, 0)
+        return q, k - q * self.period
+
+    def ids(self, f: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """phi^k(f)."""
+        return self.powers[self._phase(k)[1], f]
+
+    def visits(self, f: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Visits per id of the steps lo <= k < hi of the runs from f, summed."""
+        rows, ids = self.counts.shape[:2]
+        (q_hi, j_hi), (q_lo, j_lo) = self._phase(hi), self._phase(lo)
+        at = np.bincount(j_hi * ids + f, minlength=rows * ids)
+        at -= np.bincount(j_lo * ids + f, minlength=rows * ids)
+        periods = np.zeros(ids, np.int64)
+        np.add.at(periods, f, q_hi - q_lo)
+        period = self.counts[self.transient + self.period] - self.counts[self.transient]
+        return at @ self.counts.reshape(rows * ids, ids) + periods @ period
+
+
+@dataclass(frozen=True)
+class _Forest:
+    """Both coprime trees, their nodes' map ids and the ids along their runs.
+
+    roots holds the (m, n, f) columns of (2, 1) and (3, 1);
+    children[f] the map ids of the gamma-, delta- and lambda-child of
+    a node with map id f; values[f] the diagonal count of its pairs.
+    """
+
+    roots: np.ndarray
+    children: np.ndarray
+    values: np.ndarray
+    gamma: _RunIds
+    lam: _RunIds
+
+
+@cache
+def _forest() -> _Forest:
+    """The even-odd tree on `tree_map_table`'s maps, the odd-odd tree on one more.
+
+    Every odd-odd pair has 2 diagonals, so the tree below (3, 1) has one
+    map, the last id, which is its own child.
     """
     table = tree_map_table()
-    return ((2, 1), table.children, table.values), ((3, 1), ((0, 0, 0),), (2,))
+    odd = len(table.children)
+    children = np.array((*table.children, (odd, odd, odd)))
+    forest = _Forest(
+        np.array([[2, 3], [1, 1], [0, odd]]),
+        children,
+        np.array((*table.values, 2)),
+        _RunIds.of(children[:, 0]),
+        _RunIds.of(children[:, 2]),
+    )
+    runs = (forest.gamma.powers, forest.gamma.counts, forest.lam.powers, forest.lam.counts)
+    for array in (forest.roots, forest.children, forest.values, *runs):
+        array.flags.writeable = False  # shared by every call
+    return forest
 
 
-def _tree_walk(
-    root: tuple[int, int], h: int, children: Children, visits: list[int], keep: list[bool]
-) -> Iterator[tuple[int, int, int]]:
-    """Each node (m, n, f) of the tree below `root` with m <= h and keep[f].
+def _run_walk(h: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Visits per map id, kept nodes and generation count of the forest up to h.
 
-    Every node with m <= h adds 1 to visits[f].  children[f] holds the
-    map ids of the gamma-, delta- and lambda-child of a node with map
-    id f; the root has id 0.  Each node pushes its lambda- and
-    delta-child and moves on to its gamma-child, which is pruned
-    whenever the delta-child is.  The stack is explicit because the
-    tree is up to h/2 deep.
+    The frontier holds columns (m, n, f, flags, generation): each node
+    has its delta child, and starts the runs its flags name; a node
+    reached by a gamma run starts no gamma run, one reached by a lambda
+    run no lambda run.  Run steps whose children all exceed h are
+    leaves, counted by `_RunIds.visits`; when any keep[f] is set every
+    node is built instead, and `kept` holds the (m, n, f) rows of the
+    built nodes with keep[f].  A step expands at most `_CHUNK` nodes
+    into at most `_CHUNK` built children, or one node into at most
+    `2 _CHUNK + 1`: a run longer than `_CHUNK` is cut, and its last
+    built step carries it on.  `generations` counts the expanded levels.
     """
-    stack = [(*root, 0)] if root[0] <= h else []
-    pop, push = stack.pop, stack.append
+    if h > _MAX_H:
+        raise CapExceededError(f"the run walk needs h <= 2**60, got {h}")
+    forest = _forest()
+    children, gamma, lam = forest.children, forest.gamma, forest.lam
+    every = bool(keep.any())
+    visits = np.zeros(len(children), np.int64)
+    kept = [np.zeros((3, 0), np.int64)]
+    stack = []
+    generations = 0
+
+    def built(nodes: np.ndarray) -> None:
+        nonlocal visits
+        visits += np.bincount(nodes[2], minlength=len(visits))
+        if every:
+            kept.append(nodes[:3, keep[nodes[2]]])
+        stack.extend(nodes[:, i : i + _CHUNK] for i in range(0, nodes.shape[1], _CHUNK))
+
+    roots = forest.roots[:, forest.roots[0] <= h]
+    built(np.vstack((roots, np.full((2, roots.shape[1]), [[_BOTH], [0]]))))
     while stack:
-        m, n, f = pop()
-        while True:
-            visits[f] += 1
-            if keep[f]:
-                yield m, n, f
-            gamma, delta, lam = children[f]
-            c = m + 2 * n
-            if c <= h:
-                push((c, n, lam))
-            c = 2 * m - n
-            if c > h:
-                break
-            if c + 2 * n <= h:
-                push((c + 2 * n, m, delta))
-            m, n, f = c, m, gamma
+        node = stack.pop()
+        while stack and node.shape[1] + stack[-1].shape[1] <= _CHUNK:
+            node = np.concatenate((node, stack.pop()), axis=1)
+        m, n, _, flags, _ = node
+        # per run, gamma then lambda: its steps to the horizon, and the steps
+        # built, those with a child <= h (m + 2n after gamma, 2m - n after lambda)
+        whole = np.stack((
+            np.where(flags & _GAMMA, (h - m) // (m - n), 0),
+            np.where(flags & _LAMBDA, (h - m) // (2 * n), 0),
+        ))
+        if every:
+            grown = whole
+        else:
+            grown = np.stack(((h - m - 2 * n) // (3 * (m - n)), (h - 2 * m + n) // (4 * n)))
+            grown = np.clip(grown, 0, whole)
+        take = np.minimum(grown, _CHUNK)
+        # delta children (2m + n, m) start both runs; theirs reach h iff 3m + 2n does
+        reach = 2 * m + n <= h
+        grow = reach if every else 3 * m + 2 * n <= h
+        p = max(1, int(np.searchsorted(np.cumsum(take.sum(axis=0) + grow), _CHUNK, side="right")))
+        if p < len(m):
+            stack.append(node[:, p:])
+            node, whole, grown, take, reach, grow = (
+                a[..., :p] for a in (node, whole, grown, take, reach, grow)
+            )
+        m, n, f, _, gen = node
+        generations = max(generations, int(gen.max()) + 1)
+        new = []
+        for r, (run, flag, step_m, step_n) in enumerate(
+            ((gamma, _GAMMA, m - n, m - n), (lam, _LAMBDA, 2 * n, 0 * n))
+        ):
+            if not every:  # a cut run counts no leaves here: its last built step carries it on
+                leaves = np.where(take[r] < grown[r], whole[r], grown[r])
+                visits += run.visits(f, leaves + 1, whole[r] + 1)
+            new.append(_run_nodes(node, take[r], grown[r], step_m, step_n, run, flag))
+        visits += np.bincount(children[f[reach & ~grow], 1], minlength=len(visits))
+        delta = (2 * m + n, m, children[f, 1], np.full_like(m, _BOTH), gen + 1)
+        new.append(np.stack(delta)[:, grow])
+        built(np.concatenate(new, axis=1))
+    return visits, np.concatenate(kept, axis=1), generations
+
+
+def _run_nodes(node, take, whole, step_m, step_n, run: _RunIds, flag: int) -> np.ndarray:
+    """Steps k = 1..take[i] of the `flag` runs from node i, as frontier columns.
+
+    Step k is (m + k step_m, n + k step_n) with map id run.ids(f, k),
+    and starts the other run; where take < whole the run is cut, and
+    its step k = take carries it on.
+    """
+    m, n, f, _, gen = node
+    i = np.repeat(np.arange(len(take)), take)
+    k = np.arange(len(i)) - np.repeat(np.cumsum(take) - take, take) + 1
+    cut = (k == take[i]) & (take[i] < whole[i])
+    return np.stack((
+        m[i] + k * step_m[i],
+        n[i] + k * step_n[i],
+        run.ids(f[i], k),
+        np.where(cut, _BOTH, _BOTH ^ flag),
+        gen[i] + 1,
+    ))

@@ -264,7 +264,7 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
     Grids past the diagonal or the cell cap raise CapExceededError.
     """
     dec = decompose(GridParams(n, m))
-    _refuse(dec.grid, len(dec.diagonals), "diagonals", "brute force", BRUTE_DIAGONAL_CAP)
+    _refuse(dec.grid, len(dec), "diagonals", "brute force", BRUTE_DIAGONAL_CAP)
     _refuse(dec.grid, dec.grid.size, "cells", "brute force", CELL_CAP)
     omega = _brute_sweep(dec)
     if omega is None:

@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bitorus.census as census
-from bitorus.census import _tree_walk, _trees, diag_distribution, exceptional_pairs
+from bitorus.census import _forest, _run_walk, diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
 from bitorus.counting import (
     _TRANSITIONS,
@@ -23,6 +25,7 @@ from bitorus.counting import (
     tree_map_table,
 )
 from bitorus.diagonals import diag_count_naive
+from bitorus.errors import CapExceededError
 from bitorus.hamiltonicity import CELL_CAP, is_hamiltonian_fast
 from bitorus.verify import CHECKS, run_verify
 
@@ -73,33 +76,92 @@ def test_exceptional_pairs_matches_the_per_pair_loop_at_every_limit(monkeypatch)
 
 
 def test_table_walk_yields_each_coprime_pair_once_with_its_count():
+    values = _forest().values
+    ids = range(len(values))
     for h in (2, 3, 4, 17, 200):
-        walked = Counter()
-        visited = 0
-        for root, children, values in _trees():
-            visits = [0] * len(values)
-            nodes = list(_tree_walk(root, h, children, visits, [True] * len(values)))
-            for m, n, f in nodes:
-                walked[n, m] += 1
-                assert values[f] == diag_count_tree(n, m), (n, m)
-            assert visits == [sum(node[2] == f for node in nodes) for f in range(len(values))]
-            visited += sum(visits)
-            ids = range(len(values))
-            for keep in (
-                [value >= 2 for value in values],
-                [False] * len(values),
-                [f % 2 == 0 for f in ids],
-                [f % 2 == 1 for f in ids],
-            ):
-                kept_visits = [0] * len(values)
-                kept = list(_tree_walk(root, h, children, kept_visits, keep))
-                assert kept == [node for node in nodes if keep[node[2]]], (h, keep)
-                assert kept_visits == visits
+        visits, every, _ = _run_walk(h, np.ones(len(values), bool))
+        nodes = list(zip(*every.tolist()))
+        walked = Counter((n, m) for m, n, _ in nodes)
+        for m, n, f in nodes:
+            assert values[f] == diag_count_tree(n, m), (n, m)
+        assert visits.tolist() == [sum(node[2] == f for node in nodes) for f in ids]
+        for keep in (
+            values >= 2,
+            [False] * len(values),
+            [f % 2 == 0 for f in ids],
+            [f % 2 == 1 for f in ids],
+        ):
+            kept_visits, kept, _ = _run_walk(h, np.array(keep))
+            assert list(zip(*kept.tolist())) == [node for node in nodes if keep[node[2]]], (h, keep)
+            assert kept_visits.tolist() == visits.tolist()
         assert set(walked.values()) == {1}
         assert set(walked) == set(_coprime(h))
-        assert visited == len(walked)
-    visits = [0]
-    assert list(_tree_walk((3, 1), 2, ((0, 0, 0),), visits, [True])) == [] and visits == [0]
+        assert sum(visits) == len(walked)
+    # the odd-odd tree's root (3, 1), with the last map id, lies above h = 2
+    visits, every, generations = _run_walk(2, np.ones(len(values), bool))
+    assert every.tolist() == [[2], [1], [0]] and visits[-1] == 0 and generations == 1
+
+
+def _walk_both_ways(h):
+    """Visits counted with leaf runs in closed form, with every node built, and of those nodes."""
+    values = _forest().values
+    counted, _, _ = _run_walk(h, np.zeros(len(values), bool))
+    visits, every, _ = _run_walk(h, np.ones(len(values), bool))
+    return counted.tolist(), visits.tolist(), np.bincount(every[2], minlength=len(values)).tolist()
+
+
+def test_leaf_runs_count_the_visits_of_their_built_nodes():
+    for h in range(2, 201):
+        counted, visits, built = _walk_both_ways(h)
+        assert counted == visits == built, h
+
+
+def test_cut_runs_and_split_chunks_keep_the_counts(monkeypatch):
+    # a tiny chunk splits every frontier chunk and cuts every long run; at
+    # h = 100 the root's gamma run builds 32 steps, cut 8 times, each cut
+    # adding a generation
+    want = {h: _walk_both_ways(h)[0] for h in (30, 60, 100)}
+    generations = _generations(100)
+    monkeypatch.setattr(census, "_CHUNK", 4)
+    for h, counted in want.items():
+        assert _walk_both_ways(h) == (counted, counted, counted), h
+        _, (m, n, _), _ = _run_walk(h, np.ones(len(counted), bool))
+        assert sorted(zip(n.tolist(), m.tolist())) == sorted(_coprime(h))
+    assert _generations(100) > generations
+
+
+def _generations(h):
+    return _run_walk(h, np.zeros(len(_forest().values), bool))[2]
+
+
+def test_run_walk_generations_grow_like_log_h():
+    # No run is cut below h = 3 _CHUNK, so a node's generation is its run
+    # count and a node built at h is built at every larger h: the count
+    # never falls as h grows, and the count at 2 lo bounds every h in [lo, 2 lo).
+    assert 4000 < 3 * census._CHUNK
+
+    def bound(h):  # calibrated: the count is at most log2(h) on 2..256, and log2(lo) at 2 lo
+        return math.log2(h) + 1
+
+    counts = [_generations(h) for h in range(2, 257)]
+    assert counts == sorted(counts)
+    assert all(g <= bound(h) for h, g in enumerate(counts, start=2))
+    for lo in (256, 512, 1024, 2048):
+        assert _generations(min(2 * lo, 4000)) <= bound(lo), lo
+
+
+def test_distribution_memory_is_set_by_the_chunk_not_by_h():
+    # a few chunk-sized int64 arrays per generation, 1.5 MB at h = 1000 and
+    # 1.9 MB at 4000: the pairs grow 16x, the peak with the generation count
+    diag_distribution(10)
+    peaks = {}
+    for h in (1000, 4000):
+        tracemalloc.start()
+        diag_distribution(h)
+        peaks[h] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[4000] < 128 * census._CHUNK * 8
+    assert peaks[4000] < 2 * peaks[1000]
 
 
 def test_distribution_single_pair():
@@ -131,6 +193,7 @@ def test_distribution_exact_tallies():
     for h, tallies in (
         (1000, (304191, 135229, 101330, 67632)),
         (2000, (1216587, 540900, 405432, 270255)),
+        (4000, (4863601, 2161968, 1620645, 1080988)),
     ):
         report = diag_distribution(h)
         assert (report.pairs, report.count1, report.count2, report.count3) == tallies
@@ -139,6 +202,9 @@ def test_distribution_exact_tallies():
 def test_distribution_validates_input():
     with pytest.raises(ValueError):
         diag_distribution(1)
+    for survey in (diag_distribution, exceptional_pairs):  # past the walk's int64 columns
+        with pytest.raises(CapExceededError, match="h <= 2\\*\\*60"):
+            survey(2**60 + 1)
     with pytest.raises(ValueError, match="must be an integer"):  # reported h = 10.5
         diag_distribution(10.5)
 

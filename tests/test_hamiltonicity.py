@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bitorus
+import bitorus.diagonals as diagonals
 import bitorus.hamiltonicity as ham
 from bitorus.counting import diag_count_tree
 from bitorus.diagonals import decompose, diag_count_naive
@@ -93,6 +94,17 @@ def test_brute_cap(monkeypatch):
     monkeypatch.setattr(ham, "BRUTE_DIAGONAL_CAP", 3)
     with pytest.raises(CapExceededError):
         is_hamiltonian_brute(2, 2)
+
+
+def test_brute_refuses_before_walking_the_diagonals(monkeypatch):
+    # the diagonal count comes from the induction, so a grid past the caps
+    # is refused without the O(n + m) run walk
+    def no_walk(grid):
+        raise AssertionError("walk_diagonals ran before the caps")
+
+    monkeypatch.setattr(diagonals, "walk_diagonals", no_walk)
+    with pytest.raises(CapExceededError):
+        is_hamiltonian_brute(2_000_000, 2_000_001)
 
 
 def per_cell_cycles(grid, dec, omega):
