@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
     failed = False
     for res in results:
         mark = "ok" if res.ok else "FAIL"
-        print(f"{mark} {res.name} ({res.detail})")
+        print(f"{mark} {res.name} ({res.detail}) {res.seconds:.2f} s")
         failed = failed or not res.ok
     if failed:
         print("internal inconsistency detected", file=sys.stderr)

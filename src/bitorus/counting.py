@@ -12,7 +12,8 @@ O(log n):
   preserving the diagonal count, terminating in one of six base pairs.
   Each rule strictly lowers n + m.  Rules 1 (m -> m - 4n) and 4
   (q1 -> q1 - 3) repeat subtractively, so the counter applies each of
-  their runs at once with a quotient mod 4 or 3: O(log) rule applications.
+  their runs at once with a quotient mod 4 or 3: at most log2(n + m) + 2
+  rule runs.
 
 * Ternary tree.  Coprime pairs (m, n) with m > n and m + n odd form a
   ternary tree rooted at (2, 1); the path from a pair to the root,
@@ -200,15 +201,8 @@ class ReductionState:
 
 def euclid_state(n: int, m: int) -> ReductionState:
     """Euclidean data of a coprime pair 1 <= n <= m; ValueError for any other input."""
-    return _euclid_state(check_int(n, 1, "n"), check_int(m, 1, "m"))
-
-
-def _euclid_state(n: int, m: int) -> ReductionState:
-    """`euclid_state` without the integer check, for the reduction loop's own pairs."""
-    if not (1 <= n <= m):
-        raise ValueError(f"need 1 <= n <= m, got ({n}, {m})")
-    if math.gcd(n, m) != 1:
-        raise ValueError(f"reductions need a coprime pair, got ({n}, {m})")
+    n, m = check_int(n, 1, "n"), check_int(m, 1, "m")
+    _check_reducible(n, m)
     q0, r0 = divmod(m, n)
     q1 = r1 = q2 = r2 = None
     if r0 > 0:
@@ -218,8 +212,16 @@ def _euclid_state(n: int, m: int) -> ReductionState:
     return ReductionState(n, m, q0, r0, q1, r1, q2, r2)
 
 
+def _check_reducible(n: int, m: int) -> None:
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= n <= m, got ({n}, {m})")
+    if math.gcd(n, m) != 1:
+        raise ValueError(f"reductions need a coprime pair, got ({n}, {m})")
+
+
 def _branch_rules(s: ReductionState) -> list[tuple[int, tuple[int, int]]]:
-    """All reduction branches whose guard matches the state."""
+    """All reduction branches whose guard matches the state: the reference
+    `verify` holds `_rule` to, where exactly one must match."""
     n, r0, q1, r1, q2, r2 = s.n, s.r0, s.q1, s.r1, s.q2, s.r2
     out = []
     if s.q0 >= 4:
@@ -247,22 +249,40 @@ def _branch_rules(s: ReductionState) -> list[tuple[int, tuple[int, int]]]:
     return out
 
 
-def _branch(n: int, m: int) -> tuple[ReductionState, int, tuple[int, int]] | None:
-    """The state, rule number and emitted pair of the one matching branch.
+def _rule(n: int, m: int) -> tuple[int, tuple[int, int], tuple[int, int]] | None:
+    """Rule number, emitted pair and run end of the branch matching (n, m); None on a base pair.
 
-    None when the pair is a base pair.  Exactly one branch must match
-    any non-terminal pair; anything else is an internal inconsistency.
+    One pass over the guards of `_branch_rules`, at most three divmods;
+    InconsistencyError if none matches.  A run repeats its rule: rule 1's
+    ends at q0 % 4, or at a base pair (1, 1..4) if n = 1; rule 4's at q1 <= 3.
     """
     if (n, m) in TERMINAL_PAIRS:
         return None
-    s = _euclid_state(n, m)
-    matches = _branch_rules(s)
-    if len(matches) != 1:
-        raise InconsistencyError(
-            f"pair ({n}, {m}) matched branches {[i for i, _ in matches]}, expected exactly one"
-        )
-    rule, pair = matches[0]
-    return s, rule, pair
+    _check_reducible(n, m)
+    q0, r0 = divmod(m, n)
+    if q0 >= 4:
+        return 1, (n, m - 4 * n), ((1, (q0 - 1) % 4 + 1) if n == 1 else (n, q0 % 4 * n + r0))
+    if q0 == 3:
+        return 2, (n, n - r0), (n, n - r0)
+    if q0 == 2:
+        return 3, (n, 2 * n - r0), (n, 2 * n - r0)
+    if r0:  # q0 == 1
+        q1, r1 = divmod(n, r0)
+        if q1 >= 4:
+            k = (q1 - 1) % 3 + 1
+            return 4, ((q1 - 3) * r0 + r1, (q1 - 2) * r0 + r1), (k * r0 + r1, (k + 1) * r0 + r1)
+        if r1 and q1 == 3:
+            return 5, (r1, r0 + r1), (r1, r0 + r1)
+        if r1 and q1 == 2:
+            return 6, (r1, r0 - r1), (r1, r0 - r1)
+        if r1:  # q1 == 1, and r2 < r1 by the divmod
+            q2, r2 = divmod(r0, r1)
+            if q2 % 2 == 0:
+                pair = (7, (r1 + r2, r1 + 2 * r2)) if r2 else (8, (1, 1))
+            else:
+                pair = (9, (r2, r1 + 2 * r2)) if r2 else (10, (2, 3))
+            return *pair, pair[1]
+    raise InconsistencyError(f"pair ({n}, {m}) matches no reduction rule")
 
 
 def reduce_pair(n: int, m: int) -> tuple[int, int] | None:
@@ -271,50 +291,15 @@ def reduce_pair(n: int, m: int) -> tuple[int, int] | None:
     The emitted pair is returned raw and may need reordering by the
     caller.
     """
-    found = _branch(check_int(n, 1, "n"), check_int(m, 1, "m"))
-    return None if found is None else found[2]
+    found = _rule(check_int(n, 1, "n"), check_int(m, 1, "m"))
+    return None if found is None else found[1]
 
 
-def _run_end(s: ReductionState, rule: int, pair: tuple[int, int]) -> tuple[int, int]:
-    """Pair ending the run of `rule` that starts at state s.
-
-    Rule 1 (m -> m - 4n) repeats while q0 >= 4, so the run leaves
-    q0 % 4; when n = 1 it stops on the base pairs (1, 1..4) instead.
-    Rule 4 keeps r0 and r1 and lowers q1 by 3 while q1 >= 4.  Every
-    other rule is its own run.
-    """
-    if rule == 1:
-        if s.n == 1:
-            return 1, (s.q0 - 1) % 4 + 1
-        return s.n, s.q0 % 4 * s.n + s.r0
-    if rule == 4:
-        q1 = (s.q1 - 1) % 3 + 1
-        return q1 * s.r0 + s.r1, (q1 + 1) * s.r0 + s.r1
-    return pair
-
-
-def _reduction_step(a: int, b: int, whole_runs: bool) -> tuple[int, int] | None:
-    """The ascending pair after one rule, or one run of it, from (a, b).
-
-    Raises InconsistencyError if the step does not lower a + b, the
-    invariant that makes every reduction terminate.
-    """
-    found = _branch(a, b)
-    if found is None:
-        return None
-    s, rule, pair = found
-    if whole_runs:
-        pair = _run_end(s, rule, pair)
-    c, d = sorted(pair)
-    if c + d >= a + b:
-        raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}) without lowering n + m")
-    return c, d
-
-
-def _reduced_sizes(n: int, m: int) -> tuple[int, int]:
+def _reduced_sizes(n: int, m: int) -> tuple[int, int, int]:
+    """The gcd g of the checked sizes, then n / g and m / g ascending."""
     n, m = check_sizes(n, m)
     g = math.gcd(n, m)
-    return tuple(sorted((n // g, m // g)))
+    return g, *sorted((n // g, m // g))
 
 
 def reduction_trace(n: int, m: int) -> list[tuple[int, int]]:
@@ -324,23 +309,34 @@ def reduction_trace(n: int, m: int) -> list[tuple[int, int]]:
     lists every pair on it: this is the reference the batched walk of
     `reduction_base` is tested against.
     """
-    trail = [_reduced_sizes(n, m)]
-    while (nxt := _reduction_step(*trail[-1], whole_runs=False)) is not None:
-        trail.append(nxt)
+    trail = [_reduced_sizes(n, m)[1:]]
+    while (found := _rule(*trail[-1])) is not None:
+        rule, (a, b), (c, d) = found[0], trail[-1], sorted(found[1])
+        if c + d >= a + b:
+            raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}) without lowering n + m")
+        trail.append((c, d))
     return trail
 
 
+def _base_pair(a: int, b: int) -> tuple[int, int]:
+    """Base pair of a coprime a <= b by whole rule runs, each of which must lower a + b."""
+    while (found := _rule(a, b)) is not None:
+        rule, _, (c, d) = found
+        if c > d:
+            c, d = d, c
+        if c + d >= a + b:
+            raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}) without lowering n + m")
+        a, b = c, d
+    return a, b
+
+
 def reduction_base(n: int, m: int) -> tuple[int, int]:
-    """The base pair that (n, m) reduces to, in O(log) rule runs.
+    """The base pair that (n, m) reduces to, in at most log2(n + m) + 2 rule runs.
 
     Equals reduction_trace(n, m)[-1], but each run of rule 1 or 4 is
-    applied at once.  Every run still goes through `euclid_state` and
-    the exactly-one-branch check, and must lower n + m.
+    applied at once with a quotient mod 4 or 3.
     """
-    pair = _reduced_sizes(n, m)
-    while (nxt := _reduction_step(*pair, whole_runs=True)) is not None:
-        pair = nxt
-    return pair
+    return _base_pair(*_reduced_sizes(n, m)[1:])
 
 
 @cache
@@ -352,11 +348,11 @@ def _base_counts() -> dict[tuple[int, int], int]:
 def diag_count_reduction(n: int, m: int) -> int:
     """Diagonal count via the reduction system and the base pairs' direct counts.
 
-    O(log n) rule runs: `reduction_base` applies each subtractive run of
-    rule 1 or 4 with one quotient mod 4 or 3.
+    At most log2(n + m) + 2 rule runs, as in `reduction_base`.
     """
-    base = reduction_base(n, m)
-    return math.gcd(n, m) * _base_counts()[base]
+    g, a, b = _reduced_sizes(n, m)
+    base = _base_pair(a, b)
+    return g * _base_counts()[base]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import reprlib
+import time
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -27,10 +28,10 @@ from .counting import (
     diag_count_reduction,
     diag_count_string,
     diag_count_tree,
-    reduce_pair,
     string_intervals,
     string_powers,
 )
+from .counting import _branch_rules, _rule, euclid_state
 from .diagonals import DiagonalDecomposition, decompose, diag_count_naive, induction_groups
 from .errors import InconsistencyError, check_int
 from .hamiltonicity import (
@@ -56,6 +57,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -262,19 +264,20 @@ def _segment_map_holds(m: int) -> bool:
 def _reduction_rule_holds(n: int, m: int) -> bool:
     """The twin of the tree rules, for the ten pair reductions.
 
-    A coprime pair n < m that is not a base pair matches exactly one
-    reduction (`reduce_pair` raises otherwise), whose pair keeps the
-    direct count and the parity of n + m; and for n > 1 the pair has two
-    diagonals exactly when n*m is odd.
+    A coprime pair n < m that is not a base pair matches exactly one guard
+    of `_branch_rules`, the rule and pair `_rule` takes; that pair and the
+    run's end keep the direct count and the parity of n + m; and for n > 1
+    the pair has two diagonals exactly when n*m is odd.
     """
     count = diag_count_naive(n, m)
     if n > 1 and (count == 2) != (n * m % 2 == 1):
         return False
-    emitted = reduce_pair(n, m)
-    if emitted is None:
+    found = _rule(n, m)
+    if found is None:
         return True
-    a, b = sorted(emitted)
-    return (a + b) % 2 == (n + m) % 2 and diag_count_naive(a, b) == count
+    if _branch_rules(euclid_state(n, m)) != [found[:2]]:
+        return False
+    return all((a + b - n - m) % 2 == 0 and diag_count_naive(a, b) == count for a, b in {*found[1:]})
 
 
 def _reducible_links(limit: int):
@@ -350,10 +353,11 @@ def run_check(name: str, limit: int = 10) -> CheckResult:
     """Run one entry; a case fails if its predicate is false or raises InconsistencyError."""
     check = CHECKS[name]
     k = min(check_int(limit, 2, "limit"), check.cap)
+    started = time.perf_counter()
     cases = list(check.cases(k))
     bad = [case for case in cases if not _case_holds(check, case)]
     detail = check.coverage(k, cases) + (f", mismatches {reprlib.repr(bad)}" if bad else "")
-    return CheckResult(name, not bad, detail)
+    return CheckResult(name, not bad, detail, time.perf_counter() - started)
 
 
 def run_verify(limit: int = 10) -> list[CheckResult]:

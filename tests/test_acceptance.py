@@ -15,7 +15,7 @@ from itertools import product
 import bitorus.verify as verify
 from bitorus.census import diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
-from bitorus.counting import _branch
+from bitorus.counting import _rule
 from bitorus.diagonals import decompose
 from bitorus.hamiltonicity import HamWitness, orientation_k
 from bitorus.links import orientation_link
@@ -109,8 +109,8 @@ def test_08_segment_map_validation():
 def test_09_reduction_and_rule_soundness():
     started = time.time()
     # the default cases reach every one of the ten rules
-    steps = (_branch(*case) for case in CHECKS["reduction-rules"].cases(10))
-    ok = {step[1] for step in steps if step} == set(range(1, 11))
+    steps = (_rule(*case) for case in CHECKS["reduction-rules"].cases(10))
+    ok = {step[0] for step in steps if step} == set(range(1, 11))
     ok = ok and run_check("reduction-rules").ok and run_check("canon-rules", 60).ok
     _report(9, "ten reductions and five tree rules sound; two diagonals iff odd product", started, ok)
 
@@ -158,6 +158,15 @@ def test_12_interleaving_identity():
     _report(12, "floor/ceil interleaving identity on 1000 random instances", started, ok)
 
 
+def _rule_six_off(n, m):
+    """`_rule` with rule 6 emitting (r1, r0 + r1) instead of (r1, r0 - r1)."""
+    found = _rule(n, m)
+    if found is None or found[0] != 6:
+        return found
+    _, (r1, r0_less_r1), _ = found
+    return 6, (r1, r0_less_r1 + 2 * r1), (r1, r0_less_r1 + 2 * r1)
+
+
 def _one_tally_off(h):
     report = diag_distribution(h)
     return dataclasses.replace(report, count3=report.count3 + 1)
@@ -181,6 +190,7 @@ PLANTED = [
     ("square", "square_construction", lambda n: HamWitness("R", [0]), 2),
     ("segment-map", "segment_successor", lambda m, d: (d + m + 4) % (2 * m), 2),
     ("reduction-rules", "diag_count_naive", lambda n, m: n * m, 2),
+    ("reduction-rules", "_rule", _rule_six_off, 2),
     ("link-reduce", "loop_count", lambda link: link.a, 2),
     ("floor-swap", "_ceil_div", lambda a, b: a // b, 2),
     ("torus1", "ham_torus1", lambda n, m: False, 2),

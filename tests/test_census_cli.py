@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -366,6 +367,8 @@ def test_cli_verify(capsys):
     out = capsys.readouterr().out
     assert out.count("ok ") == len(CHECKS) and "FAIL" not in out
     assert "census-tree" in out and "induction-groups" in out
+    # each line ends with the check's wall time
+    assert all(re.fullmatch(r"ok [\w-]+ \(.+\) \d+\.\d\d s", line) for line in out.splitlines())
     assert "table-route (coprime n < m <= 60, 31 rows)" in out
 
 

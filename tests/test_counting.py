@@ -227,11 +227,44 @@ def test_reduction_trace_lowers_the_sum_on_long_runs():
 
 
 def test_reduction_step_that_does_not_lower_the_sum_is_inconsistent(monkeypatch):
-    monkeypatch.setattr(counting, "_branch_rules", lambda s: [(2, (s.n, s.m))])
+    monkeypatch.setattr(counting, "_rule", lambda n, m: (2, (n, m), (n, m)))
     with pytest.raises(InconsistencyError):
         reduction_trace(1, 9)
     with pytest.raises(InconsistencyError):
         diag_count_reduction(1, 9)
+
+
+def test_a_pair_no_rule_matches_is_inconsistent(monkeypatch):
+    # (2, 3) matches no guard: as a non-base pair it must raise, never count
+    monkeypatch.setattr(counting, "TERMINAL_PAIRS", TERMINAL_PAIRS - {(2, 3)})
+    with pytest.raises(InconsistencyError):
+        diag_count_reduction(2, 3)
+    with pytest.raises(InconsistencyError):
+        reduce_pair(2, 3)
+
+
+def _rule_calls(monkeypatch, n, m):
+    """Number of `_rule` calls, one per rule run, under diag_count_reduction(n, m)."""
+    calls = []
+    rule = counting._rule
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_rule", lambda a, b: calls.append(1) or rule(a, b))
+        diag_count_reduction(n, m)
+    return len(calls)
+
+
+def test_reduction_runs_are_logarithmic(monkeypatch):
+    # counted work, not time: at most log2(n + m) + 2 rule runs
+    fib = [0, 1]  # F_k = fib[k]
+    while len(fib) < 200:
+        fib.append(fib[-1] + fib[-2])
+    pairs = [(fib[k - 1], fib[k]) for k in range(20, 200)]
+    rng = random.Random(19)
+    pairs += [(rng.randint(1, 10**e), rng.randint(1, 10**e)) for e in range(2, 101) for _ in range(10)]
+    pairs += [(n, m) for m in range(1, 201) for n in range(1, m + 1)]
+    for n, m in pairs:
+        assert _rule_calls(monkeypatch, n, m) <= math.log2(n + m) + 2, (n, m)
+    assert _rule_calls(monkeypatch, fib[198], fib[199]) == 88
 
 
 # --- ternary tree ----------------------------------------------------------
@@ -360,7 +393,7 @@ def test_canonical_state_agrees_with_direct_count():
 
 # --- agreement at scale ------------------------------------------------------
 
-_sides = st.one_of(st.integers(1, 10**4), st.integers(1, 10**12))
+_sides = st.one_of(st.integers(1, 10**4), st.integers(1, 10**12), st.integers(1, 10**100))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
