@@ -131,14 +131,6 @@ def line_run(grid: GridParams, d: int) -> tuple[int, int, int]:
     return r, c, min(grid.rows - r, grid.cols - c)
 
 
-def line_slice(grid: GridParams, d: int) -> slice:
-    """Flat indices of a line's cells: r*cols + c + j*(cols + 1) for j < L."""
-    r, c, length = line_run(grid, d)
-    stride = grid.cols + 1
-    start = r * grid.cols + c
-    return slice(start, start + (length - 1) * stride + 1, stride)
-
-
 def diagonal_ids(dec: DiagonalDecomposition) -> np.ndarray:
     """The diagonal id of every cell by flat index, gathered from `dec.lines`.
 
@@ -246,10 +238,11 @@ def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], np.ndarray]:
     induction's, whose sizes `induction_groups` checks.
     """
     orbits = list(_orbit_lines(grid))
-    lines = [-1] * (grid.rows + grid.cols - 1)
+    off = grid.rows - 1  # line d sits at index d + off
+    lines = [-1] * (off + grid.cols)
     for oid, orbit in enumerate(orbits):
         for d in orbit:
-            lines[d + grid.rows - 1] = oid
+            lines[d + off] = oid
     if -1 in lines:
         raise InconsistencyError(f"orbits of grid ({grid.n},{grid.m}) do not cover every line")
     lines = np.array(lines, dtype=np.intp)

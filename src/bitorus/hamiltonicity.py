@@ -21,22 +21,23 @@ decomposition's line table, and witnesses and `trace_components` walk
 cycles line by line: O(n + m) Python steps per cycle, with every cell
 written by numpy.  A cycle is an array of flat cell indices r*cols + c
 in cycle order, and divmod(i, cols) gives the cell (r, c).  The brute
-sweep rewrites its successor table one strided slice per line: a line
-from (r, c) with L cells covers the flat indices r*cols + c +
-j*(cols + 1), j < L.
+sweep keeps its successor table as one flat int64 array and rewrites a
+diagonal that changes direction in one numpy write over its cells,
+listed once by a stable argsort of the per-cell diagonal ids.
 Only the brute sweep, the independent reference, walks cell by cell.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_run, line_slice
+from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_run
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import group_link, is_knot, perm_cycles
 from .surface import (
@@ -53,8 +54,10 @@ from .surface import (
 )
 
 BRUTE_DIAGONAL_CAP = 24
-# `ham 1000 1001 --witness` (4,004,000 cells) peaks at 214 MB RSS on 64-bit Python 3.11,
-# about 46 B per cell, so the routes that expand every cell stop near 1 GB.
+# On 64-bit Python 3.11, `ham 1000 1001 --witness` (4,004,000 cells) peaks at 214 MB RSS
+# and `ham 1000 1001 --method brute` at 170 MB, about 46 and 35 B per cell above the
+# interpreter's 30 MB, so the routes that expand every cell, the brute sweep included,
+# stop near 1 GB.
 CELL_CAP = 2 * 10**7
 
 
@@ -221,29 +224,43 @@ def _witness_from_omega(dec: DiagonalDecomposition, omega: str) -> HamWitness:
     return HamWitness("".join(omega), _read_only(cycle))
 
 
+def _diagonal_cells(dec: DiagonalDecomposition) -> list[np.ndarray]:
+    """Per diagonal, the flat indices of its cells in increasing order.
+
+    One stable argsort of the per-cell diagonal ids lists the cells
+    diagonal after diagonal, and the id counts split it.
+    """
+    ids = diagonal_ids(dec)
+    order = np.argsort(ids, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ids, minlength=len(dec.diagonals)))[:-1])
+
+
 def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
     """First orientation string, U < R, whose walk from cell 0 covers the grid.
 
     This walk goes cell by cell, independently of the line walk that
     builds the witness, so every brute witness checks one against the
-    other.  Between strings only the diagonals whose direction changed
-    are rewritten, one line slice at a time.  A numpy sweep over batches
-    of strings lost to this walk on every benchmark brute grid
-    (2^c * 4nm <= 1e5) and on every n <= m <= 10, so there is no other.
+    other.  It reads a flat int64 `array` that numpy writes through a
+    view, so no table becomes a list of Python ints: the table starts as
+    the up table (the first string is all U), and between strings each
+    diagonal whose direction changed is rewritten in one numpy write.
+    A numpy sweep over batches of strings lost to this walk on every
+    benchmark brute grid (2^c * 4nm <= 1e5) and on every n <= m <= 10,
+    so there is no other.
     """
     grid = dec.grid
     size = grid.size
-    su = up_indices(grid).tolist()
-    sr = right_indices(grid).tolist()
-    slices = [[line_slice(grid, d) for d in diag.lines] for diag in dec.diagonals]
-    succ = [0] * size
-    prev = ("",) * len(slices)
-    for omega in product("UR", repeat=len(slices)):
-        for diag_slices, ch, old in zip(slices, omega, prev):
+    up = up_indices(grid).astype(np.int64, copy=False)
+    right = right_indices(grid).astype(np.int64, copy=False)
+    cells = _diagonal_cells(dec)
+    succ = array("q")
+    succ.frombytes(up.data.cast("B"))
+    view = np.frombuffer(succ, dtype=np.int64)
+    prev = "U" * len(cells)
+    for omega in product("UR", repeat=len(cells)):
+        for idx, ch, old in zip(cells, omega, prev):
             if ch != old:
-                table = su if ch == "U" else sr
-                for sl in diag_slices:
-                    succ[sl] = table[sl]
+                view[idx] = (up if ch == "U" else right)[idx]
         prev = omega
         i = 0
         for length in range(1, size + 1):

@@ -165,11 +165,6 @@ def right_power(grid: GridParams, cell: Cell, i: int) -> Cell:
     return ((row + grid.n * wraps) % grid.rows, col2)
 
 
-def _flat_coords(grid: GridParams):
-    idx = np.arange(grid.size)
-    return idx // grid.cols, idx % grid.cols
-
-
 def diag_successor_indices(grid: GridParams) -> np.ndarray:
     """Flat-index table of the diagonal step: right, then down (the inverse of up)."""
     up = up_indices(grid)
@@ -179,22 +174,29 @@ def diag_successor_indices(grid: GridParams) -> np.ndarray:
 
 
 def up_indices(grid: GridParams) -> np.ndarray:
-    """Flat-index table of the up bijection for every cell."""
-    n, m = grid.n, grid.m
-    rows, cols = grid.rows, grid.cols
-    r0, c0 = _flat_coords(grid)
-    wrap = r0 == 0
-    r1 = np.where(wrap, rows - 1, r0 - 1)
-    c1 = np.where(wrap, (c0 + m) % cols, c0)
-    return r1 * cols + c1
+    """Flat-index table of the up bijection for every cell.
+
+    Row r > 0 moves to row r - 1, and row 0 to the last row shifted by
+    m columns, which swaps that row's halves: whole-row copies of one
+    arange, no per-cell arithmetic.
+    """
+    m = grid.m
+    flat = np.arange(grid.size).reshape(grid.rows, grid.cols)
+    up = np.empty_like(flat)
+    up[1:] = flat[:-1]
+    up[0, :m], up[0, m:] = flat[-1, m:], flat[-1, :m]
+    return up.ravel()
 
 
 def right_indices(grid: GridParams) -> np.ndarray:
-    """Flat-index table of the right bijection for every cell."""
+    """Flat-index table of the right bijection for every cell.
+
+    Column c < 2m - 1 moves to column c + 1, and the last column to
+    column 0, n rows down (mod 2n), which swaps that column's halves.
+    """
     n = grid.n
-    rows, cols = grid.rows, grid.cols
-    r0, c0 = _flat_coords(grid)
-    wrap = c0 == cols - 1
-    r1 = np.where(wrap, (r0 + n) % rows, r0)
-    c1 = np.where(wrap, 0, c0 + 1)
-    return r1 * cols + c1
+    flat = np.arange(grid.size).reshape(grid.rows, grid.cols)
+    right = np.empty_like(flat)
+    right[:, :-1] = flat[:, 1:]
+    right[:n, -1], right[n:, -1] = flat[n:, 0], flat[:n, 0]
+    return right.ravel()

@@ -203,6 +203,31 @@ def test_brute_matches_per_cell_sweep():
                 assert (witness.orientation, cells) == ref, (n, m)
 
 
+@pytest.mark.parametrize("n,m,diagonals", [(42, 277, 1), (251, 17, 2), (9, 168, 3)])
+def test_brute_matches_per_cell_sweep_at_workload_size(n, m, diagonals):
+    # grids as large as the benchmark's brute grids, with one, two and three diagonals
+    assert diag_count_tree(n, m) == diagonals
+    verdict, witness = is_hamiltonian_brute(n, m)
+    ref = per_cell_sweep(n, m)
+    assert verdict == (ref is not None)
+    if verdict:
+        assert (witness.orientation, as_cells(GridParams(n, m), witness.cycle)) == ref
+
+
+def test_brute_memory_stays_below_sixty_four_bytes_per_cell():
+    # (42, 277) has one diagonal, so the sweep is all setup: the up, right
+    # and successor tables and the per-diagonal cell lists, about 41 B per
+    # cell (90 when the tables were lists of Python ints)
+    n, m = 42, 277
+    tracemalloc.start()
+    try:
+        assert is_hamiltonian_brute(n, m) == (False, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 4 * n * m
+
+
 def test_witness_rejects_orientation_that_does_not_cover():
     # the single diagonal of (2, 3) oriented up splits into three cycles
     with pytest.raises(InconsistencyError):

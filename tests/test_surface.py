@@ -16,8 +16,11 @@ from bitorus.surface import (
     up_indices,
 )
 
+# the skewed grids with a side of 1 or 2 put the up table's row shift
+# (m columns) and the right table's column shift (n rows) at their extremes
 GRIDS = [GridParams(1, 1), GridParams(1, 3), GridParams(2, 2), GridParams(2, 3),
-         GridParams(3, 5), GridParams(4, 6)]
+         GridParams(3, 5), GridParams(4, 6), GridParams(3, 1), GridParams(5, 2),
+         GridParams(1, 4), GridParams(2, 7)]
 
 
 def test_grid_params_derived_fields():
@@ -134,6 +137,13 @@ def test_index_tables_agree_with_step(grid):
         assert tuple(divmod(int(su[i]), grid.cols)) == step(grid, (row, col), "U")
         assert tuple(divmod(int(sr[i]), grid.cols)) == step(grid, (row, col), "R")
         assert tuple(divmod(int(sd[i]), grid.cols)) == diag_successor(grid, (row, col))
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_index_tables_are_permutations(grid):
+    for table in (up_indices(grid), right_indices(grid), diag_successor_indices(grid)):
+        assert table.shape == (grid.size,)
+        assert (np.bincount(table, minlength=grid.size) == 1).all()
 
 
 @pytest.mark.parametrize("grid", GRIDS)
