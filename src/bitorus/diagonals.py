@@ -14,8 +14,8 @@ Two routes find the diagonals:
   one list of profile groups, which is all the Hamiltonicity search needs;
 * the run walk (`walk_diagonals`, `diag_count_naive`): O(n + m) steps
   that enumerate every orbit, the reference route and the induction's
-  check.  The diagonal count is the number of orbits, and the walk
-  needs one byte per line.
+  check.  `walk_diagonals` follows one numpy table of each line's next
+  line; `diag_count_naive` counts orbits at one byte per line.
 
 Read off the walk:
 
@@ -39,8 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -185,10 +184,13 @@ def _run_walk(grid: GridParams) -> Iterator[tuple[int, int]]:
         oid += 1
 
 
-def _orbit_lines(grid: GridParams) -> Iterator[list[int]]:
-    """Each diagonal as its lines in successor order, in row-major order."""
-    for _, lines in groupby(_run_walk(grid), key=itemgetter(0)):
-        yield [d for _, d in lines]
+def _line_successors(grid: GridParams) -> np.ndarray:
+    """The next line of every line, by index d + rows - 1: `_run_walk`'s step in one numpy pass."""
+    n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
+    d = np.arange(1 - rows, cols)
+    r = (cols - 1 - d + n) % rows
+    right = np.where(r < rows - 1, -(r + 1), m)
+    return np.where(d >= cols - rows, right, (d + rows + m) % cols) + rows - 1
 
 
 def _line_profiles(grid: GridParams, lines: np.ndarray, count: int) -> list[BoundaryProfile]:
@@ -230,21 +232,28 @@ def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], np.ndarray]:
     """Diagonals and the line table from one run walk, O(n + m).
 
     The reference route: every orbit is enumerated, so the count is
-    read off actual orbits.  Ids follow the row-major-minimal cells.
-    `lines` (np.intp) holds the diagonal id of line col - row = d at
-    index d + rows - 1, and the profiles are read from it.  The orbits
-    must cover every line and pass the corner-block check.  No groups
-    are built: `DiagonalDecomposition` checks the walk's against the
-    induction's, whose sizes `induction_groups` checks.
+    read off actual orbits: `_line_successors`, which must be a
+    permutation for the orbits to cover every line, is followed once per
+    line from `_run_walk`'s starts, so ids follow the row-major-minimal
+    cells.  `lines` (np.intp) holds the diagonal id of line col - row = d
+    at index d + rows - 1; the profiles read from it must pass the
+    corner-block check.  No groups are built: `DiagonalDecomposition`
+    checks the walk's against the induction's.
     """
-    orbits = list(_orbit_lines(grid))
     off = grid.rows - 1  # line d sits at index d + off
-    lines = [-1] * (off + grid.cols)
-    for oid, orbit in enumerate(orbits):
-        for d in orbit:
-            lines[d + off] = oid
-    if -1 in lines:
+    succ = _line_successors(grid)
+    if (np.bincount(succ, minlength=len(succ)) != 1).any():
         raise InconsistencyError(f"orbits of grid ({grid.n},{grid.m}) do not cover every line")
+    succ = succ.tolist()
+    lines, orbits = [-1] * len(succ), []
+    for start in chain(range(off, len(succ)), range(off - 1, -1, -1)):
+        if lines[start] < 0:
+            oid, orbit, x = len(orbits), [], start
+            while lines[x] < 0:
+                lines[x] = oid
+                orbit.append(x - off)
+                x = succ[x]
+            orbits.append(orbit)
     lines = np.array(lines, dtype=np.intp)
     profiles = _line_profiles(grid, lines, len(orbits))
     _block_cross_check(grid, lines, profiles)

@@ -17,13 +17,13 @@ steps; the run walk checks the groups when a diagonal is read.
 Everything else reads the run walk of `decompose` and expands no cell.
 A diagonal is a list of whole lines col - row = d of the rectangle, so
 the per-cell diagonal-id table is one numpy gather from the
-decomposition's line table, and witnesses and `trace_components` walk
-cycles line by line: O(n + m) Python steps per cycle, with every cell
-written by numpy.  A cycle is an array of flat cell indices r*cols + c
-in cycle order, and divmod(i, cols) gives the cell (r, c).  The brute
-sweep keeps its successor table as one flat int64 array and rewrites a
-diagonal that changes direction in one numpy write over its cells,
-listed once by a stable argsort of the per-cell diagonal ids.
+decomposition's line table.  Witnesses and `trace_components` walk
+cycles one stretch between wraps at a time, O(1) Python steps each,
+through one numpy stretch table per orientation, and numpy writes every
+cell.  A cycle is an array of flat cell indices r*cols + c in cycle
+order, and divmod(i, cols) gives the cell (r, c).  The brute sweep
+keeps its successor table as one flat int64 array and rewrites a
+diagonal that changes direction in one numpy write over its cells.
 Only the brute sweep, the independent reference, walks cell by cell.
 """
 
@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, line_run
+from .diagonals import DiagonalDecomposition, decompose, diagonal_ids
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import group_link, is_knot, perm_cycles
 from .surface import (
@@ -88,64 +87,67 @@ def _cell_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
 
 
 def _line_tables(dec: DiagonalDecomposition, omega: str) -> tuple:
-    """Per line x = col - row + rows - 1: up lines below each x (as an
-    array and as a list), the up lines and the right lines."""
+    """Per landing cell of an orientation, its stretch to the next wrap and the next landing.
+
+    Every wrap lands on landing k: (rows - 1, k) for k < cols, else
+    (k - cols, 0).  One direction serves a whole line x = col - row + off,
+    off = rows - 1, and both moves lead to line x + 1, so a stretch of
+    shift s is at row s - ups[x] and column s - off + rights[x] on line x,
+    ups and rights the prefix counts of up and right lines, until row 0
+    on an up line or column cols - 1 on a right line wraps.  Returns ups,
+    first and last lines and shifts as arrays, then those and the next
+    landings as lists.
+    """
+    grid = dec.grid
+    n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
+    off = rows - 1  # line d sits at index d + off
     line_up = _omega_up(dec, omega)[dec.lines]
+    count = len(line_up)
     ups = np.concatenate(([0], np.cumsum(line_up)))
-    return ups, ups.tolist(), np.flatnonzero(line_up).tolist(), np.flatnonzero(~line_up).tolist()
+    k = np.arange(count)
+    first = np.where(k < cols, k, count - k)
+    shift = np.where(k < cols, off, k - cols) + ups[first]
+    # the up line with ups[x + 1] = s + 1, the right line with rights[x + 1] = count - s
+    x_up = np.searchsorted(ups, shift + 1) - 1
+    x_right = np.searchsorted(np.arange(count + 1) - ups, count - shift) - 1
+    last = np.minimum(x_up, x_right)
+    if (last == count).any():
+        raise InconsistencyError("oriented walk leaves the grid")
+    wrap_row = (shift - ups[last] + n) % rows
+    nxt = np.where(x_up < x_right, (last - off + m) % cols, np.where(wrap_row < off, cols + wrap_row, 0))
+    return ups, first, last, shift, first.tolist(), last.tolist(), shift.tolist(), nxt.tolist()
 
 
-def _line_walk(grid: GridParams, lines: tuple, r0: int, c0: int) -> np.ndarray:
-    """Flat indices of the oriented cycle through (r0, c0), in walk order.
+def _line_walk(grid: GridParams, table: tuple, r0: int, c0: int) -> np.ndarray:
+    """Flat indices of the oriented cycle through landing (r0, c0), in walk order.
 
-    The cells with col - row = d form one run, so one direction serves
-    the whole line d, and both moves lead from line d to line d + 1: up
-    lowers the row by one, right keeps it.  Between wraps the walk thus
-    crosses consecutive lines, its row on each found by a prefix count
-    of up lines.  From (r, c) it wraps at the r-th up line or the
-    (cols - 1 - c)-th right line ahead, whichever comes first, so each
-    stretch takes two bisections.  A stretch after the first starts on
-    a distinct bottom-row or first-column cell, so a cycle has at most
-    rows + cols stretches; their cells are filled in one numpy pass at
-    the end.
+    It follows next landings in `_line_tables`' stretch table, and closes
+    at the start after a wrap or, when the start is entered from a
+    neighbour (as (0, 0) from (1, 0) on (3, 7)), on the stretch of its
+    shift that passes its line.  A cycle meets each landing once, so it
+    has at most rows + cols stretches; numpy fills their cells.
     """
     rows, cols = grid.rows, grid.cols
     off = rows - 1  # line d sits at index d + off
-    ups, ups_at, up_lines, right_lines = lines
-    count = len(ups_at) - 1
+    ups, first, last, shift, firsts, lasts, shifts, nexts = table
+    start = c0 if r0 == rows - 1 else cols + r0
     xs = c0 - r0 + off
-    firsts, lengths, shifts = [], [], []
-    r, c = r0, c0
-    for k in range(rows + cols):
-        x0 = c - r + off
-        i = bisect_left(up_lines, x0) + r
-        j = bisect_left(right_lines, x0) + cols - 1 - c
-        x_up = up_lines[i] if i < len(up_lines) else count
-        x_right = right_lines[j] if j < len(right_lines) else count
-        x1 = min(x_up, x_right)
-        if x1 == count:
-            raise InconsistencyError("oriented walk leaves the grid")
-        closes = k > 0 and x0 <= xs <= x1 and r - r0 == ups_at[xs] - ups_at[x0]
-        if closes:
-            x1 = xs - 1
-        # the row on line x of this stretch is r - (ups[x] - ups[x0])
-        firsts.append(x0)
-        lengths.append(x1 + 1 - x0)
-        shifts.append(r + ups_at[x0])
-        if closes:
+    target = shifts[start]  # a stretch of this shift meets the start on line xs
+    path, k = [start], nexts[start]
+    for _ in range(rows + cols - 1):
+        if shifts[k] == target and firsts[k] <= xs <= lasts[k]:
             break
-        r -= ups_at[x1] - ups_at[x0]
-        c = r + x1 - off
-        if x_up < x_right:
-            r, c = rows - 1, (c + grid.m) % cols
-        else:
-            r, c = (r + grid.n) % rows, 0
+        path.append(k)
+        k = nexts[k]
     else:
         raise InconsistencyError(f"oriented walk from {(r0, c0)} does not return")
-    lengths = np.array(lengths)
+    path = np.array(path + [k])  # the last stretch closes, cut before the start's line
+    starts = first[path]
+    lengths = last[path] + 1 - starts
+    lengths[-1] = xs - starts[-1]
     before = np.cumsum(lengths) - lengths
-    x = np.arange(lengths.sum()) + np.repeat(np.array(firsts) - before, lengths)
-    row = np.repeat(shifts, lengths) - ups[x]
+    x = np.arange(lengths.sum()) + np.repeat(starts - before, lengths)
+    row = np.repeat(shift[path], lengths) - ups[x]
     return row * (cols + 1) + x - off
 
 
@@ -176,14 +178,14 @@ def trace_components(dec: DiagonalDecomposition, omega: str) -> list[np.ndarray]
     those cells that no earlier walk covered find every cycle once.
     """
     _refuse(dec.grid, dec.grid.size, "cells", "cycle tracing", CELL_CAP)
-    grid, lines = dec.grid, _line_tables(dec, omega)
+    grid, table = dec.grid, _line_tables(dec, omega)
     rows, cols = grid.rows, grid.cols
     covered = np.zeros(grid.size, dtype=bool)
     cycles = []
     for r, c in [(rows - 1, col) for col in range(cols)] + [(row, 0) for row in range(rows - 1)]:
         if covered[r * cols + c]:
             continue
-        cycle = _line_walk(grid, lines, r, c)
+        cycle = _line_walk(grid, table, r, c)
         if covered[cycle].any():
             raise InconsistencyError("oriented edges do not form a permutation")
         covered[cycle] = True
@@ -195,12 +197,10 @@ def trace_components(dec: DiagonalDecomposition, omega: str) -> list[np.ndarray]
 
 def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
     """Cells on up-oriented diagonals, summed over lines without expanding cells."""
-    return sum(
-        line_run(dec.grid, d)[2]
-        for diag, up in zip(dec.diagonals, dec.ups(omega))
-        if up
-        for d in diag.lines
-    )
+    rows, cols = dec.grid.rows, dec.grid.cols
+    d = np.arange(1 - rows, cols)  # line d starts at (max(-d, 0), max(d, 0))
+    line_cells = np.minimum(rows - np.maximum(-d, 0), cols - np.maximum(d, 0))
+    return int(line_cells[_omega_up(dec, omega)[dec.lines]].sum())
 
 
 def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
@@ -224,17 +224,6 @@ def _witness_from_omega(dec: DiagonalDecomposition, omega: str) -> HamWitness:
     return HamWitness("".join(omega), _read_only(cycle))
 
 
-def _diagonal_cells(dec: DiagonalDecomposition) -> list[np.ndarray]:
-    """Per diagonal, the flat indices of its cells in increasing order.
-
-    One stable argsort of the per-cell diagonal ids lists the cells
-    diagonal after diagonal, and the id counts split it.
-    """
-    ids = diagonal_ids(dec)
-    order = np.argsort(ids, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(ids, minlength=len(dec.diagonals)))[:-1])
-
-
 def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
     """First orientation string, U < R, whose walk from cell 0 covers the grid.
 
@@ -252,7 +241,8 @@ def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
     size = grid.size
     up = up_indices(grid).astype(np.int64, copy=False)
     right = right_indices(grid).astype(np.int64, copy=False)
-    cells = _diagonal_cells(dec)
+    ids = diagonal_ids(dec)
+    cells = [np.flatnonzero(ids == k) for k in range(len(dec))]  # one pass per diagonal
     succ = array("q")
     succ.frombytes(up.data.cast("B"))
     view = np.frombuffer(succ, dtype=np.int64)

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -240,22 +242,86 @@ def test_walk_that_disagrees_with_the_induction_raises():
         dec.diagonals
 
 
+def _bypass(succ, x):
+    """The successor table with line index x's predecessor leading past x, so no line leads to x."""
+    out = succ.copy()
+    out[succ == x] = succ[x]
+    return out
+
+
+def _detach(succ, x):
+    """The successor table with line index x an orbit of its own, its old orbit closed around it."""
+    out = _bypass(succ, x)
+    out[x] = x
+    return out
+
+
 @pytest.mark.parametrize(
     "n,m,plant,message",
     [
         # every line its own orbit: 15 orbits, of which the g = 1 corner blocks reach 4
-        (3, 5, lambda orbits: [[d] for orbit in orbits for d in orbit], "miss some diagonals"),
-        (3, 5, lambda orbits: [orbits[0][1:], *orbits[1:]], "do not cover every line"),
-        # g = 2: one orbit cannot fill a corner block, and no block meets an empty orbit
-        (2, 4, lambda orbits: [[d for orbit in orbits for d in orbit]], "hits 1 diagonals"),
-        (2, 4, lambda orbits: [*orbits, []], "miss some diagonals"),
+        (3, 5, lambda succ: np.arange(len(succ)), "miss some diagonals"),
+        # no line leads to the first line, so the table is no permutation
+        (3, 5, lambda succ: _bypass(succ, 0), "do not cover every line"),
+        # g = 2: one orbit cannot fill a corner block, and no block meets
+        # line d = -3, which lies on no block's row
+        (2, 4, lambda succ: np.roll(np.arange(len(succ)), -1), "hits 1 diagonals"),
+        (2, 4, lambda succ: _detach(succ, 0), "miss some diagonals"),
     ],
 )
 def test_walk_checks_catch_planted_runs(monkeypatch, n, m, plant, message):
-    orbits = list(diagonals._orbit_lines(GridParams(n, m)))
-    monkeypatch.setattr(diagonals, "_orbit_lines", lambda grid: plant(orbits))
+    succ = diagonals._line_successors(GridParams(n, m))
+    monkeypatch.setattr(diagonals, "_line_successors", lambda grid: plant(succ))
     with pytest.raises(InconsistencyError, match=message):
         walk_diagonals(GridParams(n, m))
+
+
+def run_walk_steps(grid):
+    """Reference: each line index's next line index, read off consecutive lines of `_run_walk`."""
+    off = grid.rows - 1
+    succ = np.full(grid.rows + grid.cols - 1, -1)
+    for _, orbit in groupby(diagonals._run_walk(grid), key=itemgetter(0)):
+        ds = [d + off for _, d in orbit]
+        succ[ds] = ds[1:] + ds[:1]
+    return succ
+
+
+def test_line_successors_match_the_run_walk():
+    for n in range(1, 41):
+        for m in range(1, 41):
+            grid = GridParams(n, m)
+            assert (diagonals._line_successors(grid) == run_walk_steps(grid)).all(), (n, m)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**4), st.integers(1, 10**4))
+def test_line_successors_match_the_run_walk_on_large_sides(n, m):
+    grid = GridParams(n, m)
+    assert (diagonals._line_successors(grid) == run_walk_steps(grid)).all()
+
+
+def test_walk_diagonals_visits_every_line_once(monkeypatch):
+    # counted work: the walk reads the successor table once per line, 2n + 2m - 1 reads
+    reads = []
+
+    class CountedList(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    class CountedTable(np.ndarray):
+        def tolist(self):
+            return CountedList(super().tolist())
+
+    line_successors = diagonals._line_successors
+    monkeypatch.setattr(
+        diagonals, "_line_successors", lambda grid: line_successors(grid).view(CountedTable)
+    )
+    for n, m in [(1, 1), (3, 5), (2, 4), (6, 9), (40, 17), (120, 300)]:
+        reads.clear()
+        diags, _ = walk_diagonals(GridParams(n, m))
+        assert sorted(reads) == list(range(2 * n + 2 * m - 1)), (n, m)
+        assert sum(len(diag.lines) for diag in diags) == 2 * n + 2 * m - 1
 
 
 def test_walk_with_split_corner_block_raises(monkeypatch):

@@ -190,6 +190,71 @@ def test_trace_raises_when_walks_overlap_or_leave_cells_uncovered(monkeypatch):
         trace_components(dec, "U")
 
 
+class CountedList(list):
+    """A list that records every index read from it."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_line_walk_follows_at_most_rows_plus_cols_stretches(monkeypatch):
+    # counted work: a walk reads the next landing of every stretch but the
+    # closing one, and no landing twice, so a cycle has at most rows + cols
+    # stretches
+    reads, walks = [], []
+    line_tables, line_walk = ham._line_tables, ham._line_walk
+
+    def counted_tables(dec, omega):
+        *table, nexts = line_tables(dec, omega)
+        return (*table, CountedList(nexts, reads))
+
+    def counted_walk(grid, table, r, c):
+        reads.clear()
+        cycle = line_walk(grid, table, r, c)
+        walks.append((grid, list(reads)))
+        return cycle
+
+    monkeypatch.setattr(ham, "_line_tables", counted_tables)
+    monkeypatch.setattr(ham, "_line_walk", counted_walk)
+    for n, m in [(1, 5), (3, 7), (4, 5), (6, 10), (40, 41), (97, 30)]:
+        assert hamiltonian_witness(n, m) is not None
+        dec = decompose(GridParams(n, m))
+        trace_components(dec, ("UR" * len(dec))[: len(dec)])
+    assert len(walks) > 12
+    for grid, landings in walks:
+        assert len(set(landings)) == len(landings) <= grid.rows + grid.cols - 1
+
+
+def test_line_walk_that_does_not_return_raises_after_rows_plus_cols_stretches():
+    # every next landing is landing 1, the bottom-row cell (rows - 1, 1),
+    # whose stretch misses the start (0, 0), so the walk never closes; it
+    # gives up once it has followed rows + cols stretches
+    grid = GridParams(3, 7)
+    *table, nexts = ham._line_tables(decompose(grid), "RU")
+    reads = []
+    table = (*table, CountedList([1] * len(nexts), reads))
+    with pytest.raises(InconsistencyError, match="does not return"):
+        ham._line_walk(grid, table, 0, 0)
+    assert len(reads) == grid.rows + grid.cols
+
+
+def test_trace_components_builds_one_stretch_table(monkeypatch):
+    calls = []
+    line_tables = ham._line_tables
+    monkeypatch.setattr(
+        ham, "_line_tables", lambda dec, omega: calls.append(omega) or line_tables(dec, omega)
+    )
+    dec = decompose(GridParams(20, 30))
+    omega = ("UR" * len(dec))[: len(dec)]
+    assert len(trace_components(dec, omega)) > 1
+    assert calls == [omega]
+
+
 def test_brute_matches_per_cell_sweep():
     for n in range(1, 9):
         for m in range(1, 9):
