@@ -4,11 +4,13 @@
 pairs n < m <= h top-down with one walk, `_run_walk`, over two ternary
 trees sharing the children (2m - n, m), (2m + n, m) and (m + 2n, n):
 the even-odd pairs below (2, 1) and the odd-odd pairs below (3, 1).
-Each node carries a map id whose value is the pair's diagonal count;
-the odd-odd tree has one map, valued 2.
+Each even-odd node carries its map id in the one tree automaton,
+`counting.TREE_MAPS`, whose ids `diag_count_tree` steps along a single
+pair's address; an id's value is the pair's diagonal count.  The
+odd-odd tree has one more map, valued 2.
 
-The walk takes the trees a run at a time, in numpy, as
-`diag_count_tree` reads one pair's address in runs: from a frontier
+The walk takes the trees a run at a time, in numpy, moving ids by the
+same `run_powers` tables the single-pair count reads: from a frontier
 node (m, n) it takes the whole gamma run (m + kd, n + kd), d = m - n,
 the whole lambda run (m + 2kn, n) and the delta child (2m + n, m).  A
 node's generation is the number of runs in its address, so a horizon h
@@ -31,7 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from .counting import tree_map_table
+from .counting import TREE_MAPS, run_powers
 from .errors import CapExceededError, check_int
 from .hamiltonicity import is_hamiltonian_fast
 
@@ -96,7 +98,7 @@ def diag_distribution(h: int) -> DistributionReport:
 
     One run walk counts every pair's map id, building a quarter of the
     pairs and counting the rest run by run: an even-odd node's id names
-    the automaton's state map of its tree string in `tree_map_table`,
+    the automaton's state map of its tree string in `TREE_MAPS`,
     whose value is the pair's count.  O(log h) generations of numpy
     steps over at most `_CHUNK` nodes each.
     """
@@ -111,7 +113,7 @@ def diag_distribution(h: int) -> DistributionReport:
 
 @dataclass(frozen=True)
 class _RunIds:
-    """Map ids along a run of one child map phi, from its power table.
+    """Map ids along a run of one child map phi, from its `run_powers` table.
 
     powers[j, f] is phi^j(f) for j < transient + period, where
     phi^(transient + period) = phi^transient; counts[j, f, g] counts
@@ -125,14 +127,11 @@ class _RunIds:
 
     @classmethod
     def of(cls, phi: np.ndarray) -> _RunIds:
-        powers = [np.arange(len(phi))]
-        while not any(np.array_equal(phi[powers[-1]], p) for p in powers):
-            powers.append(phi[powers[-1]])
-        image = phi[powers[-1]]
-        transient = next(j for j, p in enumerate(powers) if np.array_equal(image, p))
+        transient, period, powers = run_powers(phi.tolist())
+        powers = np.array(powers)
         steps = np.eye(len(phi), dtype=np.int64)[powers].cumsum(axis=0)
         counts = np.concatenate((np.zeros((1, len(phi), len(phi)), np.int64), steps))
-        return cls(np.array(powers), counts, transient, len(powers) - transient)
+        return cls(powers, counts, transient, period)
 
     def _phase(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(whole periods q, table row k - q period) of step k."""
@@ -173,18 +172,17 @@ class _Forest:
 
 @cache
 def _forest() -> _Forest:
-    """The even-odd tree on `tree_map_table`'s maps, the odd-odd tree on one more.
+    """The even-odd tree on the map ids of `TREE_MAPS`, the odd-odd tree on one more.
 
     Every odd-odd pair has 2 diagonals, so the tree below (3, 1) has one
     map, the last id, which is its own child.
     """
-    table = tree_map_table()
-    odd = len(table.children)
-    children = np.array((*table.children, (odd, odd, odd)))
+    odd = len(TREE_MAPS.children)
+    children = np.array((*TREE_MAPS.children, (odd, odd, odd)))
     forest = _Forest(
         np.array([[2, 3], [1, 1], [0, odd]]),
         children,
-        np.array((*table.values, 2)),
+        np.array((*TREE_MAPS.values, 2)),
         _RunIds.of(children[:, 0]),
         _RunIds.of(children[:, 2]),
     )

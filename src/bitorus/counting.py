@@ -17,18 +17,18 @@ O(log n):
 
 * Ternary tree.  Coprime pairs (m, n) with m > n and m + n odd form a
   ternary tree rooted at (2, 1); the path from a pair to the root,
-  canonicalised by five rewriting rules, determines the count.  The
-  gamma- and lambda-runs of the path are subtractive, so each run is
-  taken with one divmod and fed to the canonicalisation automaton as a
-  power of its character's transition map: O(log) runs.  Walking the
-  tree downward instead, `tree_map_table` gives each child's state map
-  from its parent's in one lookup.
+  canonicalised by five rewriting rules, determines the count.  One
+  automaton encodes the canonicalisation: `TREE_MAPS`, whose map ids
+  name the state maps of tree strings, with each id's children and
+  value.  `diag_count_tree` reads a pair's address as O(log) runs, each
+  taken with one divmod and applied as one precomputed power of its
+  character's child map; the census walks the same ids down the tree.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -447,53 +447,40 @@ def _build_transitions() -> dict[tuple[str, str], str]:
 _TRANSITIONS = _build_transitions()
 
 
-def _build_run_powers() -> dict[str, tuple[int, int, list[dict[str, str]]]]:
-    """Powers f^0, f^1, ... of each character's transition map f.
+def run_powers(phi: Sequence[int]) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """Powers of a map phi on the ids 0..len(phi) - 1, until one repeats.
 
-    Powers are listed until one repeats, at f^(t + p) = f^t; the entry
-    for a character is (t, p, powers), and f^k for k >= t + p is
-    f^(t + (k - t) % p).
+    Returns (transient, period, powers): powers[j][f] is phi^j(f) for
+    j < transient + period, and phi^(transient + period) is
+    phi^transient, so phi^k for larger k is the power listed at
+    transient + (k - transient) % period.
     """
-    out = {}
-    for ch in TREE_CHARS:
-        power = {state: state for state in CANONICAL_STRINGS}
-        powers: list[dict[str, str]] = []
-        while power not in powers:
-            powers.append(power)
-            power = {state: _TRANSITIONS[(image, ch)] for state, image in power.items()}
-        transient = powers.index(power)
-        out[ch] = (transient, len(powers) - transient, powers)
-    return out
-
-
-_RUN_POWERS = _build_run_powers()
-
-
-def _run_transition(state: str, ch: str, k: int) -> str:
-    """Automaton state after reading k copies of ch from `state`."""
-    transient, period, powers = _RUN_POWERS[ch]
-    if k >= transient + period:
-        k = transient + (k - transient) % period
-    return powers[k][state]
+    powers = [tuple(range(len(phi)))]
+    while (power := tuple(phi[f] for f in powers[-1])) not in powers:
+        powers.append(power)
+    transient = powers.index(power)
+    return transient, len(powers) - transient, tuple(powers)
 
 
 @dataclass(frozen=True)
 class TreeMapTable:
-    """The automaton's state maps reachable by prepending tree characters.
+    """The tree automaton, as the state maps reachable by prepending tree characters.
 
     maps[f][i] is the state reached from CANONICAL_STRINGS[i] by reading
     the tree string of any pair with map id f; id 0 is the identity,
     the map of the root's empty string.  children[f] holds the ids of
     f's gamma-, delta- and lambda-children: prepending ch gives the map
     f o T_ch.  values[f] is the diagonal count of every pair with map f.
+    runs[ch] is `run_powers` of the ch-child column: prepending a run
+    ch^k to the string of id f gives the id phi^k(f) of that column.
     """
 
     maps: tuple[tuple[str, ...], ...]
     children: tuple[tuple[int, int, int], ...]
     values: tuple[int, ...]
+    runs: dict[str, tuple[int, int, tuple[tuple[int, ...], ...]]]
 
 
-@cache
 def tree_map_table() -> TreeMapTable:
     """Closure of the identity under f -> f o T_ch, derived from `_TRANSITIONS`."""
     index = {state: i for i, state in enumerate(CANONICAL_STRINGS)}
@@ -509,8 +496,14 @@ def tree_map_table() -> TreeMapTable:
                 maps.append(g)
             row.append(ids[g])
         children.append(tuple(row))
-    values = _canonical_values()
-    return TreeMapTable(tuple(maps), tuple(children), tuple(values[f[0]] for f in maps))
+    # the value of f: the base count at the canonical pair of f's image of the root
+    values = tuple(_base_counts()[apply_tree_string(f[0])[::-1]] for f in maps)
+    runs = {ch: run_powers([row[i] for row in children]) for i, ch in enumerate(TREE_CHARS)}
+    return TreeMapTable(tuple(maps), tuple(children), values, runs)
+
+
+#: The tree automaton, built once at import: every count reads its ids.
+TREE_MAPS = tree_map_table()
 
 
 def canonicalize(ts: str) -> str:
@@ -525,12 +518,6 @@ def canonicalize(ts: str) -> str:
             raise ValueError(f"tree characters must be one of {TREE_CHARS}, got {ch!r}")
         state = _TRANSITIONS[(state, ch)]
     return state
-
-
-@cache
-def _canonical_values() -> dict[str, int]:
-    """Diagonal count at each canonical pair (m, n), all four base pairs."""
-    return {state: _base_counts()[apply_tree_string(state)[::-1]] for state in CANONICAL_STRINGS}
 
 
 def tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
@@ -568,16 +555,16 @@ def diag_count_tree(n: int, m: int) -> int:
     """Diagonal count via the canonicalised tree address.
 
     O(log n): the address is read as `tree_runs`, each taken with one
-    divmod, and each run moves the automaton through a precomputed
-    power of its character's transition map.
+    divmod, root-first from map id 0; each run moves the id through a
+    precomputed power of its character's child map in `TREE_MAPS`.
     """
     n, m = check_sizes(n, m)
     g = math.gcd(n, m)
     a, b = n // g, m // g
     if a % 2 == 1 and b % 2 == 1:
         return 2 * g
-    state = ""
-    for ch, k in _tree_runs(max(a, b), min(a, b)):
-        state = _run_transition(state, ch, k)
-    return g * _canonical_values()[state]
-
+    runs, f = TREE_MAPS.runs, 0
+    for ch, k in reversed([*_tree_runs(max(a, b), min(a, b))]):
+        transient, period, powers = runs[ch]
+        f = powers[k if k < transient + period else transient + (k - transient) % period][f]
+    return g * TREE_MAPS.values[f]

@@ -370,8 +370,8 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
 # Square grids
 
 
-def _square_orientation(n: int, start_row: int) -> str | None:
-    """Orientation of the walk of 4n - 1 rights then one up, n times.
+def _square_orientation(dec: DiagonalDecomposition, start_row: int) -> str | None:
+    """Orientation of the walk of 4n - 1 rights then one up, n times, on dec's (n, n) grid.
 
     Each stretch of 4n cells is a right power of its first cell, so only
     the n turn cells, where the walk goes up, are stepped here.  None
@@ -379,8 +379,7 @@ def _square_orientation(n: int, start_row: int) -> str | None:
     hold just those n cells: the walk then follows the orientation at
     every cell, so it is the orientation's cycle.
     """
-    grid = GridParams(n, n)
-    dec = decompose(grid)
+    grid, n = dec.grid, dec.grid.n
     cell, turns = (start_row, 0), set()
     for _ in range(n):
         turn = right_power(grid, cell, 4 * n - 1)
@@ -400,10 +399,11 @@ def square_construction(n: int) -> HamWitness:
     _refuse(grid, grid.size, "cells", "cell expansion", CELL_CAP)
     # The walk starts at row n, counted from the top; the tests show row
     # n - 1 does not close.
-    omega = _square_orientation(n, n)
+    dec = decompose(grid)
+    omega = _square_orientation(dec, n)
     if omega is None:
         raise InconsistencyError(f"square walk is no diagonal-constant cycle of the ({n},{n}) grid")
-    witness = _witness_from_omega(decompose(grid), omega)
+    witness = _witness_from_omega(dec, omega)
     validate_witness(grid, witness)
     return witness
 

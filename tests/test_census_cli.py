@@ -19,7 +19,8 @@ from bitorus.counting import (
     _TRANSITIONS,
     CANONICAL_STRINGS,
     TREE_CHARS,
-    _canonical_values,
+    TREE_MAPS,
+    _base_counts,
     apply_tree_string,
     canonicalize,
     diag_count_tree,
@@ -215,12 +216,13 @@ def test_tree_map_table_is_closed_and_valued_at_the_image_of_the_root():
     maps = table.maps
     assert maps[0] == CANONICAL_STRINGS
     assert len(set(maps)) == len(maps) == len(table.children) == len(table.values)
-    values = _canonical_values()
+    assert table == TREE_MAPS  # the one table, built at import
     for f, row in enumerate(table.children):
         for ch, g in zip(TREE_CHARS, row):
             images = (_TRANSITIONS[(state, ch)] for state in CANONICAL_STRINGS)
             assert maps[g] == tuple(maps[f][CANONICAL_STRINGS.index(s)] for s in images)
-        assert table.values[f] == values[maps[f][0]]
+        m, n = apply_tree_string(maps[f][0])  # the canonical pair of f's image of the root
+        assert table.values[f] == _base_counts()[(n, m)] == diag_count_naive(n, m)
 
 
 def test_tree_map_ids_follow_prepended_characters():

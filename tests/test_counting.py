@@ -13,8 +13,8 @@ from bitorus.counting import (
     LAMBDA,
     TERMINAL_PAIRS,
     TREE_CHARS,
+    TREE_MAPS,
     _base_counts,
-    _run_transition,
     apply_tree_string,
     canonicalize,
     compose,
@@ -27,6 +27,7 @@ from bitorus.counting import (
     reduce_pair,
     reduction_base,
     reduction_trace,
+    run_powers,
     string_cycles,
     string_intervals,
     string_powers,
@@ -365,18 +366,69 @@ def test_whole_runs_in_one_step():
         list(tree_runs(9, 3))
 
 
+def test_tree_route_reads_at_most_log2_runs(monkeypatch):
+    # counted work, not time: diag_count_tree(n, m) reads at most
+    # log2(n + m) + 1 runs of its tree address
+    read = []
+    runs = counting._tree_runs
+
+    def counted(m, n):
+        read[:] = runs(m, n)
+        return read
+
+    monkeypatch.setattr(counting, "_tree_runs", counted)
+
+    def runs_read(n, m):
+        read.clear()
+        diag_count_tree(n, m)
+        return len(read)
+
+    for m in range(2, 3000):  # every even-odd coprime pair, worst 0.93 log2(n + m)
+        for n in range(1 + m % 2, m, 2):
+            if math.gcd(n, m) == 1:
+                assert 2 ** (runs_read(n, m) - 1) <= n + m, (n, m)
+    fib = [0, 1]  # F_k = fib[k]; worst 0.95 log2(n + m)
+    while len(fib) <= 200:
+        fib.append(fib[-1] + fib[-2])
+    pairs = [(fib[k - 1], fib[k]) for k in range(2, 201)]
+    rng = random.Random(23)
+    pairs += [(rng.randint(1, 10**e), rng.randint(1, 10**e)) for e in range(2, 101) for _ in range(10)]
+    for n, m in pairs:
+        assert runs_read(n, m) <= math.log2(n + m) + 1, (n, m)
+    assert runs_read(1, 10**6) == runs_read(10**6, 10**6 + 1) == 1
+    assert runs_read(fib[198], fib[199]) == 131
+
+
+def _run_power(ch, k, f):
+    """Map id of ch^k prepended to id f, read off the table's powers as diag_count_tree does."""
+    transient, period, powers = TREE_MAPS.runs[ch]
+    return powers[k if k < transient + period else transient + (k - transient) % period][f]
+
+
 def test_run_transition_repeats_the_single_transition():
-    for state in CANONICAL_STRINGS:
-        assert canonicalize(state) == state
-        for ch in TREE_CHARS:
+    assert all(canonicalize(state) == state for state in CANONICAL_STRINGS)
+    children = TREE_MAPS.children
+    for i, ch in enumerate(TREE_CHARS):
+        for f in range(len(children)):
+            step = f
             for k in range(40):
-                assert _run_transition(state, ch, k) == canonicalize(state + ch * k)
+                assert _run_power(ch, k, f) == step
+                step = children[step][i]
+        for k in range(40):
+            image = TREE_MAPS.maps[_run_power(ch, k, 0)]
+            assert image == tuple(canonicalize(state + ch * k) for state in CANONICAL_STRINGS)
+            assert image[0] == canonicalize(ch * k)
 
 
 def test_run_powers_are_derived_from_the_automaton():
     # gamma and delta have period 3, lambda period 2, all after one step
-    periods = {ch: (t, p) for ch, (t, p, _) in counting._RUN_POWERS.items()}
+    periods = {ch: (t, p) for ch, (t, p, _) in TREE_MAPS.runs.items()}
     assert periods == {GAMMA: (1, 3), DELTA: (1, 3), LAMBDA: (1, 2)}
+    for i, ch in enumerate(TREE_CHARS):
+        assert TREE_MAPS.runs[ch] == run_powers([row[i] for row in TREE_MAPS.children])
+    assert run_powers([1, 2, 0]) == (0, 3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    assert run_powers([1, 2, 0, 2]) == (1, 3, ((0, 1, 2, 3), (1, 2, 0, 2), (2, 0, 1, 0), (0, 1, 2, 1)))
+    assert run_powers([1, 2, 2]) == (2, 1, ((0, 1, 2), (1, 2, 2), (2, 2, 2)))
 
 
 def test_canonical_state_agrees_with_direct_count():

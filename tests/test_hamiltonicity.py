@@ -515,8 +515,25 @@ def test_square_construction_produces_valid_cycles(n):
 def test_square_walk_start_row_calibration():
     # square_construction starts at row n: that offset closes on the three
     # smallest squares, and the other plausible reading, row n - 1, does not.
-    assert all(ham._square_orientation(n, n) is not None for n in (1, 2, 3))
-    assert any(ham._square_orientation(n, n - 1) is None for n in (1, 2, 3))
+    decs = {n: decompose(GridParams(n, n)) for n in (1, 2, 3)}
+    assert all(ham._square_orientation(dec, n) is not None for n, dec in decs.items())
+    assert any(ham._square_orientation(dec, n - 1) is None for n, dec in decs.items())
+
+
+def test_square_construction_walks_the_diagonals_at_most_twice(monkeypatch):
+    # one decomposition serves the orientation and the witness, and
+    # validate_witness walks its own as the independent check
+    calls, walk = [], diagonals.walk_diagonals
+
+    def counted(grid):
+        calls.append(grid)
+        return walk(grid)
+
+    monkeypatch.setattr(diagonals, "walk_diagonals", counted)
+    for n in (1, 5, 40):
+        calls.clear()
+        square_construction(n)
+        assert 1 <= len(calls) <= 2
 
 
 def test_square_witness_is_the_papers_walk():
