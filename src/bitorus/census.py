@@ -1,35 +1,36 @@
 """Batch surveys over coprime grid sizes.
 
-`diag_distribution` and `exceptional_pairs` enumerate the coprime
-pairs n < m <= h top-down with one walk, `_run_walk`, over two ternary
-trees sharing the children (2m - n, m), (2m + n, m) and (m + 2n, n):
-the even-odd pairs below (2, 1) and the odd-odd pairs below (3, 1).
-Each even-odd node carries its map id in the one tree automaton,
-`counting.TREE_MAPS`, whose ids `diag_count_tree` steps along a single
-pair's address; an id's value is the pair's diagonal count.  The
-odd-odd tree has one more map, valued 2.
+`exceptional_pairs` and `diag_distribution` walk the coprime pairs
+n < m <= h top-down over `_FOREST`, two ternary trees sharing the
+children (2m - n, m), (2m + n, m) and (m + 2n, n): the even-odd pairs
+below (2, 1) and the odd-odd pairs below (3, 1).  Each even-odd node
+carries its map id in `counting.TREE_MAPS`, the tree automaton whose
+ids `diag_count_tree` steps; an id's value is the pair's diagonal
+count, and the odd-odd tree has one more map, valued 2.  The table
+lists the nodes with `_nodes`, a plain walk on Python ints; the census
+counts them with the run walk, `_run_walk`.
 
-The walk takes the trees a run at a time, in numpy, moving ids by the
-same `run_powers` tables the single-pair count reads: from a frontier
-node (m, n) it takes the whole gamma run (m + kd, n + kd), d = m - n,
-the whole lambda run (m + 2kn, n) and the delta child (2m + n, m).  A
-node's generation is the number of runs in its address, so a horizon h
-takes O(log h) generations: 9, 10 and 11 at h = 1000, 2000 and 4000,
-and at most log2(h) + 1 for every h <= 4000.  Run steps whose children
-all exceed h are leaves, counted by map id from a prefix-count table
-over the powers of the run's child map; only the others are built, a
-quarter of the pairs (76,048 of 304,191 at h = 1000).  A step expands
-at most `_CHUNK` frontier nodes, last in first out, so the frontier
-holds a few chunks per generation: memory grows with the generations,
-not with the O(h^2) pairs (a tracemalloc peak of 1.5 MB at h = 1000
-and 1.9 MB at h = 4000).
+The run walk takes the trees a run at a time, in numpy, moving ids by
+the same `run_powers` tables the single-pair count reads: from a
+frontier node (m, n) it takes the whole gamma run (m + kd, n + kd),
+d = m - n, the whole lambda run (m + 2kn, n) and the delta child
+(2m + n, m).  A node's generation is the number of runs in its
+address, so a horizon h takes O(log h) generations: 9, 10 and 11 at
+h = 1000, 2000 and 4000, and at most log2(h) + 1 for every h <= 4000.
+Run steps whose children all exceed h are leaves, counted by map id
+from a prefix-count table over the powers of the run's child map; only
+the others are built, a quarter of the pairs (76,048 of 304,191 at
+h = 1000).  A step expands at most `_CHUNK` frontier nodes, last in
+first out, so the frontier holds a few chunks per generation: memory
+grows with the generations, not with the O(h^2) pairs (a tracemalloc
+peak of 1.5 MB at h = 1000 and 1.9 MB at h = 4000).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .errors import CapExceededError, check_int
 from .hamiltonicity import is_hamiltonian_fast
 
 _CHUNK = 4096  # frontier nodes expanded per step; bounds the walk's memory
-_MAX_H = 2**60  # the walk's int64 columns hold values up to 5 h
 _GAMMA, _LAMBDA, _BOTH = 1, 2, 3  # frontier flags: the runs a node starts
 
 
@@ -78,19 +78,15 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
     """Coprime pairs n < m <= max_m with several diagonals yet no cycle.
 
     Single-diagonal grids are never Hamiltonian, so these are the
-    genuinely exceptional sizes.  The run walk builds every node and
-    keeps those whose map id values at least 2 diagonals; only those
-    get the link tier's `is_hamiltonian_fast`, in lexicographic order.
+    genuinely exceptional sizes.  The plain walk `_nodes` lists every
+    pair with its map id; only those whose id values at least 2
+    diagonals get the link tier's `is_hamiltonian_fast`, in
+    lexicographic order.
     """
-    max_m = check_int(max_m, 2, "max_m")
-    values = _forest().values
-    _, (m, n, f), _ = _run_walk(max_m, values >= 2)
-    order = np.lexsort((m, n))
-    return [
-        PairRecord(n, m, diag, False, "link")
-        for n, m, diag in zip(*(a[order].tolist() for a in (n, m, values[f])))
-        if not is_hamiltonian_fast(n, m)
-    ]
+    max_m = _check_horizon(max_m, "max_m")
+    values = _FOREST.values.tolist()
+    rows = sorted((n, m, values[f]) for m, n, f in _nodes(max_m) if values[f] >= 2)
+    return [PairRecord(n, m, diag, False, "link") for n, m, diag in rows if not is_hamiltonian_fast(n, m)]
 
 
 def diag_distribution(h: int) -> DistributionReport:
@@ -102,13 +98,18 @@ def diag_distribution(h: int) -> DistributionReport:
     whose value is the pair's count.  O(log h) generations of numpy
     steps over at most `_CHUNK` nodes each.
     """
-    h = check_int(h, 2, "h")
-    values = _forest().values
-    visits, _, _ = _run_walk(h, np.zeros(len(values), bool))
-    tally = [0, 0, 0, 0]
-    for value, count in zip(values.tolist(), visits.tolist()):
-        tally[value] += count
-    return DistributionReport(h, sum(tally), tally[1], tally[2], tally[3])
+    h = _check_horizon(h, "h")
+    visits, _ = _run_walk(h)
+    counts = (int(visits[_FOREST.values == value].sum()) for value in (1, 2, 3))
+    return DistributionReport(h, int(visits.sum()), *counts)
+
+
+def _check_horizon(h, what: str) -> int:
+    """h as an int; ValueError below 2, CapExceededError above 2**60."""
+    h = check_int(h, 2, what)
+    if h > 2**60:  # the run walk's int64 columns hold values up to 5 h
+        raise CapExceededError(f"the run walk needs h <= 2**60, got {h}")
+    return h
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,6 @@ class _Forest:
     lam: _RunIds
 
 
-@cache
 def _forest() -> _Forest:
     """The even-odd tree on the map ids of `TREE_MAPS`, the odd-odd tree on one more.
 
@@ -192,38 +192,49 @@ def _forest() -> _Forest:
     return forest
 
 
-def _run_walk(h: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Visits per map id, kept nodes and generation count of the forest up to h.
+_FOREST = _forest()
+
+
+def _nodes(h: int) -> Iterator[tuple[int, int, int]]:
+    """(m, n, map id) of every node of the forest up to h, depth first on Python ints."""
+    children = _FOREST.children.tolist()
+    stack = [tuple(root) for root in _FOREST.roots.T.tolist() if root[0] <= h]
+    while stack:
+        m, n, f = node = stack.pop()
+        yield node
+        gamma, delta, lam = children[f]
+        if 2 * m - n <= h:  # the delta child's m, 2m + n, exceeds the gamma child's
+            stack.append((2 * m - n, m, gamma))
+            if 2 * m + n <= h:
+                stack.append((2 * m + n, m, delta))
+        if m + 2 * n <= h:
+            stack.append((m + 2 * n, n, lam))
+
+
+def _run_walk(h: int) -> tuple[np.ndarray, int]:
+    """Visits per map id and generation count of the forest up to h.
 
     The frontier holds columns (m, n, f, flags, generation): each node
     has its delta child, and starts the runs its flags name; a node
     reached by a gamma run starts no gamma run, one reached by a lambda
     run no lambda run.  Run steps whose children all exceed h are
-    leaves, counted by `_RunIds.visits`; when any keep[f] is set every
-    node is built instead, and `kept` holds the (m, n, f) rows of the
-    built nodes with keep[f].  A step expands at most `_CHUNK` nodes
-    into at most `_CHUNK` built children, or one node into at most
-    `2 _CHUNK + 1`: a run longer than `_CHUNK` is cut, and its last
-    built step carries it on.  `generations` counts the expanded levels.
+    leaves, counted by `_RunIds.visits`.  A step expands at most
+    `_CHUNK` nodes into at most `_CHUNK` built children, or one node
+    into at most `2 _CHUNK + 1`: a run longer than `_CHUNK` is cut, and
+    its last built step carries it on.  `generations` counts the
+    expanded levels.
     """
-    if h > _MAX_H:
-        raise CapExceededError(f"the run walk needs h <= 2**60, got {h}")
-    forest = _forest()
-    children, gamma, lam = forest.children, forest.gamma, forest.lam
-    every = bool(keep.any())
+    children, gamma, lam = _FOREST.children, _FOREST.gamma, _FOREST.lam
     visits = np.zeros(len(children), np.int64)
-    kept = [np.zeros((3, 0), np.int64)]
     stack = []
     generations = 0
 
     def built(nodes: np.ndarray) -> None:
         nonlocal visits
         visits += np.bincount(nodes[2], minlength=len(visits))
-        if every:
-            kept.append(nodes[:3, keep[nodes[2]]])
         stack.extend(nodes[:, i : i + _CHUNK] for i in range(0, nodes.shape[1], _CHUNK))
 
-    roots = forest.roots[:, forest.roots[0] <= h]
+    roots = _FOREST.roots[:, _FOREST.roots[0] <= h]
     built(np.vstack((roots, np.full((2, roots.shape[1]), [[_BOTH], [0]]))))
     while stack:
         node = stack.pop()
@@ -236,15 +247,11 @@ def _run_walk(h: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             np.where(flags & _GAMMA, (h - m) // (m - n), 0),
             np.where(flags & _LAMBDA, (h - m) // (2 * n), 0),
         ))
-        if every:
-            grown = whole
-        else:
-            grown = np.stack(((h - m - 2 * n) // (3 * (m - n)), (h - 2 * m + n) // (4 * n)))
-            grown = np.clip(grown, 0, whole)
+        grown = np.stack(((h - m - 2 * n) // (3 * (m - n)), (h - 2 * m + n) // (4 * n)))
+        grown = np.clip(grown, 0, whole)
         take = np.minimum(grown, _CHUNK)
         # delta children (2m + n, m) start both runs; theirs reach h iff 3m + 2n does
-        reach = 2 * m + n <= h
-        grow = reach if every else 3 * m + 2 * n <= h
+        reach, grow = 2 * m + n <= h, 3 * m + 2 * n <= h
         p = max(1, int(np.searchsorted(np.cumsum(take.sum(axis=0) + grow), _CHUNK, side="right")))
         if p < len(m):
             stack.append(node[:, p:])
@@ -257,15 +264,15 @@ def _run_walk(h: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         for r, (run, flag, step_m, step_n) in enumerate(
             ((gamma, _GAMMA, m - n, m - n), (lam, _LAMBDA, 2 * n, 0 * n))
         ):
-            if not every:  # a cut run counts no leaves here: its last built step carries it on
-                leaves = np.where(take[r] < grown[r], whole[r], grown[r])
-                visits += run.visits(f, leaves + 1, whole[r] + 1)
+            # a cut run counts no leaves here: its last built step carries it on
+            leaves = np.where(take[r] < grown[r], whole[r], grown[r])
+            visits += run.visits(f, leaves + 1, whole[r] + 1)
             new.append(_run_nodes(node, take[r], grown[r], step_m, step_n, run, flag))
         visits += np.bincount(children[f[reach & ~grow], 1], minlength=len(visits))
         delta = (2 * m + n, m, children[f, 1], np.full_like(m, _BOTH), gen + 1)
         new.append(np.stack(delta)[:, grow])
         built(np.concatenate(new, axis=1))
-    return visits, np.concatenate(kept, axis=1), generations
+    return visits, generations
 
 
 def _run_nodes(node, take, whole, step_m, step_n, run: _RunIds, flag: int) -> np.ndarray:

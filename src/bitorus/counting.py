@@ -1,12 +1,12 @@
 """Fast diagonal counting: crossing strings, pair reductions, tree walk.
 
-Three independent accelerations of the orbit count, from O(n+m) down to
-O(log n):
+Three independent accelerations of the orbit count, each with the bound
+the tests count:
 
-* Crossing strings.  On the n x m torus the diagonal crosses the bottom
-  and right boundaries in a fixed pattern; reading each crossing as a
-  permutation of the four quadrants of the folded 2n x 2m grid turns
-  the diagonal count into a cycle count of a word over two 4-cycles.
+* Crossing strings, O(n + m).  The diagonal of the n x m torus crosses
+  the bottom and right boundaries in a fixed pattern; reading each
+  crossing as a permutation of the four quadrants of the folded grid
+  turns the count into a cycle count of a word over two 4-cycles.
 
 * Pair reductions.  Ten rewriting rules shrink a coprime pair while
   preserving the diagonal count, terminating in one of six base pairs.
@@ -20,9 +20,9 @@ O(log n):
   canonicalised by five rewriting rules, determines the count.  One
   automaton encodes the canonicalisation: `TREE_MAPS`, whose map ids
   name the state maps of tree strings, with each id's children and
-  value.  `diag_count_tree` reads a pair's address as O(log) runs, each
-  taken with one divmod and applied as one precomputed power of its
-  character's child map; the census walks the same ids down the tree.
+  value.  `diag_count_tree` reads a pair's address as at most
+  log2(n + m) + 1 runs, each taken with one divmod and applied as one
+  precomputed power of its character's child map, as the census does.
 """
 
 from __future__ import annotations
@@ -554,7 +554,7 @@ def _tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
 def diag_count_tree(n: int, m: int) -> int:
     """Diagonal count via the canonicalised tree address.
 
-    O(log n): the address is read as `tree_runs`, each taken with one
+    At most log2(n + m) + 1 runs of `tree_runs`, each taken with one
     divmod, root-first from map id 0; each run moves the id through a
     precomputed power of its character's child map in `TREE_MAPS`.
     """

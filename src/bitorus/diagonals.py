@@ -119,7 +119,7 @@ class DiagonalDecomposition:
     def __len__(self) -> int:
         return sum(size for size, _ in self.profile_groups)
 
-    def ups(self, omega: str) -> list[bool]:
+    def ups(self, omega: str) -> np.ndarray:
         """Per diagonal, whether the orientation string orients it up (U) or right (R)."""
         return orientation_ups(omega, len(self.diagonals))
 

@@ -76,16 +76,6 @@ def _read_only(flat: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _omega_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
-    """Per diagonal, whether the orientation string orients it up."""
-    return np.array(dec.ups(omega), dtype=bool)
-
-
-def _cell_up(dec: DiagonalDecomposition, omega: str) -> np.ndarray:
-    """Per flat cell index, whether its diagonal is oriented up."""
-    return _omega_up(dec, omega)[diagonal_ids(dec)]
-
-
 def _line_tables(dec: DiagonalDecomposition, omega: str) -> tuple:
     """Per landing cell of an orientation, its stretch to the next wrap and the next landing.
 
@@ -101,7 +91,7 @@ def _line_tables(dec: DiagonalDecomposition, omega: str) -> tuple:
     grid = dec.grid
     n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
     off = rows - 1  # line d sits at index d + off
-    line_up = _omega_up(dec, omega)[dec.lines]
+    line_up = dec.ups(omega)[dec.lines]
     count = len(line_up)
     ups = np.concatenate(([0], np.cumsum(line_up)))
     k = np.arange(count)
@@ -200,7 +190,7 @@ def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
     rows, cols = dec.grid.rows, dec.grid.cols
     d = np.arange(1 - rows, cols)  # line d starts at (max(-d, 0), max(d, 0))
     line_cells = np.minimum(rows - np.maximum(-d, 0), cols - np.maximum(d, 0))
-    return int(line_cells[_omega_up(dec, omega)[dec.lines]].sum())
+    return int(line_cells[dec.ups(omega)[dec.lines]].sum())
 
 
 def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
@@ -359,7 +349,8 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
     flat = flat.astype(np.intp, copy=False)
     if np.bincount(flat, minlength=grid.size).max() > 1:
         raise InconsistencyError("witness repeats a cell")
-    up = _cell_up(decompose(grid), witness.orientation)
+    dec = decompose(grid)
+    up = dec.ups(witness.orientation)[diagonal_ids(dec)]
     succ = np.where(up, up_indices(grid), right_indices(grid))
     broken = succ[flat] != np.roll(flat, -1)
     if broken.any():
@@ -431,11 +422,11 @@ def _n2_stacked(rho: int, col: int, m: int) -> Cell:
     return (rho, col) if rho < 4 else (rho - 4, col + m)
 
 
-def _n2_omega_for(m: int, layout) -> str | None:
-    """Orientation induced by the residue rule under one stacked layout.
+def _n2_omega_for(m: int) -> str | None:
+    """Orientation induced by the residue rule under the stacked layout.
 
     None when the rule is not diagonal-constant or not Hamiltonian
-    under this layout.
+    under that layout.
     """
     rule = _N2_RIGHT_RULES[m % 8]
     dec = decompose(GridParams(2, m))
@@ -443,7 +434,7 @@ def _n2_omega_for(m: int, layout) -> str | None:
     up = np.empty(dec.grid.size, dtype=bool)
     for rho in range(8):
         for col in range(m):
-            row, c = layout(rho, col, m)
+            row, c = _n2_stacked(rho, col, m)
             up[row * cols + c] = not rule(rho - col)
     omega = _diagonal_constant(dec, up)
     if omega is None:
@@ -459,7 +450,7 @@ def n2_orientation(m: int) -> str:
     if m % 8 in (3, 5):
         raise ValueError(f"no Hamiltonian orientation exists for width {m} (mod 8 in 3,5)")
     _refuse(GridParams(2, m), 8 * m, "cells", "height-2 rule", CELL_CAP)
-    omega = _n2_omega_for(m, _n2_stacked)
+    omega = _n2_omega_for(m)
     if omega is None:
         raise InconsistencyError(f"height-2 rule failed to validate at width {m}")
     return omega
@@ -526,5 +517,5 @@ def torus1_components(n: int, m: int, orientation: str) -> int:
     n, m = check_sizes(n, m)
     g = math.gcd(n, m)
     r, c = np.divmod(np.arange(n * m), m)
-    up = np.array(orientation_ups(orientation, g))[(c - r) % g]
+    up = orientation_ups(orientation, g)[(c - r) % g]
     return perm_cycles(np.where(up, (r - 1) % n * m + c, r * m + (c + 1) % m).tolist())

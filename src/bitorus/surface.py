@@ -50,14 +50,14 @@ def check_sizes(n, m) -> tuple[int, int]:
     return n, m
 
 
-def orientation_ups(omega: str, count: int) -> list[bool]:
-    """Per diagonal, whether the orientation string orients it up (U) or right (R)."""
+def orientation_ups(omega: str, count: int) -> np.ndarray:
+    """Per diagonal, whether the orientation string orients it up (U) or right (R), as bools."""
     if len(omega) != count:
         raise ValueError(f"orientation string length {len(omega)} != {count} diagonals")
     for direction in omega:
         if direction not in (UP, RIGHT):
             raise ValueError(f"orientation characters must be U or R, got {direction!r}")
-    return [direction == UP for direction in omega]
+    return np.array([direction == UP for direction in omega], dtype=bool)
 
 
 @dataclass(frozen=True)

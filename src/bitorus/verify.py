@@ -206,9 +206,9 @@ def _induction_matches(*case) -> bool:
         lambda k: [(6 * k, [(r.n, r.m, r.diag) for r in exceptional_pairs(6 * k)])],
         lambda k, cases: f"coprime n < m <= {6 * k}, {len(cases[0][1])} rows")
 def _table_routes_agree(h: int, rows: list) -> bool:
-    """The tree-walk table's rows are what the per-pair loop over coprime pairs lists.
+    """The table's rows, from its plain tree walk, are what the per-pair loop lists.
 
-    The loop is the table's former route: a gcd filter, then
+    The loop walks no tree: a gcd filter over the coprime pairs, then
     `diag_count_tree` and `is_hamiltonian_fast` per pair.  It runs up to
     m <= 6 * limit, the paper's table at the default limit.
     """

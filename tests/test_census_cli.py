@@ -9,11 +9,10 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bitorus.census as census
-from bitorus.census import _forest, _run_walk, diag_distribution, exceptional_pairs
+from bitorus.census import _FOREST, _nodes, _run_walk, diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
 from bitorus.counting import (
     _TRANSITIONS,
@@ -78,62 +77,48 @@ def test_exceptional_pairs_matches_the_per_pair_loop_at_every_limit(monkeypatch)
 
 
 def test_table_walk_yields_each_coprime_pair_once_with_its_count():
-    values = _forest().values
-    ids = range(len(values))
+    values = _FOREST.values
     for h in (2, 3, 4, 17, 200):
-        visits, every, _ = _run_walk(h, np.ones(len(values), bool))
-        nodes = list(zip(*every.tolist()))
+        nodes = list(_nodes(h))
         walked = Counter((n, m) for m, n, _ in nodes)
         for m, n, f in nodes:
             assert values[f] == diag_count_tree(n, m), (n, m)
-        assert visits.tolist() == [sum(node[2] == f for node in nodes) for f in ids]
-        for keep in (
-            values >= 2,
-            [False] * len(values),
-            [f % 2 == 0 for f in ids],
-            [f % 2 == 1 for f in ids],
-        ):
-            kept_visits, kept, _ = _run_walk(h, np.array(keep))
-            assert list(zip(*kept.tolist())) == [node for node in nodes if keep[node[2]]], (h, keep)
-            assert kept_visits.tolist() == visits.tolist()
         assert set(walked.values()) == {1}
         assert set(walked) == set(_coprime(h))
-        assert sum(visits) == len(walked)
     # the odd-odd tree's root (3, 1), with the last map id, lies above h = 2
-    visits, every, generations = _run_walk(2, np.ones(len(values), bool))
-    assert every.tolist() == [[2], [1], [0]] and visits[-1] == 0 and generations == 1
+    visits, generations = _run_walk(2)
+    assert list(_nodes(2)) == [(2, 1, 0)] and visits.tolist() == [1] + [0] * (len(values) - 1)
+    assert generations == 1
 
 
 def _walk_both_ways(h):
-    """Visits counted with leaf runs in closed form, with every node built, and of those nodes."""
-    values = _forest().values
-    counted, _, _ = _run_walk(h, np.zeros(len(values), bool))
-    visits, every, _ = _run_walk(h, np.ones(len(values), bool))
-    return counted.tolist(), visits.tolist(), np.bincount(every[2], minlength=len(values)).tolist()
+    """Visits per map id counted by the run walk, and tallied over the plain walk's nodes."""
+    counted, _ = _run_walk(h)
+    tallied = Counter(f for _, _, f in _nodes(h))
+    return counted.tolist(), [tallied[f] for f in range(len(counted))]
 
 
 def test_leaf_runs_count_the_visits_of_their_built_nodes():
     for h in range(2, 201):
-        counted, visits, built = _walk_both_ways(h)
-        assert counted == visits == built, h
+        counted, tallied = _walk_both_ways(h)
+        assert counted == tallied, h
 
 
 def test_cut_runs_and_split_chunks_keep_the_counts(monkeypatch):
     # a tiny chunk splits every frontier chunk and cuts every long run; at
     # h = 100 the root's gamma run builds 32 steps, cut 8 times, each cut
     # adding a generation
-    want = {h: _walk_both_ways(h)[0] for h in (30, 60, 100)}
+    want = {h: _walk_both_ways(h)[1] for h in (30, 60, 100)}
     generations = _generations(100)
     monkeypatch.setattr(census, "_CHUNK", 4)
-    for h, counted in want.items():
-        assert _walk_both_ways(h) == (counted, counted, counted), h
-        _, (m, n, _), _ = _run_walk(h, np.ones(len(counted), bool))
-        assert sorted(zip(n.tolist(), m.tolist())) == sorted(_coprime(h))
+    for h, tallied in want.items():
+        assert _walk_both_ways(h) == (tallied, tallied), h
+        assert sum(tallied) == sum(1 for _ in _coprime(h))
     assert _generations(100) > generations
 
 
 def _generations(h):
-    return _run_walk(h, np.zeros(len(_forest().values), bool))[2]
+    return _run_walk(h)[1]
 
 
 def test_run_walk_generations_grow_like_log_h():

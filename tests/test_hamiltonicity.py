@@ -11,7 +11,7 @@ import bitorus
 import bitorus.diagonals as diagonals
 import bitorus.hamiltonicity as ham
 from bitorus.counting import diag_count_tree
-from bitorus.diagonals import decompose, diag_count_naive
+from bitorus.diagonals import decompose, diag_count_naive, diagonal_ids
 from bitorus.errors import CapExceededError, InconsistencyError
 from bitorus.hamiltonicity import (
     HamWitness,
@@ -561,7 +561,7 @@ def test_diagonal_constant_reads_orientations_and_rejects_mixed_tables():
     for n, m in [(3, 3), (4, 6), (2, 7)]:
         dec = decompose(GridParams(n, m))
         for omega in islice(product("UR", repeat=len(dec.diagonals)), 16):
-            up = ham._cell_up(dec, omega)
+            up = dec.ups(omega)[diagonal_ids(dec)]
             assert ham._diagonal_constant(dec, up) == "".join(omega)
             for cell in (0, dec.grid.size // 2, dec.grid.size - 1):
                 mixed = up.copy()
@@ -580,16 +580,17 @@ def test_n2_rules_produce_hamiltonian_witnesses():
     assert all(CHECKS["height-2"].holds(m) for m in (1, 2, 4, 6, 7, 8, 9, 14, 15, 16, 17))
 
 
-def test_n2_stacked_layout_calibration():
+def test_n2_stacked_layout_calibration(monkeypatch):
     # The direct stacked layout validates the residue rules on small widths;
     # the layout with the lower rows rotated by the half-height 2 does not.
     def rotated(rho, col, m):
         return (rho, col) if rho < 4 else ((rho - 2) % 4, col + m)
 
     for m in (2, 4, 6, 7, 8, 9):
-        assert ham._n2_omega_for(m, ham._n2_stacked) is not None
+        assert ham._n2_omega_for(m) is not None
+    monkeypatch.setattr(ham, "_n2_stacked", rotated)
     for m in (2, 6, 7, 9):
-        assert ham._n2_omega_for(m, rotated) is None
+        assert ham._n2_omega_for(m) is None
 
 
 def test_n2_rejects_residues_three_and_five():

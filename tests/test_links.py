@@ -91,7 +91,9 @@ def test_reduce_preserves_loop_count_randomized():
 
 def test_orientation_link_matches_known_tuple():
     dec = decompose(GridParams(1, 3))
-    assert orientation_link(dec, "UR").as_tuple() == (3, 2, 0, 1)
+    link = orientation_link(dec, "UR")
+    assert link.as_tuple() == (3, 2, 0, 1)
+    assert {type(value) for value in link.as_tuple()} == {int}
 
 
 @pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (2, 2), (3, 5)])
