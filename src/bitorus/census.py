@@ -8,9 +8,9 @@ carries its map id in `counting.TREE_MAPS`, the tree automaton whose
 ids `diag_count_tree` steps; an id's value is the pair's diagonal
 count, and the odd-odd tree has one more map, valued 2.  The table
 lists the nodes with `_nodes`, a plain walk on Python ints; the census
-counts them with the run walk, `_run_walk`.
+counts them with the forest walk, `_forest_walk`.
 
-The run walk takes the trees a run at a time, in numpy, moving ids by
+The forest walk takes the trees a run at a time, in numpy, moving ids by
 the same `run_powers` tables the single-pair count reads: from a
 frontier node (m, n) it takes the whole gamma run (m + kd, n + kd),
 d = m - n, the whole lambda run (m + 2kn, n) and the delta child
@@ -83,7 +83,7 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
     diagonals get the link tier's `is_hamiltonian_fast`, in
     lexicographic order.
     """
-    max_m = _check_horizon(max_m, "max_m")
+    max_m = _check_horizon(max_m, "max_m", "the table's O(h^2) link-tier searches are capped at")
     values = _FOREST.values.tolist()
     rows = sorted((n, m, values[f]) for m, n, f in _nodes(max_m) if values[f] >= 2)
     return [PairRecord(n, m, diag, False, "link") for n, m, diag in rows if not is_hamiltonian_fast(n, m)]
@@ -92,23 +92,23 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
 def diag_distribution(h: int) -> DistributionReport:
     """Exact diagonal-count distribution over coprime pairs m > n, m <= h.
 
-    One run walk counts every pair's map id, building a quarter of the
+    One forest walk counts every pair's map id, building a quarter of the
     pairs and counting the rest run by run: an even-odd node's id names
     the automaton's state map of its tree string in `TREE_MAPS`,
     whose value is the pair's count.  O(log h) generations of numpy
     steps over at most `_CHUNK` nodes each.
     """
-    h = _check_horizon(h, "h")
-    visits, _ = _run_walk(h)
+    h = _check_horizon(h, "h", "the census's forest walk, int64 up to 5 h, needs")
+    visits, _ = _forest_walk(h)
     counts = (int(visits[_FOREST.values == value].sum()) for value in (1, 2, 3))
     return DistributionReport(h, int(visits.sum()), *counts)
 
 
-def _check_horizon(h, what: str) -> int:
-    """h as an int; ValueError below 2, CapExceededError above 2**60."""
+def _check_horizon(h, what: str, cap: str) -> int:
+    """h as an int; ValueError below 2, CapExceededError, led by `cap`, above 2**60."""
     h = check_int(h, 2, what)
-    if h > 2**60:  # the run walk's int64 columns hold values up to 5 h
-        raise CapExceededError(f"the run walk needs h <= 2**60, got {h}")
+    if h > 2**60:
+        raise CapExceededError(f"{cap} h <= 2**60, got {h}")
     return h
 
 
@@ -211,7 +211,7 @@ def _nodes(h: int) -> Iterator[tuple[int, int, int]]:
             stack.append((m + 2 * n, n, lam))
 
 
-def _run_walk(h: int) -> tuple[np.ndarray, int]:
+def _forest_walk(h: int) -> tuple[np.ndarray, int]:
     """Visits per map id and generation count of the forest up to h.
 
     The frontier holds columns (m, n, f, flags, generation): each node

@@ -286,12 +286,15 @@ def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
         sizes[weight] = sizes.get(weight, 0) + count
     mask = (1 << bits) - 1
     groups = []
-    totals = [0, 0, 0, 0]
+    ta = tb = tc = td = 0
     for w, size in sizes.items():
-        counts = (w & mask, w >> bits & mask, w >> 2 * bits & mask, w >> 3 * bits)
-        groups.append((size, BoundaryProfile(*counts)))
-        for i in range(4):
-            totals[i] += size * counts[i]
+        a, b, c, d = w & mask, w >> bits & mask, w >> 2 * bits & mask, w >> 3 * bits
+        groups.append((size, BoundaryProfile(a, b, c, d)))
+        ta += size * a
+        tb += size * b
+        tc += size * c
+        td += size * d
+    totals = [ta, tb, tc, td]
     if sorted(sizes.values()) not in ([g], [g, g], [g, 2 * g]):
         raise InconsistencyError(
             f"induction on grid ({n},{m}) gave group sizes {list(sizes.values())}, "

@@ -289,9 +289,12 @@ def _first_knot(groups):
     loops, and all up (m, m, 0, 0), with m loops; so each is tried only
     when its side is 1, which leaves the first knot unchanged.
     """
-    n = sum(size * prof.cnt_c for size, prof in groups)
-    m = sum(size * prof.cnt_a for size, prof in groups)
-    total = math.prod(size + 1 for size, _ in groups)
+    n = m = 0
+    total = 1
+    for size, prof in groups:
+        n += size * prof.cnt_c
+        m += size * prof.cnt_a
+        total *= size + 1
     start = 1 if n > 1 else 0
     stop = total - 1 if m > 1 else total
     for i in range(start, stop):
@@ -338,6 +341,12 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
     off the flat `up_indices` and `right_indices` tables rather than the
     line walk that builds witnesses.
     """
+    _validate(decompose(grid), witness)
+
+
+def _validate(dec: DiagonalDecomposition, witness: HamWitness) -> None:
+    """`validate_witness` on a decomposition the caller already holds."""
+    grid = dec.grid
     flat = np.asarray(witness.cycle)
     if flat.ndim != 1 or flat.dtype.kind not in "iu":
         raise ValueError(f"witness cycle is not 1-D integer cell indices: {flat.dtype} {flat.shape}")
@@ -349,7 +358,6 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
     flat = flat.astype(np.intp, copy=False)
     if np.bincount(flat, minlength=grid.size).max() > 1:
         raise InconsistencyError("witness repeats a cell")
-    dec = decompose(grid)
     up = dec.ups(witness.orientation)[diagonal_ids(dec)]
     succ = np.where(up, up_indices(grid), right_indices(grid))
     broken = succ[flat] != np.roll(flat, -1)
@@ -395,7 +403,7 @@ def square_construction(n: int) -> HamWitness:
     if omega is None:
         raise InconsistencyError(f"square walk is no diagonal-constant cycle of the ({n},{n}) grid")
     witness = _witness_from_omega(dec, omega)
-    validate_witness(grid, witness)
+    _validate(dec, witness)
     return witness
 
 

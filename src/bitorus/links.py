@@ -6,17 +6,20 @@ order-preserving interval map; the number of loops is the number of
 cycles of that map.  A link with a single loop is a knot.
 
 That map is a discrete interval exchange: four intervals A B C D,
-translated into the order D C B A.  `exchange_cycles` finds the cycles
-of any such exchange by discrete Rauzy induction with Zorich's
-acceleration, in a Euclid-like number of steps.  Its one unequal-length
-step serves both winners: when the image's last interval is the longer,
-it steps the inverse exchange, which has the same cycles.
+translated into the order D C B A.  `_rauzy` finds the cycles of any
+such exchange by discrete Rauzy induction with Zorich's acceleration,
+in a Euclid-like number of steps.  Its one unequal-length step serves
+both winners: when the image's last interval is the longer, it steps
+the inverse exchange, which has the same cycles.  `exchange_cycles`
+checks an exchange given by its label orders and runs that loop on it.
 
-`link_cycles` is the one link exchange built on it, behind both the
-loops and the diagonals: `loop_count` counts its cycles in
-O(log(a + b + c + d)) arithmetic steps, and a grid's diagonals are the
-loops of the link (m, m, n, n), so `diagonals.induction_groups` reads
-them, with their boundary crossings as weights, from the same exchange.
+`link_cycles` runs the same loop on a link, whose lengths were checked
+when it was built and whose labels are always A B C D -> D C B A.  It
+is behind both the loops and the diagonals: `loop_count` counts its
+cycles in O(log(a + b + c + d)) arithmetic steps, and a grid's
+diagonals are the loops of the link (m, m, n, n), so
+`diagonals.induction_groups` reads them, with their boundary crossings
+as weights, from the same exchange.
 The permutation trace `perm_cycles(link_permutation(link))`,
 O(a + b + c + d), stays as the reference it is checked against.
 """
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from .errors import InconsistencyError, check_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     a: int
     b: int
@@ -36,9 +39,10 @@ class Link:
     d: int
 
     def __post_init__(self):
-        a, b, c, d = fields = self.as_tuple()
-        if not (type(a) is type(b) is type(c) is type(d) is int and min(fields) >= 0):
-            for name, value in zip("abcd", fields):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if not (type(a) is type(b) is type(c) is type(d) is int
+                and a >= 0 and b >= 0 and c >= 0 and d >= 0):
+            for name, value in zip("abcd", (a, b, c, d)):
                 object.__setattr__(self, name, check_int(value, 0, f"link parameter {name}"))
 
     @property
@@ -102,9 +106,26 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
     points, and weights may be any numbers that add, such as ints packing
     several counters.  The blocks list every cycle once.
 
-    Discrete right Rauzy induction (Rauzy 1979): with a and b the last
-    labels of `top` and `bot`, the first-return map to the domain without
-    its last min(len a, len b) points is again an exchange.
+    This checks the exchange (nonnegative lengths, the same labels in
+    both orders), drops the empty intervals and runs `_rauzy` on it.
+    """
+    lam = list(lengths)
+    if min(lam, default=0) < 0:
+        raise ValueError(f"interval lengths must be nonnegative: {lam}")
+    top = [x for x in top if lam[x]]
+    bot = [x for x in bot if lam[x]]
+    if sorted(top) != sorted(bot):
+        raise ValueError(f"domain order {top} and image order {bot} differ in labels")
+    return _rauzy(top, bot, lam, list(weights))
+
+
+def _rauzy(top, bot, lam, w) -> list[tuple[int, int]]:
+    """`exchange_cycles` on a checked exchange whose intervals are all nonempty.
+
+    Consumes its four lists.  Discrete right Rauzy induction (Rauzy
+    1979): with a and b the last labels of `top` and `bot`, the
+    first-return map to the domain without its last min(len a, len b)
+    points is again an exchange.
 
     * a == b: the last len a points are fixed; emit them and drop a.
     * len a > len b: b's image moves to just after a's, len a -= len b,
@@ -119,26 +140,13 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
     stays positive.  Every step cuts the domain, which bounds the loop; a
     step that does not is an internal inconsistency.
     """
-    lam = list(lengths)
-    w = list(weights)
-    if min(lam, default=0) < 0:
-        raise ValueError(f"interval lengths must be nonnegative: {lam}")
-    top = [x for x in top if lam[x]]
-    bot = [x for x in bot if lam[x]]
-    if sorted(top) != sorted(bot):
-        raise ValueError(f"domain order {top} and image order {bot} differ in labels")
     blocks = []
     while top:
         a = top[-1]
         b = bot[-1]
         la = lam[a]
         lb = lam[b]
-        if a == b:
-            blocks.append((la, w[a]))
-            top.pop()
-            bot.pop()
-            cut = la
-        elif la != lb:
+        if la != lb:  # a label has one length, so a != b
             if lb > la:  # the same step on the inverse exchange
                 top, bot, a, b, la, lb = bot, top, b, a, lb, la
             i = bot.index(a) + 1
@@ -158,6 +166,11 @@ def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
                 bot.insert(i, bot.pop())
                 w[b] += w[a]
             lam[a] = la - cut
+        elif a == b:
+            blocks.append((la, w[a]))
+            top.pop()
+            bot.pop()
+            cut = la
         else:
             top.pop()
             bot.pop()
@@ -174,9 +187,13 @@ def link_cycles(link: Link, weights) -> list[tuple[int, int]]:
 
     `weights` gives each of the four intervals' points a weight, in the
     order A, B, C, D; a loop's weight is the sum over its points.
-    O(log(a + b + c + d)) induction steps.
+    O(log(a + b + c + d)) induction steps.  A `Link` is checked when it
+    is built, so this runs `_rauzy` on its nonempty intervals directly.
     """
-    return exchange_cycles((0, 1, 2, 3), (3, 2, 1, 0), link.as_tuple(), weights)
+    lam = [link.a, link.b, link.c, link.d]
+    # most links have no empty side, and the comprehension costs about one Rauzy step
+    top = [0, 1, 2, 3] if all(lam) else [x for x in (0, 1, 2, 3) if lam[x]]
+    return _rauzy(top, top[::-1], lam, list(weights))
 
 
 def loop_count(link: Link) -> int:
@@ -185,9 +202,12 @@ def loop_count(link: Link) -> int:
     O(log(a + b + c + d)) induction steps; `perm_cycles` of the
     link's permutation is the reference.
     """
-    if link.total == 0:
+    loops = 0
+    for count, _ in link_cycles(link, (0, 0, 0, 0)):
+        loops += count
+    if loops == 0:
         raise ValueError("empty link")
-    return sum(count for count, _ in link_cycles(link, (0, 0, 0, 0)))
+    return loops
 
 
 def is_knot(link: Link) -> bool:

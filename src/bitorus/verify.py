@@ -173,7 +173,7 @@ def _canon_rules_hold(n: int, m: int) -> bool:
 
 @_check("census-tree", lambda k: [(10 * k,)], lambda k, _: f"coprime n < m <= {10 * k}")
 def _census_tallies_agree(h: int) -> bool:
-    """The census run walk tallies like per-pair tree walks."""
+    """The census forest walk tallies like per-pair tree walks."""
     tally = Counter(diag_count_tree(n, m) for n, m in _coprime_pairs(h, strict=True))
     report = diag_distribution(h)
     got = (report.pairs, report.count1, report.count2, report.count3)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bitorus.census as census
-from bitorus.census import _FOREST, _nodes, _run_walk, diag_distribution, exceptional_pairs
+from bitorus.census import _FOREST, _forest_walk, _nodes, diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
 from bitorus.counting import (
     _TRANSITIONS,
@@ -86,14 +86,14 @@ def test_table_walk_yields_each_coprime_pair_once_with_its_count():
         assert set(walked.values()) == {1}
         assert set(walked) == set(_coprime(h))
     # the odd-odd tree's root (3, 1), with the last map id, lies above h = 2
-    visits, generations = _run_walk(2)
+    visits, generations = _forest_walk(2)
     assert list(_nodes(2)) == [(2, 1, 0)] and visits.tolist() == [1] + [0] * (len(values) - 1)
     assert generations == 1
 
 
 def _walk_both_ways(h):
-    """Visits per map id counted by the run walk, and tallied over the plain walk's nodes."""
-    counted, _ = _run_walk(h)
+    """Visits per map id counted by the forest walk, and tallied over the plain walk's nodes."""
+    counted, _ = _forest_walk(h)
     tallied = Counter(f for _, _, f in _nodes(h))
     return counted.tolist(), [tallied[f] for f in range(len(counted))]
 
@@ -118,10 +118,10 @@ def test_cut_runs_and_split_chunks_keep_the_counts(monkeypatch):
 
 
 def _generations(h):
-    return _run_walk(h)[1]
+    return _forest_walk(h)[1]
 
 
-def test_run_walk_generations_grow_like_log_h():
+def test_forest_walk_generations_grow_like_log_h():
     # No run is cut below h = 3 _CHUNK, so a node's generation is its run
     # count and a node built at h is built at every larger h: the count
     # never falls as h grows, and the count at 2 lo bounds every h in [lo, 2 lo).

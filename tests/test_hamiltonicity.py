@@ -520,9 +520,8 @@ def test_square_walk_start_row_calibration():
     assert any(ham._square_orientation(dec, n - 1) is None for n, dec in decs.items())
 
 
-def test_square_construction_walks_the_diagonals_at_most_twice(monkeypatch):
-    # one decomposition serves the orientation and the witness, and
-    # validate_witness walks its own as the independent check
+def test_square_construction_walks_the_diagonals_once(monkeypatch):
+    # one decomposition serves the orientation, the witness and its validation
     calls, walk = [], diagonals.walk_diagonals
 
     def counted(grid):
@@ -530,10 +529,10 @@ def test_square_construction_walks_the_diagonals_at_most_twice(monkeypatch):
         return walk(grid)
 
     monkeypatch.setattr(diagonals, "walk_diagonals", counted)
-    for n in (1, 5, 40):
+    for n in (1, 5, 40, 100):
         calls.clear()
         square_construction(n)
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
 
 
 def test_square_witness_is_the_papers_walk():

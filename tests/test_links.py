@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bitorus import links
 from bitorus.diagonals import decompose
+from bitorus.errors import InconsistencyError
 from bitorus.links import (
     Link,
     exchange_cycles,
     is_knot,
+    link_cycles,
     link_permutation,
     link_reduce,
     loop_count,
@@ -188,6 +191,24 @@ def test_exchange_cycles_rejects_bad_input():
     with pytest.raises(ValueError):
         exchange_cycles((0, 1), (1, 1), (2, 3), (0, 0))
     assert exchange_cycles((0, 1), (1, 0), (0, 0), (0, 0)) == []
+
+
+_link_side = st.just(0) | st.integers(0, 12) | st.integers(0, 10**12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_link_side, _link_side, _link_side, _link_side, st.tuples(*[st.integers(-10**6, 10**6)] * 4))
+def test_link_cycles_is_the_checked_exchange_block_for_block(a, b, c, d, weights):
+    # link_cycles skips exchange_cycles' checks; its blocks, in their order,
+    # fix induction_groups' group order and so the golden witnesses
+    want = exchange_cycles((0, 1, 2, 3), (3, 2, 1, 0), (a, b, c, d), weights)
+    assert link_cycles(Link(a, b, c, d), weights) == want
+
+
+def test_rauzy_step_that_does_not_shorten_is_an_inconsistency():
+    # an empty interval, which both callers drop, would emit an empty block
+    with pytest.raises(InconsistencyError, match="did not shorten"):
+        links._rauzy([0], [0], [0], [0])
 
 
 def test_loop_count_rejects_the_empty_link():
