@@ -22,12 +22,12 @@ Read off the walk:
 * the line table `lines`: the diagonal id of each line col - row.  Any
   per-cell table, such as the diagonal id of every cell, is one numpy
   gather from it;
-* the boundary profile (cnt_a, cnt_b, cnt_c, cnt_d) of a diagonal counts
-  its lines in four ranges: top-row cell (0, c) lies on line c and
-  last-column cell (r, 2m - 1) on line 2m - 1 - r, so A, B, C and D are
-  the m, m, n and n lines [0, m), [m, 2m), [2m - n, 2m) and
-  [2m - 2n, 2m - n), the link (m, m, n, n).  Diagonals with identical
-  profiles form a group; the induced link depends only on the groups' up counts;
+* a diagonal's boundary profile, the validated tuple (cnt_a, cnt_b, cnt_c,
+  cnt_d), counts its lines in four ranges: top-row cell (0, c) lies on line c
+  and last-column cell (r, 2m - 1) on line 2m - 1 - r, so A, B, C and D are
+  the m, m, n and n lines [0, m), [m, 2m), [2m - n, 2m) and [2m - 2n, 2m - n),
+  the link (m, m, n, n).  Diagonals with identical profiles form a group; the
+  induced link depends only on the groups' up counts;
 * a diagonal's cells are expanded from its lines only when read.
 
 `decompose` runs the induction at once and the walk on first read of
@@ -40,26 +40,31 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InconsistencyError
+from .errors import InconsistencyError, check_int
 from .links import Link, link_cycles
 from .surface import Cell, GridParams, classify, orientation_ups
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
-    """How many of a diagonal's cells lie on each boundary half."""
+class BoundaryProfile(NamedTuple("BoundaryProfile", [(f"cnt_{x}", int) for x in "abcd"])):
+    """How many of a diagonal's cells lie on each boundary half: ints >= 0, checked as in `Link`."""
 
-    cnt_a: int
-    cnt_b: int
-    cnt_c: int
-    cnt_d: int
+    __slots__ = ()
+
+    def __new__(cls, cnt_a, cnt_b, cnt_c, cnt_d):
+        counts = (cnt_a, cnt_b, cnt_c, cnt_d)
+        if not (type(cnt_a) is type(cnt_b) is type(cnt_c) is type(cnt_d) is int
+                and cnt_a >= 0 and cnt_b >= 0 and cnt_c >= 0 and cnt_d >= 0):
+            counts = [check_int(v, 0, f"boundary count {name}") for name, v in zip(cls._fields, counts)]
+        return tuple.__new__(cls, counts)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.cnt_a, self.cnt_b, self.cnt_c, self.cnt_d)
+        return tuple(self)
 
 
 @dataclass
@@ -271,19 +276,22 @@ def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
     weights, so each emitted block is a set of diagonals with one
     profile; blocks of equal profile merge into a group.  O(log(n + m))
     induction steps; groups come in the order the induction emits them.
-    This is the one group list; the run walk's profiles must match it
-    when `DiagonalDecomposition` first reads the diagonals.
 
     The group law, checked here: the sizes are (g), (g, g) or (g, 2g),
     g = gcd(n, m), so the link tier tries at most (g+1)(2g+1) - 2
     links, and the profiles sum to (m, m, n, n).
     """
-    n, m, g = grid.n, grid.m, grid.g
+    n, m = grid
     bits = (2 * (n + m)).bit_length()
-    weights = (1 << bits, 1, 1 << 3 * bits, 1 << 2 * bits)
     sizes: dict[int, int] = {}
-    for count, weight in link_cycles(Link(m, m, n, n), weights):
+    for count, weight in link_cycles(Link(m, m, n, n), (1 << bits, 1, 1 << 3 * bits, 1 << 2 * bits)):
         sizes[weight] = sizes.get(weight, 0) + count
+    g = grid.g
+    if tuple(sizes.values()) not in ((g,), (g, g), (g, 2 * g), (2 * g, g)):
+        raise InconsistencyError(
+            f"induction on grid ({n},{m}) gave group sizes {list(sizes.values())}, "
+            f"not (g), (g, g) or (g, 2g) with g = {g}"
+        )
     mask = (1 << bits) - 1
     groups = []
     ta = tb = tc = td = 0
@@ -294,15 +302,9 @@ def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
         tb += size * b
         tc += size * c
         td += size * d
-    totals = [ta, tb, tc, td]
-    if sorted(sizes.values()) not in ([g], [g, g], [g, 2 * g]):
+    if (ta, tb, tc, td) != (m, m, n, n):  # field by field: a carry could hide a wrong packed sum
         raise InconsistencyError(
-            f"induction on grid ({n},{m}) gave group sizes {list(sizes.values())}, "
-            f"not (g), (g, g) or (g, 2g) with g = {g}"
-        )
-    if totals != [m, m, n, n]:
-        raise InconsistencyError(
-            f"induction profiles of grid ({n},{m}) sum to {totals}, expected {[m, m, n, n]}"
+            f"induction profiles of grid ({n},{m}) sum to {[ta, tb, tc, td]}, expected {[m, m, n, n]}"
         )
     return groups
 

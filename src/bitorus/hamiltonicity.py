@@ -318,10 +318,10 @@ def is_hamiltonian_fast(n: int, m: int) -> bool:
 
 
 def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
-    """A validated witness from the link tier, without a full sweep.
+    """A witness from the link tier, checked only for covering all 4nm cells.
 
-    Groups are searched in the order of their first diagonal by id, so
-    the witness does not depend on the order the induction emits them.
+    `validate_witness` checks it step by step.  Groups are searched in the
+    order of their first diagonal by id, whatever order the induction emits.
     """
     dec = decompose(GridParams(n, m))
     profiles = [diag.profile for diag in dec.diagonals]

@@ -1,9 +1,9 @@
 """Loop systems on the two-holed torus described by four crossing counts.
 
-A link (a, b, c, d) records how many strands cross the boundary halves
-A, B, C and D.  Its strands connect boundary points by an
-order-preserving interval map; the number of loops is the number of
-cycles of that map.  A link with a single loop is a knot.
+A link, the validated tuple (a, b, c, d), records how many strands cross
+the boundary halves A, B, C and D.  Its strands connect boundary points
+by an order-preserving interval map; the number of loops is the number
+of cycles of that map.  A link with a single loop is a knot.
 
 That map is a discrete interval exchange: four intervals A B C D,
 translated into the order D C B A.  `_rauzy` finds the cycles of any
@@ -26,28 +26,28 @@ O(a + b + c + d), stays as the reference it is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistencyError, check_int
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
-    a: int
-    b: int
-    c: int
-    d: int
+class Link(NamedTuple("Link", [("a", int), ("b", int), ("c", int), ("d", int)])):
+    """Strands crossing A, B, C and D: a tuple of ints >= 0, checked however it is built."""
 
-    def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        counts = (a, b, c, d)
         if not (type(a) is type(b) is type(c) is type(d) is int
                 and a >= 0 and b >= 0 and c >= 0 and d >= 0):
-            for name, value in zip("abcd", (a, b, c, d)):
-                object.__setattr__(self, name, check_int(value, 0, f"link parameter {name}"))
+            counts = [check_int(v, 0, f"link parameter {name}") for name, v in zip("abcd", counts)]
+        return tuple.__new__(cls, counts)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     @property
     def total(self) -> int:
-        return self.a + self.b + self.c + self.d
+        return sum(self)
 
     @property
     def t(self) -> int:
@@ -55,7 +55,7 @@ class Link:
         return -self.a + self.b + 2 * self.c + 2 * self.d
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
 
 def link_permutation(link: Link) -> list[int]:
@@ -190,7 +190,7 @@ def link_cycles(link: Link, weights) -> list[tuple[int, int]]:
     O(log(a + b + c + d)) induction steps.  A `Link` is checked when it
     is built, so this runs `_rauzy` on its nonempty intervals directly.
     """
-    lam = [link.a, link.b, link.c, link.d]
+    lam = list(link)
     # most links have no empty side, and the comprehension costs about one Rauzy step
     top = [0, 1, 2, 3] if all(lam) else [x for x in (0, 1, 2, 3) if lam[x]]
     return _rauzy(top, top[::-1], lam, list(weights))

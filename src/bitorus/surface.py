@@ -17,13 +17,14 @@ inverses.
 
 The boundary halves are labelled A (top row, left half), B (top row,
 right half), C (right column, top half) and D (right column, bottom
-half).  The single corner cell (0, 2m-1) lies on both B and C.
+half).  The single corner cell (0, 2m-1) lies on both B and C.  A grid's
+sizes are one `GridParams`, the validated tuple (n, m).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,17 +61,15 @@ def orientation_ups(omega: str, count: int) -> np.ndarray:
     return np.array([direction == UP for direction in omega], dtype=bool)
 
 
-@dataclass(frozen=True)
-class GridParams:
-    """Grid sizes: quadrants are n x m, the full grid is 2n x 2m."""
+class GridParams(NamedTuple("GridParams", [("n", int), ("m", int)])):
+    """Grid sizes: quadrants are n x m, the full grid is 2n x 2m; a tuple checked however built."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, m = check_sizes(self.n, self.m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+    def __new__(cls, n, m):
+        return tuple.__new__(cls, check_sizes(n, m))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     @property
     def g(self) -> int:
@@ -101,8 +100,7 @@ class GridParams:
                 yield (row, col)
 
 
-@dataclass(frozen=True)
-class BoundaryClass:
+class BoundaryClass(NamedTuple):
     on_a: bool
     on_b: bool
     on_c: bool

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bitorus import links
-from bitorus.diagonals import decompose
+from bitorus.diagonals import BoundaryProfile, decompose
 from bitorus.errors import InconsistencyError
 from bitorus.links import (
     Link,
@@ -121,6 +123,36 @@ def test_orientation_link_validates_length_and_characters():
 
 def test_t_accessor():
     assert Link(1, 2, 3, 4).t == -1 + 2 + 6 + 8
+
+
+@pytest.mark.parametrize(
+    "cls,fields,bad",
+    [(GridParams, (3, 5), {"n": 0}), (BoundaryProfile, (1, 2, 3, 4), {"cnt_c": -1}), (Link, (1, 2, 3, 4), {"a": 1.5})],
+)
+def test_checked_tuples_check_every_route_and_compare_as_tuples(cls, fields, bad):
+    value = cls(*fields)
+    broken = [bad.get(name, v) for name, v in zip(cls._fields, fields)]
+    with pytest.raises(ValueError):
+        cls(*broken)
+    with pytest.raises(ValueError):
+        value._replace(**bad)
+    with pytest.raises(ValueError):
+        cls._make(broken)
+    unchecked = tuple.__new__(cls, broken)  # no library route builds one
+    for route in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(ValueError):
+            route(unchecked)
+        assert type(route(value)) is cls and route(value) == value
+    first = cls._fields[0]
+    converted = value._replace(**{first: np.int64(7)})
+    assert type(getattr(converted, first)) is int and converted == (7, *fields[1:])
+    with pytest.raises(AttributeError):
+        setattr(value, first, 7)
+    # values hash and compare as their field tuples: the run walk's Counter group
+    # check and hamiltonian_witness's profiles.index rely on it
+    assert value == fields and hash(value) == hash(fields)
+    assert Counter([value, cls(*fields)]) == Counter([fields, fields])
+    assert [converted, cls(*fields)].index(value) == 1
 
 
 # --- Rauzy induction ------------------------------------------------------------
