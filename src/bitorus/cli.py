@@ -13,6 +13,8 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .census import diag_distribution, exceptional_pairs
 from .counting import diag_count_reduction, diag_count_string, diag_count_tree
 from .diagonals import diag_count_naive
@@ -105,14 +107,50 @@ def _cmd_ham(args) -> int:
         verdict, witness = is_hamiltonian_brute(args.n, args.m)
     else:
         verdict = is_hamiltonian_fast(args.n, args.m)
-        # fetched before printing, so a refused witness prints no verdict
         witness = hamiltonian_witness(args.n, args.m) if args.witness and verdict else None
+    # refused past the cell cap before printing, so a refused witness prints no verdict
+    batches = witness.path.batches() if args.witness and verdict else ()
     print("true" if verdict else "false")
     if args.witness and verdict:
         print(witness.orientation)
-        for i in witness.cycle.tolist():
-            print("%d,%d" % divmod(i, 2 * args.m))
+        sys.stdout.flush()
+        for flat in batches:
+            _write_cells(sys.stdout.buffer, flat, 2 * args.m)
     return 0
+
+
+def _write_cells(out, flat: np.ndarray, cols: int) -> None:
+    """One line "row,col" per flat cell index, byte for byte as "%d,%d" % divmod(i, cols)."""
+    row, col = np.divmod(flat, cols)
+    row_width, col_width = _widths(row), _widths(col)
+    ends = np.cumsum(row_width + col_width + 2)
+    text = np.empty(int(ends[-1]), dtype=np.uint8)
+    text[ends - 1] = ord("\n")
+    comma = ends - col_width - 2
+    text[comma] = ord(",")
+    _put_digits(text, row, comma)
+    _put_digits(text, col, ends - 1)
+    out.write(text)
+
+
+def _widths(values: np.ndarray) -> np.ndarray:
+    """Decimal digits of each value >= 0."""
+    width = np.ones(len(values), dtype=np.intp)
+    for digits in range(1, len(str(int(values.max())))):
+        width += values >= 10**digits
+    return width
+
+
+def _put_digits(text: np.ndarray, values: np.ndarray, stops: np.ndarray) -> None:
+    """Write each value >= 0 in decimal into `text`, its last digit just before its stop."""
+    pos = stops - 1
+    while True:
+        text[pos] = values % 10 + ord("0")
+        values = values // 10
+        more = values > 0
+        if not more.any():
+            return
+        pos, values = pos[more] - 1, values[more]
 
 
 def _csv_field(value) -> str:

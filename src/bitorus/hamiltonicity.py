@@ -19,12 +19,20 @@ A diagonal is a list of whole lines col - row = d of the rectangle, so
 the per-cell diagonal-id table is one numpy gather from the
 decomposition's line table.  Witnesses and `trace_components` walk
 cycles one stretch between wraps at a time, O(1) Python steps each,
-through one numpy stretch table per orientation, and numpy writes every
-cell.  A cycle is an array of flat cell indices r*cols + c in cycle
-order, and divmod(i, cols) gives the cell (r, c).  The brute sweep
-keeps its successor table as one flat int64 array and rewrites a
-diagonal that changes direction in one numpy write over its cells.
-Only the brute sweep, the independent reference, walks cell by cell.
+through one numpy stretch table per orientation.  The walk returns a
+`StretchPath`: per stretch its first line, length and row shift, with
+the prefix counts of up lines, at most 2n + 2m stretches whatever the
+4nm cells.  A witness keeps that path, and its stretch lengths must sum
+to 4nm; numpy writes the cells only when `HamWitness.cycle` is read,
+and `validate_stretches` checks the path without them.  A cycle is an
+array of flat cell indices r*cols + c in cycle order, and divmod(i,
+cols) gives the cell (r, c).  Past CELL_CAP cells, reading a cycle or
+asking for its batches, tracing, the height-2 rule, the square
+construction and the brute sweep raise CapExceededError; finding a
+witness does not.  The brute sweep keeps its successor table as one
+flat int64 array and rewrites a diagonal that changes direction in one
+numpy write over its cells.  Only the brute sweep, the independent
+reference, walks cell by cell.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -40,6 +49,7 @@ from .diagonals import DiagonalDecomposition, decompose, diagonal_ids
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import group_link, is_knot, perm_cycles
 from .surface import (
+    RIGHT,
     UP,
     Cell,
     GridParams,
@@ -53,20 +63,86 @@ from .surface import (
 )
 
 BRUTE_DIAGONAL_CAP = 24
-# On 64-bit Python 3.11, `ham 1000 1001 --witness` (4,004,000 cells) peaks at 214 MB RSS
-# and `ham 1000 1001 --method brute` at 170 MB, about 46 and 35 B per cell above the
-# interpreter's 30 MB, so the routes that expand every cell, the brute sweep included,
-# stop near 1 GB.
+# On 64-bit Python 3.11 at (1000, 1001), 4,004,000 cells: reading a witness's `cycle`
+# peaks at 123 MB RSS and `ham 1000 1001 --method brute` at 214 MB, about 23 and 46 B per
+# cell above the interpreter's 30 MB, so the routes that expand every cell, the brute
+# sweep included, stop near 1 GB.  `ham N M --witness` writes a path's cells in batches
+# and peaks at 39 MB there.
 CELL_CAP = 2 * 10**7
 
 
-@dataclass
-class HamWitness:
-    """An orientation string plus the single cycle it generates, a read-only
-    np.intp array of flat indices i = r*cols + c: divmod(i, 2m) is (r, c)."""
+@dataclass(frozen=True, eq=False)
+class StretchPath:
+    """A cycle as its stretches between wraps, O(n + m) numbers for 4nm cells.
 
-    orientation: str
-    cycle: np.ndarray
+    Stretch i covers the lines first[i] .. first[i] + length[i] - 1 of the
+    grid, one cell each: on line x = col - row + rows - 1 its row is
+    shift[i] - ups[x], ups the prefix counts of up lines (ups[0] = 0), and
+    its column x - (rows - 1) + row.  Every stretch starts on a landing
+    cell and ends at a wrap, but a walk that starts inside a stretch, as
+    cell 0 entered from (1, 0) on (3, 7), ends on that stretch's piece
+    before the start.  The stretch lengths sum to the cycle's length.
+    """
+
+    grid: GridParams
+    ups: np.ndarray
+    first: np.ndarray
+    length: np.ndarray
+    shift: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Cells on the cycle: the stretch lengths summed, no cell expanded."""
+        return int(self.length.sum())
+
+    def cells(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Flat indices of stretches start .. stop - 1 in walk order; numpy writes every cell."""
+        rows, cols = self.grid.rows, self.grid.cols
+        first, length = self.first[start:stop], self.length[start:stop]
+        before = np.cumsum(length) - length
+        x = np.arange(length.sum()) + np.repeat(first - before, length)
+        row = np.repeat(self.shift[start:stop], length) - self.ups[x]
+        return row * (cols + 1) + x - (rows - 1)
+
+    def batches(self, cells: int = 1 << 16):
+        """The cycle's flat indices in walk order, whole stretches of about `cells` at a time.
+
+        CapExceededError past CELL_CAP, raised by the call, before any cell.
+        """
+        _refuse(self.grid, self.grid.size, "cells", "cell expansion", CELL_CAP)
+        ends = np.cumsum(self.length)
+        cuts = np.searchsorted(ends, np.arange(cells, ends[-1], cells)) + 1
+        bounds = np.unique([0, *cuts.tolist(), len(ends)]).tolist()
+        return (self.cells(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+
+
+class HamWitness:
+    """An orientation string plus the single cycle it generates.
+
+    `path` is the cycle as a `StretchPath`, O(n + m), and None for a
+    witness built from its cells, HamWitness(orientation, cycle).  `cycle`
+    is a read-only np.intp array of flat indices i = r*cols + c (divmod(i,
+    2m) is (r, c)), expanded from the path on first read; that read raises
+    CapExceededError past CELL_CAP.
+    """
+
+    def __init__(self, orientation: str, cycle=None, *, path: StretchPath | None = None):
+        if (cycle is None) == (path is None):
+            raise ValueError("a witness takes its cycle or its stretch path")
+        self.orientation = orientation
+        self.path = path
+        if cycle is not None:
+            self.cycle = cycle
+
+    def __repr__(self) -> str:
+        form = f"{len(self.path.first)} stretches" if self.path is not None else "cells"
+        return f"HamWitness({self.orientation!r}, {form})"
+
+    @cached_property
+    def cycle(self) -> np.ndarray:
+        grid = self.path.grid
+        _refuse(grid, grid.size, "cells", "cell expansion", CELL_CAP)
+        return _read_only(self.path.cells())
 
 
 def _read_only(flat: np.ndarray) -> np.ndarray:
@@ -108,20 +184,20 @@ def _line_tables(dec: DiagonalDecomposition, omega: str) -> tuple:
     return ups, first, last, shift, first.tolist(), last.tolist(), shift.tolist(), nxt.tolist()
 
 
-def _line_walk(grid: GridParams, table: tuple, r0: int, c0: int) -> np.ndarray:
-    """Flat indices of the oriented cycle through landing (r0, c0), in walk order.
+def _stretch_path(grid: GridParams, table: tuple, r0: int, c0: int) -> StretchPath:
+    """The oriented cycle through landing (r0, c0) as its stretches, in walk order.
 
     It follows next landings in `_line_tables`' stretch table, and closes
     at the start after a wrap or, when the start is entered from a
-    neighbour (as (0, 0) from (1, 0) on (3, 7)), on the stretch of its
-    shift that passes its line.  A cycle meets each landing once, so it
-    has at most rows + cols stretches; numpy fills their cells.
+    neighbour (as (0, 0) from (1, 0) on (3, 7)), on the piece of the
+    stretch of its shift that passes its line, cut before that line.  A
+    cycle meets each landing once, so it has at most rows + cols
+    stretches, O(1) Python steps each; no cell is expanded.
     """
     rows, cols = grid.rows, grid.cols
-    off = rows - 1  # line d sits at index d + off
     ups, first, last, shift, firsts, lasts, shifts, nexts = table
     start = c0 if r0 == rows - 1 else cols + r0
-    xs = c0 - r0 + off
+    xs = c0 - r0 + rows - 1  # the start's line
     target = shifts[start]  # a stretch of this shift meets the start on line xs
     path, k = [start], nexts[start]
     for _ in range(rows + cols - 1):
@@ -131,14 +207,17 @@ def _line_walk(grid: GridParams, table: tuple, r0: int, c0: int) -> np.ndarray:
         k = nexts[k]
     else:
         raise InconsistencyError(f"oriented walk from {(r0, c0)} does not return")
-    path = np.array(path + [k])  # the last stretch closes, cut before the start's line
+    path = np.array(path + [k])
     starts = first[path]
     lengths = last[path] + 1 - starts
-    lengths[-1] = xs - starts[-1]
-    before = np.cumsum(lengths) - lengths
-    x = np.arange(lengths.sum()) + np.repeat(starts - before, lengths)
-    row = np.repeat(shift[path], lengths) - ups[x]
-    return row * (cols + 1) + x - off
+    lengths[-1] = xs - starts[-1]  # the closing piece, empty when the walk closes at a wrap
+    keep = len(path) - (lengths[-1] == 0)
+    return StretchPath(grid, ups, starts[:keep], lengths[:keep], shift[path[:keep]])
+
+
+def _line_walk(grid: GridParams, table: tuple, r0: int, c0: int) -> np.ndarray:
+    """Flat indices of the oriented cycle through landing (r0, c0): its stretch path, expanded."""
+    return _stretch_path(grid, table, r0, c0).cells()
 
 
 def _diagonal_constant(dec: DiagonalDecomposition, up: np.ndarray) -> str | None:
@@ -206,12 +285,12 @@ def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
 
 
 def _witness_from_omega(dec: DiagonalDecomposition, omega: str) -> HamWitness:
+    """The witness of an orientation: the stretch path from cell 0, whose lengths must sum to 4nm."""
     grid = dec.grid
-    _refuse(grid, grid.size, "cells", "cell expansion", CELL_CAP)
-    cycle = _line_walk(grid, _line_tables(dec, omega), 0, 0)
-    if len(cycle) != grid.size:
+    path = _stretch_path(grid, _line_tables(dec, omega), 0, 0)
+    if path.size != grid.size:
         raise InconsistencyError("claimed witness does not cover the grid")
-    return HamWitness("".join(omega), _read_only(cycle))
+    return HamWitness("".join(omega), path=path)
 
 
 def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
@@ -318,9 +397,11 @@ def is_hamiltonian_fast(n: int, m: int) -> bool:
 
 
 def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
-    """A witness from the link tier, checked only for covering all 4nm cells.
+    """A witness from the link tier, checked only for its stretch lengths summing to 4nm.
 
-    `validate_witness` checks it step by step.  Groups are searched in the
+    It is a stretch path at any size, O(n + m); its cells are expanded
+    only when `cycle` is read.  `validate_stretches` checks it stretch by
+    stretch and `validate_witness` step by step.  Groups are searched in the
     order of their first diagonal by id, whatever order the induction emits.
     """
     dec = decompose(GridParams(n, m))
@@ -363,6 +444,57 @@ def _validate(dec: DiagonalDecomposition, witness: HamWitness) -> None:
     broken = succ[flat] != np.roll(flat, -1)
     if broken.any():
         raise InconsistencyError(f"witness breaks at cell index {flat[broken.argmax()]}")
+
+
+def validate_stretches(grid: GridParams, witness: HamWitness) -> None:
+    """Check a witness's stretch path is a Hamiltonian cycle of its orientation, in O(n + m).
+
+    It shares no code with `_line_tables` and expands no cell.  With its
+    own prefix counts of up lines it places the first and last cell of
+    every stretch, so each stretch follows the orientation.  Each must
+    start on a landing cell (last row or first column), stay inside the
+    grid, and end at a wrap, except a last piece that runs into the
+    first cell.  `surface.step` of each stretch's last cell must be the
+    next stretch's first cell, cyclically; the landings must be distinct
+    and the lengths sum to 4nm.  The oriented moves form a permutation,
+    and only a stretch start is entered by a wrap, so a closed walk of
+    4nm cells that met a cell twice would meet some landing twice.
+    ValueError for a witness without a path.
+    """
+    path = witness.path
+    if path is None:
+        raise ValueError("witness has no stretch path; validate_witness checks its cells")
+    dec = decompose(grid)
+    rows, cols = grid.rows, grid.cols
+    line_up = dec.ups(witness.orientation)[dec.lines].tolist()
+    ups = list(accumulate(line_up, initial=0))
+    stretches = list(zip(path.first.tolist(), path.length.tolist(), path.shift.tolist()))
+    if sum(length for _, length, _ in stretches) != grid.size:
+        raise InconsistencyError(f"stretch lengths do not sum to {grid.size} cells")
+    ends, landings = [], set()
+    for i, (x, length, shift) in enumerate(stretches):
+        y = x + length - 1  # the last line
+        if length < 1 or x < 0 or y >= len(line_up):
+            raise InconsistencyError(f"stretch {i} covers lines {x}..{y} of {len(line_up)}")
+        # rows fall and columns rise along a stretch, so its ends bound its cells
+        head = (shift - ups[x], x - rows + 1 + shift - ups[x])
+        tail = (shift - ups[y], y - rows + 1 + shift - ups[y])
+        if head[0] > rows - 1 or head[1] < 0 or tail[0] < 0 or tail[1] > cols - 1:
+            raise InconsistencyError(f"stretch {i} leaves the grid")
+        if head[0] != rows - 1 and head[1] != 0:
+            raise InconsistencyError(f"stretch {i} starts at {head}, not on a landing cell")
+        wraps = tail[0] == 0 if line_up[y] else tail[1] == cols - 1
+        if not wraps and i < len(stretches) - 1:
+            raise InconsistencyError(f"stretch {i} ends at {tail} without a wrap")
+        landings.add(head)
+        ends.append((head, step(grid, tail, UP if line_up[y] else RIGHT)))
+    if len(landings) != len(stretches):
+        raise InconsistencyError("stretch path lands on a cell twice")
+    for i, ((_, nxt), (head, _)) in enumerate(zip(ends, ends[1:] + ends[:1])):
+        if nxt != head:
+            raise InconsistencyError(f"stretch {i} steps to {nxt}, not to the next stretch's {head}")
+    if not np.array_equal(path.ups[:-1], ups[:-1]):  # the counts that place cells
+        raise InconsistencyError("stretch path's up counts do not follow the orientation")
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +579,7 @@ def _n2_omega_for(m: int) -> str | None:
     omega = _diagonal_constant(dec, up)
     if omega is None:
         return None
-    if len(_line_walk(dec.grid, _line_tables(dec, omega), 0, 0)) != dec.grid.size:
+    if _stretch_path(dec.grid, _line_tables(dec, omega), 0, 0).size != dec.grid.size:
         return None
     return omega
 

@@ -45,6 +45,9 @@ class Link(NamedTuple("Link", [("a", int), ("b", int), ("c", int), ("d", int)]))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
+    def __reduce__(self):  # so copy and every pickle protocol check too
+        return type(self), tuple(self)
+
     @property
     def total(self) -> int:
         return sum(self)

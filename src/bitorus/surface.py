@@ -71,6 +71,9 @@ class GridParams(NamedTuple("GridParams", [("n", int), ("m", int)])):
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
+    def __reduce__(self):  # so copy and every pickle protocol check too
+        return type(self), tuple(self)
+
     @property
     def g(self) -> int:
         return math.gcd(self.n, self.m)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,23 +10,26 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bitorus.census as census
 from bitorus.census import _FOREST, _forest_walk, _nodes, diag_distribution, exceptional_pairs
-from bitorus.cli import cli_main
+from bitorus.cli import _write_cells, cli_main
 from bitorus.counting import (
     _TRANSITIONS,
     CANONICAL_STRINGS,
     TREE_CHARS,
+    STRING_CAP,
     TREE_MAPS,
     _base_counts,
     apply_tree_string,
     canonicalize,
+    diag_count_string,
     diag_count_tree,
     tree_map_table,
 )
-from bitorus.diagonals import diag_count_naive
+from bitorus.diagonals import NAIVE_CAP, diag_count_naive
 from bitorus.errors import CapExceededError
 from bitorus.hamiltonicity import CELL_CAP, is_hamiltonian_fast
 from bitorus.verify import CHECKS, run_verify
@@ -239,6 +243,40 @@ def test_cli_diag(capsys):
     for method in ("naive", "string", "reduction", "tree"):
         assert cli_main(["diag", "6", "10", "--method", method]) == 0
         assert capsys.readouterr().out.strip() == "4"
+
+
+@pytest.mark.parametrize(
+    "method,n,m,cap",
+    [("naive", 10**6, 10**6 + 1, "n + m > 2000000"), ("string", 999999, 1000003, "capped at 2000000")],
+)
+def test_cli_diag_refuses_past_the_linear_routes_caps(capsys, method, n, m, cap):
+    assert cli_main(["diag", str(n), str(m), "--method", method]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert cap in err and "use diag_count_tree" in err
+
+
+def test_linear_routes_answer_up_to_their_caps():
+    # the naive walk's cap leaves n + m <= 2 * 10**6 answerable, and the string
+    # cap binds only the word of the core (n, m) / g: the side-1 closed form
+    # and a small core times any g answer at any size
+    assert NAIVE_CAP >= 2 * 10**6
+    assert diag_count_naive(1, NAIVE_CAP - 1) == diag_count_tree(1, NAIVE_CAP - 1)
+    with pytest.raises(CapExceededError, match="use diag_count_tree"):
+        diag_count_naive(1, NAIVE_CAP)
+    assert diag_count_string(1, 2 * 10**60) == 1
+    assert diag_count_string(3 * 10**12, 5 * 10**12) == 2 * 10**12
+    with pytest.raises(CapExceededError, match="use diag_count_tree"):
+        diag_count_string(2, STRING_CAP - 1)
+
+
+def test_cli_witness_lines_match_the_per_cell_format():
+    # the vectorised writer against "%d,%d" per cell, across digit-count boundaries
+    for cols in (1, 2, 10, 12, 100, 2002):
+        flat = np.array([0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 12345, 10**6, 10**7 - 1, 10**9])
+        out = io.BytesIO()
+        _write_cells(out, flat, cols)
+        assert out.getvalue() == "".join("%d,%d\n" % divmod(i, cols) for i in flat.tolist()).encode()
 
 
 def test_cli_ham(capsys):

@@ -205,9 +205,9 @@ class CountedList(list):
 def test_line_walk_follows_at_most_rows_plus_cols_stretches(monkeypatch):
     # counted work: a walk reads the next landing of every stretch but the
     # closing one, and no landing twice, so a cycle has at most rows + cols
-    # stretches
+    # stretches; witnesses and tracing share the one path walker
     reads, walks = [], []
-    line_tables, line_walk = ham._line_tables, ham._line_walk
+    line_tables, stretch_path = ham._line_tables, ham._stretch_path
 
     def counted_tables(dec, omega):
         *table, nexts = line_tables(dec, omega)
@@ -215,12 +215,13 @@ def test_line_walk_follows_at_most_rows_plus_cols_stretches(monkeypatch):
 
     def counted_walk(grid, table, r, c):
         reads.clear()
-        cycle = line_walk(grid, table, r, c)
+        path = stretch_path(grid, table, r, c)
         walks.append((grid, list(reads)))
-        return cycle
+        assert len(path.first) <= len(reads) + 1
+        return path
 
     monkeypatch.setattr(ham, "_line_tables", counted_tables)
-    monkeypatch.setattr(ham, "_line_walk", counted_walk)
+    monkeypatch.setattr(ham, "_stretch_path", counted_walk)
     for n, m in [(1, 5), (3, 7), (4, 5), (6, 10), (40, 41), (97, 30)]:
         assert hamiltonian_witness(n, m) is not None
         dec = decompose(GridParams(n, m))
@@ -297,6 +298,45 @@ def test_witness_rejects_orientation_that_does_not_cover():
     # the single diagonal of (2, 3) oriented up splits into three cycles
     with pytest.raises(InconsistencyError):
         ham._witness_from_omega(decompose(GridParams(2, 3)), "U")
+
+
+def test_witness_past_the_cell_cap_is_a_stretch_path_whose_cells_are_refused():
+    n, m = 100000, 100001
+    witness = hamiltonian_witness(n, m)
+    path = witness.path
+    assert len(path.first) <= 2 * n + 2 * m
+    assert int(path.length.sum()) == path.size == 4 * n * m > ham.CELL_CAP
+    with pytest.raises(CapExceededError, match=f"has {4 * n * m} cells;"):
+        witness.cycle
+    with pytest.raises(CapExceededError, match="cells;"):
+        path.batches()
+
+
+def test_cycle_is_expanded_once_on_first_read(monkeypatch):
+    witness = hamiltonian_witness(40, 41)
+    expanded = []
+    cells = ham.StretchPath.cells
+    monkeypatch.setattr(ham.StretchPath, "cells", lambda path, *a: expanded.append(a) or cells(path, *a))
+    assert witness.cycle is witness.cycle
+    assert expanded == [()]
+
+
+@pytest.mark.parametrize("n,m", [(3, 7), (1, 5), (6, 10), (40, 41), (1, 200), (97, 30)])
+def test_batches_are_the_cycle_in_walk_order(n, m):
+    path = hamiltonian_witness(n, m).path
+    for cells in (1, 7, 1 << 16):
+        batches = list(path.batches(cells))
+        assert np.array_equal(np.concatenate(batches), hamiltonian_witness(n, m).cycle)
+        assert all(len(batch) for batch in batches)
+
+
+def test_witness_from_cells_has_no_path():
+    witness = HamWitness("UR", [0, 1, 2])
+    assert witness.path is None and witness.cycle == [0, 1, 2]
+    with pytest.raises(ValueError, match="cycle or its stretch path"):
+        HamWitness("UR")
+    with pytest.raises(ValueError, match="no stretch path"):
+        ham.validate_stretches(GridParams(1, 1), witness)
 
 
 def test_large_witness_validates():
@@ -794,6 +834,152 @@ def test_validate_witness_rejects_broken_cycles():
                     np.append(cycle[:-1].astype(np.uint64), np.uint64(2**63))):
         with pytest.raises(ValueError, match="outside"):
             validate_witness(grid, HamWitness(witness.orientation, outside))
+
+
+def _verdicts(grid, witness):
+    """Whether validate_stretches and validate_witness each accept a witness."""
+    verdicts = []
+    for validate in (ham.validate_stretches, validate_witness):
+        try:
+            validate(grid, witness)
+        except InconsistencyError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return verdicts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 2**32), st.booleans())
+def test_stretch_validator_agrees_with_the_cell_validator(n, m, seed, knot):
+    # a link-tier witness, or the walk from cell 0 of a random orientation,
+    # which covers the grid only sometimes; half the time one diagonal of
+    # the orientation is flipped under the walk's path
+    grid = GridParams(n, m)
+    dec = decompose(grid)
+    rng = random.Random(seed)
+    witness = hamiltonian_witness(n, m) if knot else None
+    if witness is None:
+        omega = "".join(rng.choice("UR") for _ in range(len(dec)))
+        witness = HamWitness(omega, path=ham._stretch_path(grid, ham._line_tables(dec, omega), 0, 0))
+    if rng.random() < 0.5:
+        flip = rng.randrange(len(dec))
+        omega = witness.orientation
+        witness = HamWitness(omega[:flip] + "UR"[omega[flip] == "U"] + omega[flip + 1:], path=witness.path)
+    stretches, cells = _verdicts(grid, witness)
+    assert stretches == cells
+
+
+def _planted(witness, keep=None, **fields):
+    """The witness with its path's stretches cut to `keep` and fields replaced."""
+    path = witness.path
+    arrays = {name: getattr(path, name)[keep] if keep is not None else getattr(path, name)
+              for name in ("first", "length", "shift")}
+    return HamWitness(witness.orientation, path=ham.StretchPath(path.grid, path.ups, **(arrays | fields)))
+
+
+def _rejected_by_both(grid, witness, match=None):
+    with pytest.raises(InconsistencyError, match=match):
+        ham.validate_stretches(grid, witness)
+    with pytest.raises((InconsistencyError, ValueError)):  # ValueError: cells outside the grid
+        validate_witness(grid, witness)
+
+
+@pytest.mark.parametrize("n,m", [(3, 7), (6, 10), (4, 5), (40, 41)])
+def test_stretch_validator_rejects_planted_faults(n, m):
+    # a dropped stretch, a flipped diagonal and a shifted row; the other faults
+    # each trip one check alone
+    grid = GridParams(n, m)
+    witness = hamiltonian_witness(n, m)
+    ham.validate_stretches(grid, witness)
+    path, count = witness.path, len(witness.path.first)
+    i = count // 2
+    kept = np.arange(count) != i
+    _rejected_by_both(grid, _planted(witness, kept), "sum to")  # a dropped stretch
+    for flip in range(len(witness.orientation)):  # a flipped diagonal
+        omega = witness.orientation
+        _rejected_by_both(grid, HamWitness(omega[:flip] + "UR"[omega[flip] == "U"] + omega[flip + 1:], path=path))
+    order = np.arange(count)
+    order[[i, i - 1]] = order[[i - 1, i]]
+    _rejected_by_both(grid, _planted(witness, order), "steps to")  # two stretches swapped
+    shifted = _planted(witness, shift=path.shift + (np.arange(count) == i))  # a shifted row
+    _rejected_by_both(grid, shifted)
+    # one stretch run past its wrap, the next starting a line later
+    over = _planted(witness, first=path.first + (np.arange(count) == i),
+                    length=path.length + (np.arange(count) == i - 1) - (np.arange(count) == i))
+    _rejected_by_both(grid, over, "leaves the grid")
+    ups = path.ups.copy()
+    ups[path.first[i] + 1:] += 1  # up counts that misplace cells
+    _rejected_by_both(grid, HamWitness(witness.orientation, path=ham.StretchPath(
+        grid, ups, path.first, path.length, path.shift)), "up counts")
+
+
+def test_stretch_validator_rejects_a_cycle_walked_twice():
+    # all up on (2, 3) splits into three 8-cell cycles; the one through cell 0,
+    # walked from a landing it wraps onto, three times over covers 24 cells
+    grid = GridParams(2, 3)
+    table = ham._line_tables(decompose(grid), "U")
+    once = ham._stretch_path(grid, table, 0, 0)
+    row = int(once.shift[1] - once.ups[once.first[1]])
+    once = ham._stretch_path(grid, table, row, int(once.first[1]) - grid.rows + 1 + row)
+    assert once.size * 3 == grid.size
+    thrice = HamWitness("U", path=ham.StretchPath(grid, once.ups, *(np.tile(getattr(once, name), 3)
+                                                                   for name in ("first", "length", "shift"))))
+    _rejected_by_both(grid, thrice, "lands on a cell twice")
+
+
+def test_stretch_validator_wants_every_stretch_but_the_last_to_end_at_a_wrap():
+    # the same cells, one stretch split where it crosses the bottom row:
+    # still a Hamiltonian cycle, but not a stretch path
+    grid = GridParams(3, 7)
+    witness = hamiltonian_witness(3, 7)
+    path = witness.path
+    ups = path.ups.tolist()
+    for i, (x, length, shift) in enumerate(zip(path.first.tolist(), path.length.tolist(), path.shift.tolist())):
+        inner = [y for y in range(x + 1, x + length) if shift - ups[y] == grid.rows - 1]
+        if inner:
+            break
+    cut = inner[0] - x
+    split = ham.StretchPath(grid, path.ups, np.insert(path.first, i + 1, x + cut),
+                            np.insert(path.length, i + 1, length - cut), np.insert(path.shift, i + 1, shift))
+    split.length[i] = cut
+    split = HamWitness(witness.orientation, path=split)
+    validate_witness(grid, split)
+    with pytest.raises(InconsistencyError, match="without a wrap"):
+        ham.validate_stretches(grid, split)
+
+
+def test_stretch_validator_wants_the_first_stretch_to_start_on_a_landing():
+    # the witness of (6, 10) closes at a wrap; started inside a stretch
+    # instead, off the last row and the first column, it is the same cycle
+    grid = GridParams(6, 10)
+    witness = hamiltonian_witness(6, 10)
+    path = witness.path
+    ups = path.ups.tolist()
+    stretches = list(zip(path.first.tolist(), path.length.tolist(), path.shift.tolist()))
+    for j, (x, length, shift) in enumerate(stretches):
+        inner = [y for y in range(x + 1, x + length)
+                 if shift - ups[y] != grid.rows - 1 and y - grid.rows + 1 + shift - ups[y] != 0]
+        if inner:
+            break
+    y = inner[0]
+    rotated = [(y, x + length - y, shift), *stretches[j + 1:], *stretches[:j], (x, y - x, shift)]
+    first, lengths, shifts = (np.array(column) for column in zip(*rotated))
+    moved = HamWitness(witness.orientation, path=ham.StretchPath(grid, path.ups, first, lengths, shifts))
+    validate_witness(grid, moved)
+    with pytest.raises(InconsistencyError, match="not on a landing cell"):
+        ham.validate_stretches(grid, moved)
+
+
+def test_stretch_validator_checks_a_witness_past_the_cell_cap():
+    n, m = 19999, 20000
+    grid = GridParams(n, m)
+    witness = hamiltonian_witness(n, m)
+    ham.validate_stretches(grid, witness)
+    shifted = _planted(witness, shift=witness.path.shift + (np.arange(len(witness.path.first)) == 7))
+    with pytest.raises(InconsistencyError):
+        ham.validate_stretches(grid, shifted)
+    assert "cycle" not in vars(witness)
 
 
 def test_diag_count_consistency_with_reports():

@@ -155,6 +155,22 @@ def test_checked_tuples_check_every_route_and_compare_as_tuples(cls, fields, bad
     assert [converted, cls(*fields)].index(value) == 1
 
 
+@pytest.mark.parametrize(
+    "cls,fields,bad",
+    [(GridParams, (3, 5), (0, -3)), (Link, (1, 2, 3, 4), (-1, 0, 0, 0)),
+     (BoundaryProfile, (1, 2, 3, 4), (-1, 0, 0, 0))],
+)
+def test_checked_tuples_rebuild_through_their_checks_on_every_pickle_protocol(cls, fields, bad):
+    # protocols 0 and 1 rebuilt these with tuple.__new__, so without the checks
+    value, unchecked = cls(*fields), tuple.__new__(cls, bad)
+    routes = [copy.copy, copy.deepcopy]
+    routes += [lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol)) for protocol in range(6)]
+    for route in routes:
+        assert type(route(value)) is cls and route(value) == value
+        with pytest.raises(ValueError):
+            route(unchecked)
+
+
 # --- Rauzy induction ------------------------------------------------------------
 
 def exchange_points(top, bot, lengths, weights):
