@@ -19,7 +19,13 @@ from .census import diag_distribution, exceptional_pairs
 from .counting import diag_count_reduction, diag_count_string, diag_count_tree
 from .diagonals import diag_count_naive
 from .errors import CapExceededError, InconsistencyError
-from .hamiltonicity import hamiltonian_witness, is_hamiltonian_brute, is_hamiltonian_fast
+from .hamiltonicity import (
+    check_cell_cap,
+    hamiltonian_witness,
+    is_hamiltonian_brute,
+    is_hamiltonian_fast,
+)
+from .surface import GridParams
 from .verify import run_verify
 
 
@@ -107,14 +113,16 @@ def _cmd_ham(args) -> int:
         verdict, witness = is_hamiltonian_brute(args.n, args.m)
     else:
         verdict = is_hamiltonian_fast(args.n, args.m)
-        witness = hamiltonian_witness(args.n, args.m) if args.witness and verdict else None
-    # refused past the cell cap before printing, so a refused witness prints no verdict
-    batches = witness.path.batches() if args.witness and verdict else ()
+        witness = None
+        if args.witness and verdict:
+            # refused before the walk and the verdict line, so a refused witness prints nothing
+            check_cell_cap(GridParams(args.n, args.m))
+            witness = hamiltonian_witness(args.n, args.m)
     print("true" if verdict else "false")
     if args.witness and verdict:
         print(witness.orientation)
         sys.stdout.flush()
-        for flat in batches:
+        for flat in witness.path.batches():
             _write_cells(sys.stdout.buffer, flat, 2 * args.m)
     return 0
 

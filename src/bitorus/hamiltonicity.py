@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 
@@ -69,9 +68,9 @@ BRUTE_DIAGONAL_CAP = 24
 # sweep included, stop near 1 GB.  `ham N M --witness` writes a path's cells in batches
 # and peaks at 39 MB there.
 CELL_CAP = 2 * 10**7
+BATCH_CELLS = 1 << 16  # cells per `StretchPath.batches` batch, rounded to whole stretches
 
 
-@dataclass(frozen=True, eq=False)
 class StretchPath:
     """A cycle as its stretches between wraps, O(n + m) numbers for 4nm cells.
 
@@ -84,11 +83,11 @@ class StretchPath:
     before the start.  The stretch lengths sum to the cycle's length.
     """
 
-    grid: GridParams
-    ups: np.ndarray
-    first: np.ndarray
-    length: np.ndarray
-    shift: np.ndarray
+    __slots__ = ("grid", "ups", "first", "length", "shift")
+
+    def __init__(self, grid: GridParams, ups: np.ndarray, first: np.ndarray, length: np.ndarray,
+                 shift: np.ndarray):
+        self.grid, self.ups, self.first, self.length, self.shift = grid, ups, first, length, shift
 
     @property
     def size(self) -> int:
@@ -104,14 +103,14 @@ class StretchPath:
         row = np.repeat(self.shift[start:stop], length) - self.ups[x]
         return row * (cols + 1) + x - (rows - 1)
 
-    def batches(self, cells: int = 1 << 16):
-        """The cycle's flat indices in walk order, whole stretches of about `cells` at a time.
+    def batches(self):
+        """The cycle's flat indices in walk order, whole stretches of about BATCH_CELLS at a time.
 
         CapExceededError past CELL_CAP, raised by the call, before any cell.
         """
-        _refuse(self.grid, self.grid.size, "cells", "cell expansion", CELL_CAP)
+        check_cell_cap(self.grid)
         ends = np.cumsum(self.length)
-        cuts = np.searchsorted(ends, np.arange(cells, ends[-1], cells)) + 1
+        cuts = np.searchsorted(ends, np.arange(BATCH_CELLS, ends[-1], BATCH_CELLS)) + 1
         bounds = np.unique([0, *cuts.tolist(), len(ends)]).tolist()
         return (self.cells(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
@@ -140,8 +139,7 @@ class HamWitness:
 
     @cached_property
     def cycle(self) -> np.ndarray:
-        grid = self.path.grid
-        _refuse(grid, grid.size, "cells", "cell expansion", CELL_CAP)
+        check_cell_cap(self.path.grid)
         return _read_only(self.path.cells())
 
 
@@ -215,11 +213,6 @@ def _stretch_path(grid: GridParams, table: tuple, r0: int, c0: int) -> StretchPa
     return StretchPath(grid, ups, starts[:keep], lengths[:keep], shift[path[:keep]])
 
 
-def _line_walk(grid: GridParams, table: tuple, r0: int, c0: int) -> np.ndarray:
-    """Flat indices of the oriented cycle through landing (r0, c0): its stretch path, expanded."""
-    return _stretch_path(grid, table, r0, c0).cells()
-
-
 def _diagonal_constant(dec: DiagonalDecomposition, up: np.ndarray) -> str | None:
     """The orientation string of a per-cell up table; None unless constant per diagonal."""
     ids = diagonal_ids(dec)
@@ -235,6 +228,11 @@ def _refuse(grid: GridParams, count: int, what: str, route: str, cap: int) -> No
     if count > cap:
         raise CapExceededError(f"grid ({grid.n},{grid.m}) has {count} {what}; {route} "
                                f"capped at {cap} -- use is_hamiltonian_fast")
+
+
+def check_cell_cap(grid: GridParams) -> None:
+    """CapExceededError past CELL_CAP cells, where every route that expands a cycle's cells stops."""
+    _refuse(grid, grid.size, "cells", "cell expansion", CELL_CAP)
 
 
 def trace_components(dec: DiagonalDecomposition, omega: str) -> list[np.ndarray]:
@@ -254,7 +252,7 @@ def trace_components(dec: DiagonalDecomposition, omega: str) -> list[np.ndarray]
     for r, c in [(rows - 1, col) for col in range(cols)] + [(row, 0) for row in range(rows - 1)]:
         if covered[r * cols + c]:
             continue
-        cycle = _line_walk(grid, table, r, c)
+        cycle = _stretch_path(grid, table, r, c).cells()
         if covered[cycle].any():
             raise InconsistencyError("oriented edges do not form a permutation")
         covered[cycle] = True
@@ -458,12 +456,14 @@ def validate_stretches(grid: GridParams, witness: HamWitness) -> None:
     next stretch's first cell, cyclically; the landings must be distinct
     and the lengths sum to 4nm.  The oriented moves form a permutation,
     and only a stretch start is entered by a wrap, so a closed walk of
-    4nm cells that met a cell twice would meet some landing twice.
-    ValueError for a witness without a path.
+    4nm cells that met a cell twice would meet some landing twice.  The
+    path must be of `grid`; ValueError for a witness without a path.
     """
     path = witness.path
     if path is None:
         raise ValueError("witness has no stretch path; validate_witness checks its cells")
+    if path.grid != grid:  # its cells are placed on path.grid's lines
+        raise InconsistencyError(f"stretch path of grid {tuple(path.grid)} checked against {tuple(grid)}")
     dec = decompose(grid)
     rows, cols = grid.rows, grid.cols
     line_up = dec.ups(witness.orientation)[dec.lines].tolist()
@@ -527,7 +527,7 @@ def square_construction(n: int) -> HamWitness:
     """Closed-form Hamiltonian cycle of the (n, n) grid, from cell 0."""
     n = check_int(n, 1, "n")
     grid = GridParams(n, n)
-    _refuse(grid, grid.size, "cells", "cell expansion", CELL_CAP)
+    check_cell_cap(grid)
     # The walk starts at row n, counted from the top; the tests show row
     # n - 1 does not close.
     dec = decompose(grid)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import bitorus.census as census
+import bitorus.cli
 from bitorus.census import _FOREST, _forest_walk, _nodes, diag_distribution, exceptional_pairs
 from bitorus.cli import _write_cells, cli_main
 from bitorus.counting import (
@@ -316,6 +317,16 @@ def test_cli_ham_refuses_to_expand_cells_past_the_cap(capsys, n, m, route):
     assert out == ""
     assert err.startswith(f"error: grid ({n},{m}) has {4 * n * m} cells;")
     assert err.count("\n") == 1 and "use is_hamiltonian_fast" in err
+
+
+def test_cli_ham_refuses_a_witness_past_the_cap_before_walking_it(capsys, monkeypatch):
+    def walked(n, m):
+        raise AssertionError("the witness was walked before the refusal")
+
+    monkeypatch.setattr(bitorus.cli, "hamiltonian_witness", walked)
+    assert cli_main(["ham", "100000", "100001", "--witness"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "cell expansion capped" in err
 
 
 def test_cli_ham_no_witness_lines_when_negative(capsys):

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from itertools import islice, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def test_line_walk_matches_per_cell_walk():
             grid = GridParams(n, m)
             dec = decompose(grid)
             for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
-                flat = ham._line_walk(grid, ham._line_tables(dec, omega), 0, 0)
+                flat = ham._stretch_path(grid, ham._line_tables(dec, omega), 0, 0).cells()
                 assert as_cells(grid, flat) == per_cell_walk(grid, dec, omega)
 
 
@@ -180,12 +181,13 @@ def test_trace_components_partitions_a_large_multi_cycle_grid():
 
 def test_trace_raises_when_walks_overlap_or_leave_cells_uncovered(monkeypatch):
     dec = decompose(GridParams(2, 3))
-    monkeypatch.setattr(ham, "_line_walk", lambda grid, lines, r, c: np.array([0]))
+    def walk_to(cells):
+        return lambda grid, lines, r, c: SimpleNamespace(cells=lambda: np.array(cells(grid, r, c)))
+
+    monkeypatch.setattr(ham, "_stretch_path", walk_to(lambda grid, r, c: [0]))
     with pytest.raises(InconsistencyError):
         trace_components(dec, "U")
-    monkeypatch.setattr(
-        ham, "_line_walk", lambda grid, lines, r, c: np.array([r * grid.cols + c])
-    )
+    monkeypatch.setattr(ham, "_stretch_path", walk_to(lambda grid, r, c: [r * grid.cols + c]))
     with pytest.raises(InconsistencyError):
         trace_components(dec, "U")
 
@@ -240,7 +242,7 @@ def test_line_walk_that_does_not_return_raises_after_rows_plus_cols_stretches():
     reads = []
     table = (*table, CountedList([1] * len(nexts), reads))
     with pytest.raises(InconsistencyError, match="does not return"):
-        ham._line_walk(grid, table, 0, 0)
+        ham._stretch_path(grid, table, 0, 0)
     assert len(reads) == grid.rows + grid.cols
 
 
@@ -322,10 +324,11 @@ def test_cycle_is_expanded_once_on_first_read(monkeypatch):
 
 
 @pytest.mark.parametrize("n,m", [(3, 7), (1, 5), (6, 10), (40, 41), (1, 200), (97, 30)])
-def test_batches_are_the_cycle_in_walk_order(n, m):
+def test_batches_are_the_cycle_in_walk_order(n, m, monkeypatch):
     path = hamiltonian_witness(n, m).path
-    for cells in (1, 7, 1 << 16):
-        batches = list(path.batches(cells))
+    for cells in (1, 7, ham.BATCH_CELLS):
+        monkeypatch.setattr(ham, "BATCH_CELLS", cells)
+        batches = list(path.batches())
         assert np.array_equal(np.concatenate(batches), hamiltonian_witness(n, m).cycle)
         assert all(len(batch) for batch in batches)
 
@@ -969,6 +972,14 @@ def test_stretch_validator_wants_the_first_stretch_to_start_on_a_landing():
     validate_witness(grid, moved)
     with pytest.raises(InconsistencyError, match="not on a landing cell"):
         ham.validate_stretches(grid, moved)
+
+
+def test_stretch_validator_wants_the_path_of_its_grid():
+    # (3, 7) and (7, 3) both have 19 lines and 84 cells; the path of one
+    # places its cells on the other's lines
+    witness = hamiltonian_witness(3, 7)
+    with pytest.raises(InconsistencyError, match="checked against"):
+        ham.validate_stretches(GridParams(7, 3), witness)
 
 
 def test_stretch_validator_checks_a_witness_past_the_cell_cap():
