@@ -131,6 +131,10 @@ class DiagonalDecomposition:
         """Per diagonal, whether the orientation string orients it up (U) or right (R)."""
         return orientation_ups(omega, len(self.diagonals))
 
+    def line_ups(self, omega: str) -> np.ndarray:
+        """Per line col - row, at index col - row + rows - 1, whether the string orients it up."""
+        return self.ups(omega)[self.lines]
+
 
 def line_run(grid: GridParams, d: int) -> tuple[int, int, int]:
     """The cells of line col - row = d: start row, start column, cell count."""

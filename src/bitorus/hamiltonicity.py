@@ -14,12 +14,12 @@ The link tier walks no run: `decompose` finds the profile groups as
 the loops of the link (m, m, n, n) and `loop_count` counts each
 candidate link's loops, both by Rauzy induction in O(log(n + m))
 steps; the run walk checks the groups when a diagonal is read.
-Everything else reads the run walk of `decompose` and expands no cell.
-A diagonal is a list of whole lines col - row = d of the rectangle, so
-the per-cell diagonal-id table is one numpy gather from the
-decomposition's line table.  Witnesses and `trace_components` walk
-cycles one stretch between wraps at a time, O(1) Python steps each,
-through one numpy stretch table per orientation.  The walk returns a
+Everything else but the brute sweep reads the run walk of `decompose`
+and expands no cell.  A diagonal is a list of whole lines col - row = d
+of the rectangle, so the per-cell diagonal-id table is one numpy gather
+from the decomposition's line table.  Witnesses and `trace_components`
+walk cycles one stretch between wraps at a time, O(1) Python steps
+each, through one numpy stretch table per orientation.  The walk returns a
 `StretchPath`: per stretch its first line, length and row shift, with
 the prefix counts of up lines, at most 2n + 2m stretches whatever the
 4nm cells.  A witness keeps that path, and its stretch lengths must sum
@@ -29,22 +29,23 @@ array of flat cell indices r*cols + c in cycle order, and divmod(i,
 cols) gives the cell (r, c).  Past CELL_CAP cells, reading a cycle or
 asking for its batches, tracing, the height-2 rule, the square
 construction and the brute sweep raise CapExceededError; finding a
-witness does not.  The brute sweep keeps its successor table as one
-flat int64 array and rewrites a diagonal that changes direction in one
-numpy write over its cells.  Only the brute sweep, the independent
-reference, walks cell by cell.
+witness does not.  Only the brute sweep, the independent reference,
+walks cell by cell.  It runs its own `walk_diagonals`, with no
+induction, keeps one direction flag per line, rewrites only the lines of
+the diagonals that change direction between orientation strings, and
+steps (row, col, line) by the surface's arithmetic: O(n + m) memory and
+no per-cell table.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from functools import cached_property
 from itertools import accumulate, product
 
 import numpy as np
 
-from .diagonals import DiagonalDecomposition, decompose, diagonal_ids
+from .diagonals import Diagonal, DiagonalDecomposition, decompose, diagonal_ids, walk_diagonals
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import group_link, is_knot, perm_cycles
 from .surface import (
@@ -63,10 +64,11 @@ from .surface import (
 
 BRUTE_DIAGONAL_CAP = 24
 # On 64-bit Python 3.11 at (1000, 1001), 4,004,000 cells: reading a witness's `cycle`
-# peaks at 123 MB RSS and `ham 1000 1001 --method brute` at 214 MB, about 23 and 46 B per
-# cell above the interpreter's 30 MB, so the routes that expand every cell, the brute
-# sweep included, stop near 1 GB.  `ham N M --witness` writes a path's cells in batches
-# and peaks at 39 MB there.
+# peaks at 123 MB RSS, about 23 B per cell above the interpreter's 30 MB, so the routes
+# that expand every cell stop near 1 GB.  `ham N M --witness` writes a path's cells in
+# batches and peaks at 39 MB there.  The brute sweep holds O(n + m) (`ham 1000 1001
+# --method brute` peaks at 32 MB), so for it the cap bounds time: its walk takes about
+# 0.1 us per cell, up to 2 s per orientation string at the cap.
 CELL_CAP = 2 * 10**7
 BATCH_CELLS = 1 << 16  # cells per `StretchPath.batches` batch, rounded to whole stretches
 
@@ -150,22 +152,21 @@ def _read_only(flat: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _line_tables(dec: DiagonalDecomposition, omega: str) -> tuple:
-    """Per landing cell of an orientation, its stretch to the next wrap and the next landing.
+def _line_tables(grid: GridParams, line_up: np.ndarray) -> tuple:
+    """Per landing cell, its stretch to the next wrap and the next landing.
 
-    Every wrap lands on landing k: (rows - 1, k) for k < cols, else
-    (k - cols, 0).  One direction serves a whole line x = col - row + off,
-    off = rows - 1, and both moves lead to line x + 1, so a stretch of
-    shift s is at row s - ups[x] and column s - off + rights[x] on line x,
-    ups and rights the prefix counts of up and right lines, until row 0
-    on an up line or column cols - 1 on a right line wraps.  Returns ups,
-    first and last lines and shifts as arrays, then those and the next
-    landings as lists.
+    The orientation comes per line: `line_up[x]` is true when line x is
+    oriented up.  Every wrap lands on landing k: (rows - 1, k) for k <
+    cols, else (k - cols, 0).  One direction serves a whole line x = col
+    - row + off, off = rows - 1, and both moves lead to line x + 1, so a
+    stretch of shift s is at row s - ups[x] and column s - off + rights[x]
+    on line x, ups and rights the prefix counts of up and right lines,
+    until row 0 on an up line or column cols - 1 on a right line wraps.
+    Returns ups, first and last lines and shifts as arrays, then those and
+    the next landings as lists.
     """
-    grid = dec.grid
     n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
     off = rows - 1  # line d sits at index d + off
-    line_up = dec.ups(omega)[dec.lines]
     count = len(line_up)
     ups = np.concatenate(([0], np.cumsum(line_up)))
     k = np.arange(count)
@@ -245,7 +246,7 @@ def trace_components(dec: DiagonalDecomposition, omega: str) -> list[np.ndarray]
     those cells that no earlier walk covered find every cycle once.
     """
     _refuse(dec.grid, dec.grid.size, "cells", "cycle tracing", CELL_CAP)
-    grid, table = dec.grid, _line_tables(dec, omega)
+    grid, table = dec.grid, _line_tables(dec.grid, dec.line_ups(omega))
     rows, cols = grid.rows, grid.cols
     covered = np.zeros(grid.size, dtype=bool)
     cycles = []
@@ -267,7 +268,7 @@ def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
     rows, cols = dec.grid.rows, dec.grid.cols
     d = np.arange(1 - rows, cols)  # line d starts at (max(-d, 0), max(d, 0))
     line_cells = np.minimum(rows - np.maximum(-d, 0), cols - np.maximum(d, 0))
-    return int(line_cells[dec.ups(omega)[dec.lines]].sum())
+    return int(line_cells[dec.line_ups(omega)].sum())
 
 
 def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
@@ -282,52 +283,79 @@ def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
     return k
 
 
-def _witness_from_omega(dec: DiagonalDecomposition, omega: str) -> HamWitness:
-    """The witness of an orientation: the stretch path from cell 0, whose lengths must sum to 4nm."""
-    grid = dec.grid
-    path = _stretch_path(grid, _line_tables(dec, omega), 0, 0)
+def _witness_from_omega(grid: GridParams, omega: str, line_up: np.ndarray) -> HamWitness:
+    """The witness of an orientation, given per line too: the stretch path from cell 0.
+
+    Its stretch lengths must sum to 4nm.
+    """
+    path = _stretch_path(grid, _line_tables(grid, line_up), 0, 0)
     if path.size != grid.size:
         raise InconsistencyError("claimed witness does not cover the grid")
-    return HamWitness("".join(omega), path=path)
+    return HamWitness(omega, path=path)
 
 
-def _brute_sweep(dec: DiagonalDecomposition) -> str | None:
-    """First orientation string, U < R, whose walk from cell 0 covers the grid.
+def _cell_walk(grid: GridParams, up: list) -> int:
+    """Cells on the oriented cycle through (0, 0), stepped one cell at a time.
 
-    This walk goes cell by cell, independently of the line walk that
-    builds the witness, so every brute witness checks one against the
-    other.  It reads a flat int64 `array` that numpy writes through a
-    view, so no table becomes a list of Python ints: the table starts as
-    the up table (the first string is all U), and between strings each
-    diagonal whose direction changed is rewritten in one numpy write.
-    A numpy sweep over batches of strings lost to this walk on every
-    benchmark brute grid (2^c * 4nm <= 1e5) and on every n <= m <= 10,
-    so there is no other.
+    `up[x]` orients line x = col - row + rows - 1 up when true.  The state
+    is (row, col, x): a move inside the rectangle steps x by 1, and the
+    two wraps are `surface.step`'s half shifts.  Along row 0 the walk from
+    (0, 0) runs right to the first up line's cell, or to the last column,
+    and wraps there; that wrap cell is reached only through (0, 0), so
+    the walk starts at it and is back at (0, 0) when it wraps there
+    again, and only wraps are checked.  InconsistencyError when the walk
+    has not returned after 4nm steps, which a permutation rules out.
     """
-    grid = dec.grid
-    size = grid.size
-    up = up_indices(grid).astype(np.int64, copy=False)
-    right = right_indices(grid).astype(np.int64, copy=False)
-    ids = diagonal_ids(dec)
-    cells = [np.flatnonzero(ids == k) for k in range(len(dec))]  # one pass per diagonal
-    succ = array("q")
-    succ.frombytes(up.data.cast("B"))
-    view = np.frombuffer(succ, dtype=np.int64)
-    prev = "U" * len(cells)
-    for omega in product("UR", repeat=len(cells)):
-        for idx, ch, old in zip(cells, omega, prev):
+    n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
+    off, last_row, last_col = rows - 1, rows - 1, cols - 1
+    r, c = 0, next((c for c in range(cols) if up[c + off]), last_col)
+    x = c + off
+    stop_c, stop_r = (c, -1) if up[x] else (-1, 0)  # it wraps up from (0, c) or right from (0, last_col)
+    for steps in range(grid.size + 1):
+        if up[x]:
+            if r:
+                r -= 1
+            else:
+                if c == stop_c and steps:
+                    return steps
+                c = c + m if c < m else c - m
+                r, x = last_row, c
+                continue
+        elif c < last_col:
+            c += 1
+        else:
+            if r == stop_r and steps:
+                return steps
+            r = r + n if r < n else r - n
+            c, x = 0, off - r
+            continue
+        x += 1
+    raise InconsistencyError(f"oriented walk from (0, 0) does not return in {grid.size} steps")
+
+
+def _brute_sweep(grid: GridParams, diagonals: list[Diagonal]) -> tuple[str, list] | None:
+    """First orientation string, U < R, whose walk from cell 0 covers the grid, and its flags.
+
+    The walk, `_cell_walk`, goes cell by cell over one list of per-line
+    flags and shares no code with the line walk that builds the witness
+    or with `validate_witness`'s index tables, so every brute witness
+    checks one against the others.  The flags start all up (the first
+    string is all U), and between strings only the lines of the
+    diagonals that changed direction are rewritten: O(n + m) memory.
+    """
+    off = grid.rows - 1
+    lines = [[d + off for d in diag.lines] for diag in diagonals]
+    up = [True] * (grid.rows + grid.cols - 1)
+    prev = "U" * len(lines)
+    for omega in product("UR", repeat=len(lines)):
+        for xs, ch, old in zip(lines, omega, prev):
             if ch != old:
-                view[idx] = (up if ch == "U" else right)[idx]
+                flag = ch == "U"
+                for x in xs:
+                    up[x] = flag
         prev = omega
-        i = 0
-        for length in range(1, size + 1):
-            i = succ[i]
-            if i == 0:
-                break
-        if i != 0:
-            raise InconsistencyError("oriented edges do not form a permutation")
-        if length == size:
-            return "".join(omega)
+        if _cell_walk(grid, up) == grid.size:
+            return "".join(omega), up
     return None
 
 
@@ -335,15 +363,20 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
     """Try every orientation string; return the first witness found.
 
     Orientation strings are enumerated lexicographically with U < R.
-    Grids past the diagonal or the cell cap raise CapExceededError.
+    Grids past the cell cap, checked first, or the diagonal cap raise
+    CapExceededError.  The diagonals come from one run walk, with no
+    induction, and the witness's stretch table from the found string's
+    line flags.
     """
-    dec = decompose(GridParams(n, m))
-    _refuse(dec.grid, len(dec), "diagonals", "brute force", BRUTE_DIAGONAL_CAP)
-    _refuse(dec.grid, dec.grid.size, "cells", "brute force", CELL_CAP)
-    omega = _brute_sweep(dec)
-    if omega is None:
+    grid = GridParams(n, m)
+    _refuse(grid, grid.size, "cells", "brute force", CELL_CAP)
+    diagonals, _ = walk_diagonals(grid)
+    _refuse(grid, len(diagonals), "diagonals", "brute force", BRUTE_DIAGONAL_CAP)
+    found = _brute_sweep(grid, diagonals)
+    if found is None:
         return False, None
-    return True, _witness_from_omega(dec, omega)
+    omega, up = found
+    return True, _witness_from_omega(grid, omega, np.array(up))
 
 
 def expand_grouped(dec: DiagonalDecomposition, groups, up_counts) -> str:
@@ -408,7 +441,8 @@ def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
     counts = _first_knot(groups)
     if counts is None:
         return None
-    return _witness_from_omega(dec, expand_grouped(dec, groups, counts))
+    omega = expand_grouped(dec, groups, counts)
+    return _witness_from_omega(dec.grid, omega, dec.line_ups(omega))
 
 
 def validate_witness(grid: GridParams, witness: HamWitness) -> None:
@@ -466,7 +500,7 @@ def validate_stretches(grid: GridParams, witness: HamWitness) -> None:
         raise InconsistencyError(f"stretch path of grid {tuple(path.grid)} checked against {tuple(grid)}")
     dec = decompose(grid)
     rows, cols = grid.rows, grid.cols
-    line_up = dec.ups(witness.orientation)[dec.lines].tolist()
+    line_up = dec.line_ups(witness.orientation).tolist()
     ups = list(accumulate(line_up, initial=0))
     stretches = list(zip(path.first.tolist(), path.length.tolist(), path.shift.tolist()))
     if sum(length for _, length, _ in stretches) != grid.size:
@@ -534,7 +568,7 @@ def square_construction(n: int) -> HamWitness:
     omega = _square_orientation(dec, n)
     if omega is None:
         raise InconsistencyError(f"square walk is no diagonal-constant cycle of the ({n},{n}) grid")
-    witness = _witness_from_omega(dec, omega)
+    witness = _witness_from_omega(grid, omega, dec.line_ups(omega))
     _validate(dec, witness)
     return witness
 
@@ -571,15 +605,18 @@ def _n2_omega_for(m: int) -> str | None:
     rule = _N2_RIGHT_RULES[m % 8]
     dec = decompose(GridParams(2, m))
     cols = dec.grid.cols
+    col = np.arange(m)
+    # the rule reads only (rho - col) mod 8: one gather over the stacked 8 x m rows
+    rule_up = ~np.array([rule(d) for d in range(8)])[(np.arange(8)[:, None] - col) % 8]
     up = np.empty(dec.grid.size, dtype=bool)
     for rho in range(8):
-        for col in range(m):
-            row, c = _n2_stacked(rho, col, m)
-            up[row * cols + c] = not rule(rho - col)
+        row, c = _n2_stacked(rho, col, m)
+        up[row * cols + c] = rule_up[rho]
     omega = _diagonal_constant(dec, up)
     if omega is None:
         return None
-    if _stretch_path(dec.grid, _line_tables(dec, omega), 0, 0).size != dec.grid.size:
+    table = _line_tables(dec.grid, dec.line_ups(omega))
+    if _stretch_path(dec.grid, table, 0, 0).size != dec.grid.size:
         return None
     return omega
 

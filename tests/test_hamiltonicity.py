@@ -98,13 +98,14 @@ def test_brute_cap(monkeypatch):
 
 
 def test_brute_refuses_before_walking_the_diagonals(monkeypatch):
-    # the diagonal count comes from the induction, so a grid past the caps
-    # is refused without the O(n + m) run walk
+    # the cell cap is checked first, in O(1), so a grid past it is refused
+    # without the O(n + m) run walk that the diagonal cap reads
     def no_walk(grid):
         raise AssertionError("walk_diagonals ran before the caps")
 
     monkeypatch.setattr(diagonals, "walk_diagonals", no_walk)
-    with pytest.raises(CapExceededError):
+    monkeypatch.setattr(ham, "walk_diagonals", no_walk)
+    with pytest.raises(CapExceededError, match="cells;"):
         is_hamiltonian_brute(2_000_000, 2_000_001)
 
 
@@ -156,7 +157,8 @@ def test_line_walk_matches_per_cell_walk():
             grid = GridParams(n, m)
             dec = decompose(grid)
             for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
-                flat = ham._stretch_path(grid, ham._line_tables(dec, omega), 0, 0).cells()
+                table = ham._line_tables(grid, dec.line_ups(omega))
+                flat = ham._stretch_path(grid, table, 0, 0).cells()
                 assert as_cells(grid, flat) == per_cell_walk(grid, dec, omega)
 
 
@@ -211,8 +213,8 @@ def test_line_walk_follows_at_most_rows_plus_cols_stretches(monkeypatch):
     reads, walks = [], []
     line_tables, stretch_path = ham._line_tables, ham._stretch_path
 
-    def counted_tables(dec, omega):
-        *table, nexts = line_tables(dec, omega)
+    def counted_tables(grid, line_up):
+        *table, nexts = line_tables(grid, line_up)
         return (*table, CountedList(nexts, reads))
 
     def counted_walk(grid, table, r, c):
@@ -238,7 +240,8 @@ def test_line_walk_that_does_not_return_raises_after_rows_plus_cols_stretches():
     # whose stretch misses the start (0, 0), so the walk never closes; it
     # gives up once it has followed rows + cols stretches
     grid = GridParams(3, 7)
-    *table, nexts = ham._line_tables(decompose(grid), "RU")
+    dec = decompose(grid)
+    *table, nexts = ham._line_tables(grid, dec.line_ups("RU"))
     reads = []
     table = (*table, CountedList([1] * len(nexts), reads))
     with pytest.raises(InconsistencyError, match="does not return"):
@@ -250,12 +253,12 @@ def test_trace_components_builds_one_stretch_table(monkeypatch):
     calls = []
     line_tables = ham._line_tables
     monkeypatch.setattr(
-        ham, "_line_tables", lambda dec, omega: calls.append(omega) or line_tables(dec, omega)
+        ham, "_line_tables", lambda grid, up: calls.append(up.tolist()) or line_tables(grid, up)
     )
     dec = decompose(GridParams(20, 30))
     omega = ("UR" * len(dec))[: len(dec)]
     assert len(trace_components(dec, omega)) > 1
-    assert calls == [omega]
+    assert calls == [dec.line_ups(omega).tolist()]
 
 
 def test_brute_matches_per_cell_sweep():
@@ -296,10 +299,78 @@ def test_brute_memory_stays_below_sixty_four_bytes_per_cell():
     assert peak < 64 * 4 * n * m
 
 
+@pytest.mark.parametrize("n,m,diagonals", [(42, 277, 1), (251, 17, 2)])
+def test_brute_memory_stays_below_a_bound_per_line(n, m, diagonals):
+    # the sweep holds per-line flags and the diagonals' line lists, and the
+    # witness its stretch table: O(n + m), about 70 and 230 B per line here
+    # (1 and 7 B per cell; (400, 401), 641,600 cells, peaks at 270 B per line)
+    assert diag_count_tree(n, m) == diagonals
+    tracemalloc.start()
+    try:
+        is_hamiltonian_brute(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * (2 * n + 2 * m - 1)
+
+
+def per_cell_return(grid, up):
+    """Reference: cells on the walk from (0, 0) by `surface.step` under per-line
+    flags, or None when it has not returned after 4nm steps."""
+    cell = (0, 0)
+    for length in range(1, grid.size + 1):
+        cell = step(grid, cell, "U" if up[cell[1] - cell[0] + grid.rows - 1] else "R")
+        if cell == (0, 0):
+            return length
+    return None
+
+
+def test_cell_walk_matches_surface_steps_on_every_line_flag_table():
+    # flags need not be constant per diagonal here, so two cells can step
+    # onto one and the walk from (0, 0) may never return; the cell walk must
+    # then raise, and otherwise count the reference's cells
+    for n, m in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)]:
+        grid = GridParams(n, m)
+        for up in product([True, False], repeat=grid.rows + grid.cols - 1):
+            want = per_cell_return(grid, up)
+            if want is None:
+                with pytest.raises(InconsistencyError, match="does not return"):
+                    ham._cell_walk(grid, list(up))
+            else:
+                assert ham._cell_walk(grid, list(up)) == want, (n, m, up)
+
+
+def test_cell_walk_on_a_planted_flag_table_that_never_returns_raises():
+    # on (1, 1), lines d = -1, 0, 1 oriented R, U, U: (0, 0) wraps up onto
+    # (1, 1), then (1, 1) -> (0, 1) -> (1, 0) -> (1, 1) forever, since (1, 1)
+    # is entered both from (0, 0) and from (1, 0)
+    with pytest.raises(InconsistencyError, match="does not return in 4 steps"):
+        ham._cell_walk(GridParams(1, 1), [False, True, True])
+
+
+def test_brute_reads_no_induction_and_no_per_cell_table(monkeypatch):
+    # the brute shares no successor code with validate_witness, which reads
+    # the per-cell tables, so that check of a brute witness is independent
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+    for module, name in [(diagonals, "induction_groups"), (diagonals, "diagonal_ids"),
+                         (ham, "diagonal_ids"), (ham, "up_indices"), (ham, "right_indices")]:
+        counted(module, name)
+    witnesses = [is_hamiltonian_brute(n, m)[1] for n, m in [(3, 3), (2, 3), (6, 10), (59, 25), (5, 19)]]
+    assert calls == []
+    validate_witness(GridParams(59, 25), witnesses[3])  # the counters see the validator's reads
+    assert {"induction_groups", "diagonal_ids", "up_indices", "right_indices"} <= set(calls)
+
+
 def test_witness_rejects_orientation_that_does_not_cover():
     # the single diagonal of (2, 3) oriented up splits into three cycles
+    dec = decompose(GridParams(2, 3))
     with pytest.raises(InconsistencyError):
-        ham._witness_from_omega(decompose(GridParams(2, 3)), "U")
+        ham._witness_from_omega(dec.grid, "U", dec.line_ups("U"))
 
 
 def test_witness_past_the_cell_cap_is_a_stretch_path_whose_cells_are_refused():
@@ -864,7 +935,8 @@ def test_stretch_validator_agrees_with_the_cell_validator(n, m, seed, knot):
     witness = hamiltonian_witness(n, m) if knot else None
     if witness is None:
         omega = "".join(rng.choice("UR") for _ in range(len(dec)))
-        witness = HamWitness(omega, path=ham._stretch_path(grid, ham._line_tables(dec, omega), 0, 0))
+        table = ham._line_tables(grid, dec.line_ups(omega))
+        witness = HamWitness(omega, path=ham._stretch_path(grid, table, 0, 0))
     if rng.random() < 0.5:
         flip = rng.randrange(len(dec))
         omega = witness.orientation
@@ -921,7 +993,8 @@ def test_stretch_validator_rejects_a_cycle_walked_twice():
     # all up on (2, 3) splits into three 8-cell cycles; the one through cell 0,
     # walked from a landing it wraps onto, three times over covers 24 cells
     grid = GridParams(2, 3)
-    table = ham._line_tables(decompose(grid), "U")
+    dec = decompose(grid)
+    table = ham._line_tables(grid, dec.line_ups("U"))
     once = ham._stretch_path(grid, table, 0, 0)
     row = int(once.shift[1] - once.ups[once.first[1]])
     once = ham._stretch_path(grid, table, row, int(once.first[1]) - grid.rows + 1 + row)

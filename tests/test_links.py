@@ -1,7 +1,9 @@
 import copy
+import math
 import pickle
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -251,6 +253,67 @@ def test_link_cycles_is_the_checked_exchange_block_for_block(a, b, c, d, weights
     # fix induction_groups' group order and so the golden witnesses
     want = exchange_cycles((0, 1, 2, 3), (3, 2, 1, 0), (a, b, c, d), weights)
     assert link_cycles(Link(a, b, c, d), weights) == want
+
+
+class StepCountingList(list):
+    """A label order that counts `_rauzy`'s loop tests, `while top:`, in a shared counter.
+
+    The two orders swap roles on inverse steps, so both share one counter;
+    no other operation of the loop calls `len`.
+    """
+
+    def __init__(self, items, counter):
+        super().__init__(items)
+        self.counter = counter
+
+    def __len__(self):
+        self.counter[0] += 1
+        return super().__len__()
+
+
+def rauzy_steps(link):
+    """`_rauzy`'s steps on the link, as `link_cycles` runs it, and the loop count it finds."""
+    counter, lam = [0], list(link)
+    top = [x for x in range(4) if lam[x]]
+    top, bot = StepCountingList(top, counter), StepCountingList(top[::-1], counter)
+    blocks = links._rauzy(top, bot, lam, [0] * 4)
+    return counter[0] - 1, sum(count for count, _ in blocks)
+
+
+def rauzy_step_bound(link):
+    return 3 * math.log2(link.total) + 2
+
+
+def test_rauzy_steps_on_fibonacci_links_stay_under_three_per_bit():
+    # (F_k, F_k-1, F_k-2, F_k-3) takes 2k - 1 steps, about 2.88 per bit of the total:
+    # the slowest family known, so the bound is nearly tight there
+    fib = [0, 1]
+    while len(fib) < 150:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(3, 150):
+        link = Link(fib[k], fib[k - 1], fib[k - 2], fib[k - 3])
+        steps, loops = rauzy_steps(link)
+        assert loops == loop_count(link)
+        assert steps <= rauzy_step_bound(link), k
+        if k >= 60:
+            assert steps / math.log2(link.total) > 2.8, k
+
+
+def test_rauzy_steps_on_every_small_link_stay_under_the_bound():
+    for sides in product(range(13), repeat=4):
+        if any(sides):
+            link = Link(*sides)
+            assert rauzy_steps(link)[0] <= rauzy_step_bound(link), sides
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.integers(0, 10**17)] * 4))
+def test_rauzy_steps_on_links_up_to_ten_to_the_seventeen_stay_under_the_bound(sides):
+    assume(any(sides))
+    link = Link(*sides)
+    steps, loops = rauzy_steps(link)
+    assert loops == loop_count(link)
+    assert steps <= rauzy_step_bound(link)
 
 
 def test_rauzy_step_that_does_not_shorten_is_an_inconsistency():
