@@ -27,8 +27,7 @@ Read off the walk:
   and last-column cell (r, 2m - 1) on line 2m - 1 - r, so A, B, C and D are
   the m, m, n and n lines [0, m), [m, 2m), [2m - n, 2m) and [2m - 2n, 2m - n),
   the link (m, m, n, n).  Diagonals with identical profiles form a group; the
-  induced link depends only on the groups' up counts;
-* a diagonal's cells are expanded from its lines only when read.
+  induced link depends only on the groups' up counts.
 
 `decompose` runs the induction at once and the walk on first read of
 its diagonals, and the walk must find the induction's groups.
@@ -46,7 +45,7 @@ import numpy as np
 
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import Link, link_cycles
-from .surface import Cell, GridParams, classify, orientation_ups
+from .surface import GridParams, orientation_ups
 
 
 class BoundaryProfile(NamedTuple("BoundaryProfile", [(f"cnt_{x}", int) for x in "abcd"])):
@@ -72,22 +71,11 @@ class BoundaryProfile(NamedTuple("BoundaryProfile", [(f"cnt_{x}", int) for x in 
 
 @dataclass
 class Diagonal:
-    """One orbit, kept as its lines col - row in successor order; cells expand on first use."""
+    """One orbit, kept as its lines col - row in successor order."""
 
     id: int
-    grid: GridParams
     lines: list[int]
     profile: BoundaryProfile
-
-    @cached_property
-    def cells(self) -> tuple[Cell, ...]:
-        """Cells in successor order, from the row-major-minimal one.
-
-        The library reads lines only; this expansion is the cell-level
-        reference the tests check the line-based tables against.
-        """
-        runs = [line_run(self.grid, d) for d in self.lines]
-        return tuple((r + j, c + j) for r, c, length in runs for j in range(length))
 
 
 @dataclass
@@ -136,12 +124,6 @@ class DiagonalDecomposition:
         return self.ups(omega)[self.lines]
 
 
-def line_run(grid: GridParams, d: int) -> tuple[int, int, int]:
-    """The cells of line col - row = d: start row, start column, cell count."""
-    r, c = (0, d) if d >= 0 else (-d, 0)
-    return r, c, min(grid.rows - r, grid.cols - c)
-
-
 def diagonal_ids(dec: DiagonalDecomposition) -> np.ndarray:
     """The diagonal id of every cell by flat index, gathered from `dec.lines`.
 
@@ -150,12 +132,6 @@ def diagonal_ids(dec: DiagonalDecomposition) -> np.ndarray:
     """
     rows, cols = dec.grid.rows, dec.grid.cols
     return dec.lines[np.arange(cols) - np.arange(rows)[:, None] + rows - 1].ravel()
-
-
-def profile(grid: GridParams, cells) -> BoundaryProfile:
-    """Count cells of one diagonal on boundaries A, B, C and D, as `classify` flags them."""
-    flags = [classify(grid, cell) for cell in cells]
-    return BoundaryProfile(*(sum(getattr(f, "on_" + side) for f in flags) for side in "abcd"))
 
 
 def _run_walk(grid: GridParams) -> Iterator[tuple[int, int]]:
@@ -269,7 +245,7 @@ def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], np.ndarray]:
     lines = np.array(lines, dtype=np.intp)
     profiles = _line_profiles(grid, lines, len(orbits))
     _block_cross_check(grid, lines, profiles)
-    diagonals = [Diagonal(oid, grid, orbit, profiles[oid]) for oid, orbit in enumerate(orbits)]
+    diagonals = [Diagonal(oid, orbit, profiles[oid]) for oid, orbit in enumerate(orbits)]
     return diagonals, lines
 
 

@@ -27,9 +27,9 @@ to 4nm; numpy writes the cells only when `HamWitness.cycle` is read,
 and `validate_stretches` checks the path without them.  A cycle is an
 array of flat cell indices r*cols + c in cycle order, and divmod(i,
 cols) gives the cell (r, c).  Past CELL_CAP cells, reading a cycle or
-asking for its batches, tracing, the height-2 rule, the square
-construction and the brute sweep raise CapExceededError; finding a
-witness does not.  Only the brute sweep, the independent reference,
+asking for its batches, tracing, the height-2 rule and the brute sweep
+raise CapExceededError; finding a witness, the square construction's
+included, does not.  Only the brute sweep, the independent reference,
 walks cell by cell.  It runs its own `walk_diagonals`, with no
 induction, keeps one direction flag per line, rewrites only the lines of
 the diagonals that change direction between orientation strings, and
@@ -122,9 +122,11 @@ class HamWitness:
 
     `path` is the cycle as a `StretchPath`, O(n + m), and None for a
     witness built from its cells, HamWitness(orientation, cycle).  `cycle`
-    is a read-only np.intp array of flat indices i = r*cols + c (divmod(i,
-    2m) is (r, c)), expanded from the path on first read; that read raises
-    CapExceededError past CELL_CAP.
+    holds flat indices i = r*cols + c (divmod(i, 2m) is (r, c)).  Expanded
+    from the path on first read, it is a read-only np.intp array, and that
+    read raises CapExceededError past CELL_CAP.  A witness built from its
+    cells keeps `cycle` exactly as given, list or array, unchecked, so that
+    `validate_witness` sees the raw input and can refuse it.
     """
 
     def __init__(self, orientation: str, cycle=None, *, path: StretchPath | None = None):
@@ -272,8 +274,10 @@ def up_cell_count(dec: DiagonalDecomposition, omega: str) -> int:
 
 
 def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
-    """The integer k with k*m*n up-oriented cells (coprime sizes only)."""
+    """The integer k with k*m*n up-oriented cells; ValueError unless the sizes are coprime."""
     grid = dec.grid
+    if grid.g != 1:
+        raise ValueError(f"orientation_k needs coprime sizes, got ({grid.n}, {grid.m})")
     ups = up_cell_count(dec, omega)
     k, rem = divmod(ups, grid.m * grid.n)
     if rem:
@@ -454,12 +458,7 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
     off the flat `up_indices` and `right_indices` tables rather than the
     line walk that builds witnesses.
     """
-    _validate(decompose(grid), witness)
-
-
-def _validate(dec: DiagonalDecomposition, witness: HamWitness) -> None:
-    """`validate_witness` on a decomposition the caller already holds."""
-    grid = dec.grid
+    dec = decompose(grid)
     flat = np.asarray(witness.cycle)
     if flat.ndim != 1 or flat.dtype.kind not in "iu":
         raise ValueError(f"witness cycle is not 1-D integer cell indices: {flat.dtype} {flat.shape}")
@@ -493,12 +492,16 @@ def validate_stretches(grid: GridParams, witness: HamWitness) -> None:
     4nm cells that met a cell twice would meet some landing twice.  The
     path must be of `grid`; ValueError for a witness without a path.
     """
-    path = witness.path
+    _validate_stretches(decompose(grid), witness)
+
+
+def _validate_stretches(dec: DiagonalDecomposition, witness: HamWitness) -> None:
+    """`validate_stretches` on a decomposition the caller already holds."""
+    grid, path = dec.grid, witness.path
     if path is None:
         raise ValueError("witness has no stretch path; validate_witness checks its cells")
     if path.grid != grid:  # its cells are placed on path.grid's lines
         raise InconsistencyError(f"stretch path of grid {tuple(path.grid)} checked against {tuple(grid)}")
-    dec = decompose(grid)
     rows, cols = grid.rows, grid.cols
     line_up = dec.line_ups(witness.orientation).tolist()
     ups = list(accumulate(line_up, initial=0))
@@ -558,10 +561,9 @@ def _square_orientation(dec: DiagonalDecomposition, start_row: int) -> str | Non
 
 
 def square_construction(n: int) -> HamWitness:
-    """Closed-form Hamiltonian cycle of the (n, n) grid, from cell 0."""
+    """Closed-form Hamiltonian cycle of the (n, n) grid, from cell 0, checked by its stretches in O(n)."""
     n = check_int(n, 1, "n")
     grid = GridParams(n, n)
-    check_cell_cap(grid)
     # The walk starts at row n, counted from the top; the tests show row
     # n - 1 does not close.
     dec = decompose(grid)
@@ -569,7 +571,7 @@ def square_construction(n: int) -> HamWitness:
     if omega is None:
         raise InconsistencyError(f"square walk is no diagonal-constant cycle of the ({n},{n}) grid")
     witness = _witness_from_omega(grid, omega, dec.line_ups(omega))
-    _validate(dec, witness)
+    _validate_stretches(dec, witness)
     return witness
 
 

@@ -96,20 +96,6 @@ class GridParams(NamedTuple("GridParams", [("n", int), ("m", int)])):
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise ValueError(f"cell {cell} outside {self.rows}x{self.cols} grid")
 
-    def cells(self):
-        """All cells in row-major order."""
-        for row in range(self.rows):
-            for col in range(self.cols):
-                yield (row, col)
-
-
-class BoundaryClass(NamedTuple):
-    on_a: bool
-    on_b: bool
-    on_c: bool
-    on_d: bool
-    quadrant: str
-
 
 def step(grid: GridParams, cell: Cell, move: str) -> Cell:
     """Apply one of the four edge bijections to a cell."""
@@ -135,21 +121,6 @@ def step(grid: GridParams, cell: Cell, move: str) -> Cell:
     raise ValueError(f"unknown move {move!r}")
 
 
-def classify(grid: GridParams, cell: Cell) -> BoundaryClass:
-    """Boundary membership flags and quadrant of a cell."""
-    grid.check_cell(cell)
-    row, col = cell
-    n, m = grid.n, grid.m
-    quadrant = ("T" if row < n else "B") + ("L" if col < m else "R")
-    return BoundaryClass(
-        on_a=row == 0 and col < m,
-        on_b=row == 0 and col >= m,
-        on_c=col == grid.cols - 1 and row < n,
-        on_d=col == grid.cols - 1 and row >= n,
-        quadrant=quadrant,
-    )
-
-
 def diag_successor(grid: GridParams, cell: Cell) -> Cell:
     """One diagonal step: right, then down (the inverse of up)."""
     return step(grid, step(grid, cell, RIGHT), UP_INV)
@@ -167,7 +138,10 @@ def right_power(grid: GridParams, cell: Cell, i: int) -> Cell:
 
 
 def diag_successor_indices(grid: GridParams) -> np.ndarray:
-    """Flat-index table of the diagonal step: right, then down (the inverse of up)."""
+    """Flat-index table of the diagonal step: right, then down (the inverse of up).
+
+    No library route reads it; `bench/spans.py` times it by name, and the tests walk orbits by it.
+    """
     up = up_indices(grid)
     down = np.empty_like(up)
     down[up] = np.arange(grid.size)

@@ -17,13 +17,13 @@ from bitorus.diagonals import (
     diag_count_naive,
     diagonal_ids,
     induction_groups,
-    profile,
     walk_diagonals,
 )
 from bitorus.errors import InconsistencyError
 from bitorus.links import Link, loop_count
 from bitorus.surface import GridParams, diag_successor, diag_successor_indices, right_power
 from bitorus.verify import CHECKS
+from cell_reference import diagonal_cells, profile
 
 
 def coprime_pairs(limit):
@@ -68,21 +68,22 @@ def test_decomposition_partitions_the_grid(n, m):
     seen = Counter()
     lcm = math.lcm(n, m)
     for diag in dec.diagonals:
-        assert len(diag.cells) % lcm == 0
-        seen.update(diag.cells)
+        cells = diagonal_cells(grid, diag)
+        assert len(cells) % lcm == 0
+        seen.update(cells)
     assert len(seen) == grid.size
     assert max(seen.values()) == 1
 
 
 def test_diagonal_ids_follow_row_major_minimal_cells():
-    dec = decompose(GridParams(2, 6))
-    minima = [min(d.cells) for d in dec.diagonals]
+    grid = GridParams(2, 6)
+    cells = [diagonal_cells(grid, d) for d in decompose(grid).diagonals]
+    minima = [min(c) for c in cells]
     assert minima == sorted(minima)
-    for diag in dec.diagonals:
-        assert diag.cells[0] == min(diag.cells)
+    for diag in cells:
+        assert diag[0] == min(diag)
         # successor order
-        grid = dec.grid
-        for cell, nxt in zip(diag.cells, diag.cells[1:]):
+        for cell, nxt in zip(diag, diag[1:]):
             assert diag_successor(grid, cell) == nxt
 
 
@@ -125,7 +126,7 @@ def test_profile_components_small_on_the_two_by_two_grid():
 def test_profile_function_matches_stored_profiles():
     dec = decompose(GridParams(3, 5))
     for diag in dec.diagonals:
-        assert profile(dec.grid, diag.cells) == diag.profile
+        assert profile(dec.grid, diagonal_cells(dec.grid, diag)) == diag.profile
 
 
 def group_members(dec):
@@ -141,7 +142,7 @@ def test_groups_share_boundary_profiles_and_lengths():
             dec = decompose(GridParams(n, m))
             for (size, _), group in zip(dec.profile_groups, group_members(dec)):
                 assert len(group) == size
-                assert len({len(dec.diagonals[i].cells) for i in group}) == 1
+                assert len({len(diagonal_cells(dec.grid, dec.diagonals[i])) for i in group}) == 1
 
 
 def test_group_members_are_right_translates():
@@ -150,9 +151,9 @@ def test_group_members_are_right_translates():
             dec = decompose(GridParams(n, m))
             grid = dec.grid
             for group in group_members(dec):
-                first = dec.diagonals[group[0]].cells
+                first = diagonal_cells(grid, dec.diagonals[group[0]])
                 for y in group[1:]:
-                    cells_y = set(dec.diagonals[y].cells)
+                    cells_y = set(diagonal_cells(grid, dec.diagonals[y]))
                     assert any(
                         {right_power(grid, c, i) for c in first} == cells_y
                         for i in range(1, 4 * grid.m + 1)
@@ -166,7 +167,7 @@ def test_corner_blocks_land_in_single_groups():
         g = grid.g
         owner = {}
         for diag in dec.diagonals:
-            for cell in diag.cells:
+            for cell in diagonal_cells(grid, diag):
                 owner[cell] = diag
         for top, left in ((0, 0), (0, m), (n, 0), (n, m)):
             block = [owner[(top, left + j)] for j in range(g)]
@@ -181,7 +182,7 @@ def test_run_walk_counter_matches_cell_walk():
             ref = cell_walk_orbits(grid)
             assert diag_count_naive(n, m) == len(ref)
             dec = decompose(grid)
-            assert [d.cells for d in dec.diagonals] == ref
+            assert [diagonal_cells(grid, d) for d in dec.diagonals] == ref
             assert [d.profile for d in dec.diagonals] == [profile(grid, c) for c in ref]
 
 
@@ -195,7 +196,7 @@ def test_run_tables_match_cell_by_cell_tables():
             ref = np.full(grid.size, -1)
             ref_lines = np.full(grid.rows + grid.cols - 1, -1)
             for diag in dec.diagonals:
-                for row, col in diag.cells:
+                for row, col in diagonal_cells(grid, diag):
                     ref[row * grid.cols + col] = diag.id
                     assert ref_lines[col - row + grid.rows - 1] in (-1, diag.id)
                     ref_lines[col - row + grid.rows - 1] = diag.id

@@ -34,6 +34,7 @@ from bitorus.hamiltonicity import (
 from bitorus.links import group_link, loop_count, orientation_link
 from bitorus.surface import GridParams, right_power, step
 from bitorus.verify import CHECKS, run_check
+from cell_reference import diagonal_cells, grid_cells
 
 
 def coprime_pairs(limit):
@@ -110,14 +111,14 @@ def test_brute_refuses_before_walking_the_diagonals(monkeypatch):
 
 
 def per_cell_cycles(grid, dec, omega):
-    """Reference: every oriented cycle, cell by cell from Diagonal.cells, each
-    from its row-major first cell, cycles in the order of those cells."""
+    """Reference: every oriented cycle, cell by cell from each diagonal's cells,
+    each from its row-major first cell, cycles in the order of those cells."""
     succ = {}
     for diag, ch in zip(dec.diagonals, omega):
-        for cell in diag.cells:
+        for cell in diagonal_cells(grid, diag):
             succ[cell] = step(grid, cell, ch)
     cycles, seen = [], set()
-    for start in grid.cells():
+    for start in grid_cells(grid):
         if start in seen:
             continue
         walk = [start]
@@ -482,8 +483,8 @@ def test_witnesses_sweeps_and_tracing_expand_no_cells(monkeypatch):
     square_construction(6)
     n2_orientation(7)
     assert {dec.grid for dec in built} == {GridParams(n, m) for n, m in grids}
-    for dec in built:
-        assert not any("cells" in vars(diag) for diag in dec.diagonals), dec.grid
+    for dec in built:  # a diagonal holds its lines, never its cells
+        assert all(vars(diag).keys() == {"id", "lines", "profile"} for diag in dec.diagonals), dec.grid
 
 
 # --- link tier -----------------------------------------------------------------
@@ -506,15 +507,13 @@ def trace_all_up(n, m):
 @pytest.mark.parametrize(
     "route,args",
     [
-        (square_construction, (2300,)),
-        (square_construction, (10**5,)),
         (trace_all_up, (2300, 2301)),
         (n2_orientation, (2_500_001,)),
     ],
 )
 def test_cell_expanding_routes_refuse_past_the_cap_up_front(route, args):
     # past 2e7 cells numpy would ask for GBs; refused before any line table
-    # is built, even the square at n = 10^5 stays far below 64 MB
+    # is built
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="cells;"):
@@ -523,6 +522,26 @@ def test_cell_expanding_routes_refuse_past_the_cap_up_front(route, args):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("n", [2300, 10_000])
+def test_square_construction_past_the_cell_cap_is_a_stretch_path(n):
+    # the square is checked stretch by stretch, so it answers past CELL_CAP
+    # and holds O(n) numbers, about 470 B per line here; only its cells are
+    # refused
+    grid = GridParams(n, n)
+    tracemalloc.start()
+    try:
+        witness = square_construction(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * (grid.rows + grid.cols - 1)
+    assert witness.path.size == grid.size > ham.CELL_CAP
+    assert "cycle" not in vars(witness)
+    ham.validate_stretches(grid, witness)
+    with pytest.raises(CapExceededError, match="cells;"):
+        witness.cycle
 
 
 def test_grouped_link_matches_expanded_orientation():
@@ -591,13 +610,13 @@ def test_hamiltonian_edge_covers_are_diagonal_constant():
     for n, m in [(1, 1), (1, 2), (1, 3), (2, 2), (1, 4)]:
         grid = GridParams(n, m)
         size = grid.size
-        cells = list(grid.cells())
+        cells = list(grid_cells(grid))
         succ_u = {c: step(grid, c, "U") for c in cells}
         succ_r = {c: step(grid, c, "R") for c in cells}
         dec = decompose(GridParams(n, m))
         diag_of = {}
         for diag in dec.diagonals:
-            for cell in diag.cells:
+            for cell in diagonal_cells(grid, diag):
                 diag_of[cell] = diag.id
         for bits in range(1 << size):
             succ = {
@@ -855,14 +874,21 @@ def test_orientation_k_integral_for_coprime_sizes():
     assert run_check("link-balance", 8).ok  # 0 <= k <= 4 on every orientation
 
 
+@pytest.mark.parametrize("n,m,omega", [(2, 4, "UUURUU"), (2, 6, "UUUR"), (3, 6, "UUUUUUUUR")])
+def test_orientation_k_refuses_sizes_that_are_not_coprime(n, m, omega):
+    # these raised InconsistencyError, which is kept for routes that disagree
+    with pytest.raises(ValueError, match="coprime"):
+        orientation_k(decompose(GridParams(n, m)), omega)
+
+
 def test_up_cell_count_sums_runs_without_expanding_cells():
     for n, m in coprime_pairs(8):
         dec = decompose(GridParams(n, m))
         counts = [up_cell_count(dec, "".join(omega))
                   for omega in product("UR", repeat=len(dec.diagonals))]
-        assert not any("cells" in vars(diag) for diag in dec.diagonals)
+        assert all(vars(diag).keys() == {"id", "lines", "profile"} for diag in dec.diagonals)
         assert counts == [
-            sum(len(diag.cells) for diag, ch in zip(dec.diagonals, omega) if ch == "U")
+            sum(len(diagonal_cells(dec.grid, diag)) for diag, ch in zip(dec.diagonals, omega) if ch == "U")
             for omega in product("UR", repeat=len(dec.diagonals))
         ]
 

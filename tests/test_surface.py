@@ -7,7 +7,6 @@ from bitorus.surface import (
     MOVES,
     Cell,
     GridParams,
-    classify,
     diag_successor,
     diag_successor_indices,
     right_indices,
@@ -15,6 +14,7 @@ from bitorus.surface import (
     step,
     up_indices,
 )
+from cell_reference import classify, grid_cells
 
 # the skewed grids with a side of 1 or 2 put the up table's row shift
 # (m columns) and the right table's column shift (n rows) at their extremes
@@ -72,7 +72,7 @@ def test_step_rejects_bad_cells():
 def test_each_move_is_a_bijection_with_inverse(grid):
     for move, inverse in (("U", "U_inv"), ("R", "R_inv")):
         images = set()
-        for cell in grid.cells():
+        for cell in grid_cells(grid):
             out = step(grid, cell, move)
             images.add(out)
             assert step(grid, out, inverse) == cell
@@ -81,7 +81,7 @@ def test_each_move_is_a_bijection_with_inverse(grid):
 
 @pytest.mark.parametrize("grid", GRIDS)
 def test_moves_match_plain_shifts_off_the_boundary(grid):
-    for row, col in grid.cells():
+    for row, col in grid_cells(grid):
         if row > 0:
             assert step(grid, (row, col), "U") == (row - 1, col)
         if col < grid.cols - 1:
@@ -132,7 +132,7 @@ def test_index_tables_agree_with_step(grid):
     su = up_indices(grid)
     sr = right_indices(grid)
     sd = diag_successor_indices(grid)
-    for row, col in grid.cells():
+    for row, col in grid_cells(grid):
         i = row * grid.cols + col
         assert tuple(divmod(int(su[i]), grid.cols)) == step(grid, (row, col), "U")
         assert tuple(divmod(int(sr[i]), grid.cols)) == step(grid, (row, col), "R")
