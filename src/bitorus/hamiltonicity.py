@@ -29,12 +29,12 @@ array of flat cell indices r*cols + c in cycle order, and divmod(i,
 cols) gives the cell (r, c).  Past CELL_CAP cells, reading a cycle or
 asking for its batches, tracing, the height-2 rule and the brute sweep
 raise CapExceededError; finding a witness, the square construction's
-included, does not.  Only the brute sweep, the independent reference,
-walks cell by cell.  It runs its own `walk_diagonals`, with no
-induction, keeps one direction flag per line, rewrites only the lines of
-the diagonals that change direction between orientation strings, and
-steps (row, col, line) by the surface's arithmetic: O(n + m) memory and
-no per-cell table.
+included, does not.  The brute sweep, the independent reference, runs
+its own `walk_diagonals`, with no induction, gathers each orientation
+string's per-line flags from that walk's line table, and counts the
+cycle through cell 0 one stretch at a time from its own prefix counts
+and positions of up and right lines, sharing no code with the witnesses'
+stretch table: O(n + m) time and memory per string, no per-cell table.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from .diagonals import Diagonal, DiagonalDecomposition, decompose, diagonal_ids, walk_diagonals
+from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, walk_diagonals
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import group_link, is_knot, perm_cycles
 from .surface import (
@@ -68,7 +68,9 @@ BRUTE_DIAGONAL_CAP = 24
 # that expand every cell stop near 1 GB.  `ham N M --witness` writes a path's cells in
 # batches and peaks at 39 MB there.  The brute sweep holds O(n + m) (`ham 1000 1001
 # --method brute` peaks at 32 MB), so for it the cap bounds time: its walk takes about
-# 0.1 us per cell, up to 2 s per orientation string at the cap.
+# 0.3 us per stretch, at most 2 max(n, m) stretches per orientation string, so about
+# 3 ms per string on a square grid at the cap and, extrapolated from (1, 500001), up to
+# 2.5 s on a (1, m) one, where a stretch averages under 3 cells.
 CELL_CAP = 2 * 10**7
 BATCH_CELLS = 1 << 16  # cells per `StretchPath.batches` batch, rounded to whole stretches
 
@@ -298,68 +300,74 @@ def _witness_from_omega(grid: GridParams, omega: str, line_up: np.ndarray) -> Ha
     return HamWitness(omega, path=path)
 
 
-def _cell_walk(grid: GridParams, up: list) -> int:
-    """Cells on the oriented cycle through (0, 0), stepped one cell at a time.
+def _walk_tables(grid: GridParams, up: np.ndarray) -> tuple:
+    """`_stretch_walk`'s tables for the per-line flags `up`, O(n + m) numpy read as Python ints.
 
-    `up[x]` orients line x = col - row + rows - 1 up when true.  The state
-    is (row, col, x): a move inside the rectangle steps x by 1, and the
-    two wraps are `surface.step`'s half shifts.  Along row 0 the walk from
-    (0, 0) runs right to the first up line's cell, or to the last column,
-    and wraps there; that wrap cell is reached only through (0, 0), so
-    the walk starts at it and is back at (0, 0) when it wraps there
-    again, and only wraps are checked.  InconsistencyError when the walk
-    has not returned after 4nm steps, which a permutation rules out.
+    The prefix counts of up lines (ups[0] = 0), then the indices of the
+    up lines and of the right lines, each followed by rows or cols
+    indices past the last line, which stand for a wrap the stretch does
+    not reach.
+    """
+    ups = np.zeros(len(up) + 1, dtype=np.intp)
+    up.cumsum(out=ups[1:])
+    (up_at,) = np.concatenate((up, np.ones(grid.rows, dtype=bool))).nonzero()
+    (right_at,) = np.concatenate((~up, np.ones(grid.cols, dtype=bool))).nonzero()
+    return ups.data, up_at.data, right_at.data
+
+
+def _stretch_walk(grid: GridParams, ups, up_at, right_at) -> int:
+    """Cells on the oriented cycle through (0, 0), counted one stretch between wraps at a time.
+
+    The tables come from `_walk_tables`.  A stretch of shift s sits at row
+    s - ups[x] on line x = col - row + rows - 1, and at column x - (rows -
+    1) + row, so it reaches row 0 on up line up_at[s] and column cols - 1
+    on right line right_at[rows + cols - 2 - s], and wraps at the earlier
+    one by `surface.step`'s half shifts.  (0, 0) is on line rows - 1 with
+    shift ups[rows - 1], and a stretch of that shift runs into it from
+    whichever landing cell it starts on: only a landing on line rows - 1
+    or before can have that shift.  So the walk is back once a wrap lands
+    on such a stretch: at (0, 0) itself, or below it when (0, 0) is
+    entered from (1, 0), as on (3, 7).  Only a line from min(rows, cols) -
+    1 on holds a cell that wraps, and at most one: on row 0 if the line is
+    up, in the last column if it is right.  So a walk that returns takes
+    at most max(rows, cols) stretches, O(1) each, whatever the cycle's
+    length; InconsistencyError past them, which a permutation rules out.
     """
     n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
-    off, last_row, last_col = rows - 1, rows - 1, cols - 1
-    r, c = 0, next((c for c in range(cols) if up[c + off]), last_col)
-    x = c + off
-    stop_c, stop_r = (c, -1) if up[x] else (-1, 0)  # it wraps up from (0, c) or right from (0, last_col)
-    for steps in range(grid.size + 1):
-        if up[x]:
-            if r:
-                r -= 1
-            else:
-                if c == stop_c and steps:
-                    return steps
-                c = c + m if c < m else c - m
-                r, x = last_row, c
-                continue
-        elif c < last_col:
-            c += 1
-        else:
-            if r == stop_r and steps:
-                return steps
-            r = r + n if r < n else r - n
-            c, x = 0, off - r
-            continue
-        x += 1
+    off, last = rows - 1, rows + cols - 2
+    home = ups[off]
+    s, x, cells = home, off, 0
+    for _ in range(max(rows, cols)):
+        a, b = up_at[s], right_at[last - s]
+        if a < b:  # up from (0, a - off) to (rows - 1, a - off + m)
+            cells += a + 1 - x
+            x = a - off + m if a - off < m else a - off - m
+            s = off + ups[x]
+        else:  # right from (last - b, cols - 1) to (last - b + n, 0)
+            cells += b + 1 - x
+            r = last - b + n if last - b < n else last - b - n
+            x = off - r
+            s = r + ups[x]
+        if s == home:
+            return cells + off - x
     raise InconsistencyError(f"oriented walk from (0, 0) does not return in {grid.size} steps")
 
 
-def _brute_sweep(grid: GridParams, diagonals: list[Diagonal]) -> tuple[str, list] | None:
-    """First orientation string, U < R, whose walk from cell 0 covers the grid, and its flags.
+def _brute_sweep(grid: GridParams, count: int, lines: np.ndarray) -> tuple[str, np.ndarray] | None:
+    """First orientation string, U < R, whose walk from cell 0 covers the grid, and its line flags.
 
-    The walk, `_cell_walk`, goes cell by cell over one list of per-line
-    flags and shares no code with the line walk that builds the witness
-    or with `validate_witness`'s index tables, so every brute witness
-    checks one against the others.  The flags start all up (the first
-    string is all U), and between strings only the lines of the
-    diagonals that changed direction are rewritten: O(n + m) memory.
+    `lines` is the run walk's diagonal id per line, so one gather gives
+    each string's flags per line.  The walk, `_stretch_walk`, counts the
+    cycle through cell 0 by stretches over its own tables, and shares no
+    code with the line walk that builds the witness or with
+    `validate_witness`'s index tables, so every brute witness checks one
+    against the others.  Each string costs O(n + m), whatever its cycle's
+    length.
     """
-    off = grid.rows - 1
-    lines = [[d + off for d in diag.lines] for diag in diagonals]
-    up = [True] * (grid.rows + grid.cols - 1)
-    prev = "U" * len(lines)
-    for omega in product("UR", repeat=len(lines)):
-        for xs, ch, old in zip(lines, omega, prev):
-            if ch != old:
-                flag = ch == "U"
-                for x in xs:
-                    up[x] = flag
-        prev = omega
-        if _cell_walk(grid, up) == grid.size:
-            return "".join(omega), up
+    for flags in product((True, False), repeat=count):
+        up = np.array(flags)[lines]
+        if _stretch_walk(grid, *_walk_tables(grid, up)) == grid.size:
+            return "".join("U" if flag else "R" for flag in flags), up
     return None
 
 
@@ -374,13 +382,12 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
     """
     grid = GridParams(n, m)
     _refuse(grid, grid.size, "cells", "brute force", CELL_CAP)
-    diagonals, _ = walk_diagonals(grid)
+    diagonals, lines = walk_diagonals(grid)
     _refuse(grid, len(diagonals), "diagonals", "brute force", BRUTE_DIAGONAL_CAP)
-    found = _brute_sweep(grid, diagonals)
+    found = _brute_sweep(grid, len(diagonals), lines)
     if found is None:
         return False, None
-    omega, up = found
-    return True, _witness_from_omega(grid, omega, np.array(up))
+    return True, _witness_from_omega(grid, *found)
 
 
 def expand_grouped(dec: DiagonalDecomposition, groups, up_counts) -> str:

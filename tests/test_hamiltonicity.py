@@ -287,9 +287,9 @@ def test_brute_matches_per_cell_sweep_at_workload_size(n, m, diagonals):
 
 
 def test_brute_memory_stays_below_sixty_four_bytes_per_cell():
-    # (42, 277) has one diagonal, so the sweep is all setup: the up, right
-    # and successor tables and the per-diagonal cell lists, about 41 B per
-    # cell (90 when the tables were lists of Python ints)
+    # (42, 277) has one diagonal, so the sweep is all setup: about 1 B per
+    # cell, since no table is per cell (41 B with per-cell successor tables,
+    # 90 when those were lists of Python ints)
     n, m = 42, 277
     tracemalloc.start()
     try:
@@ -302,9 +302,10 @@ def test_brute_memory_stays_below_sixty_four_bytes_per_cell():
 
 @pytest.mark.parametrize("n,m,diagonals", [(42, 277, 1), (251, 17, 2)])
 def test_brute_memory_stays_below_a_bound_per_line(n, m, diagonals):
-    # the sweep holds per-line flags and the diagonals' line lists, and the
-    # witness its stretch table: O(n + m), about 70 and 230 B per line here
-    # (1 and 7 B per cell; (400, 401), 641,600 cells, peaks at 270 B per line)
+    # the sweep holds the run walk's line lists, per-line flags and the
+    # stretch walk's three tables, and the witness its stretch table:
+    # O(n + m), about 70 and 230 B per line here (1 and 7 B per cell;
+    # (400, 401), 641,600 cells, peaks at 265 B per line)
     assert diag_count_tree(n, m) == diagonals
     tracemalloc.start()
     try:
@@ -326,27 +327,89 @@ def per_cell_return(grid, up):
     return None
 
 
-def test_cell_walk_matches_surface_steps_on_every_line_flag_table():
+def stretch_count(grid, up):
+    """Cells on the brute's stretch walk from (0, 0) under per-line flags."""
+    return ham._stretch_walk(grid, *ham._walk_tables(grid, np.array(up, dtype=bool)))
+
+
+def test_stretch_walk_matches_surface_steps_on_every_line_flag_table():
     # flags need not be constant per diagonal here, so two cells can step
-    # onto one and the walk from (0, 0) may never return; the cell walk must
-    # then raise, and otherwise count the reference's cells
+    # onto one and the walk from (0, 0) may never return; the stretch walk
+    # must then raise, and otherwise count the reference's cells
     for n, m in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)]:
         grid = GridParams(n, m)
         for up in product([True, False], repeat=grid.rows + grid.cols - 1):
             want = per_cell_return(grid, up)
             if want is None:
                 with pytest.raises(InconsistencyError, match="does not return"):
-                    ham._cell_walk(grid, list(up))
+                    stretch_count(grid, up)
             else:
-                assert ham._cell_walk(grid, list(up)) == want, (n, m, up)
+                assert stretch_count(grid, up) == want, (n, m, up)
 
 
-def test_cell_walk_on_a_planted_flag_table_that_never_returns_raises():
+def test_stretch_walk_on_a_planted_flag_table_that_never_returns_raises():
     # on (1, 1), lines d = -1, 0, 1 oriented R, U, U: (0, 0) wraps up onto
     # (1, 1), then (1, 1) -> (0, 1) -> (1, 0) -> (1, 1) forever, since (1, 1)
-    # is entered both from (0, 0) and from (1, 0)
+    # is entered both from (0, 0) and from (1, 0); the walk gives up after
+    # max(rows, cols) = 2 stretches
+    grid, reads = GridParams(1, 1), []
+    ups, up_at, right_at = ham._walk_tables(grid, np.array([False, True, True]))
     with pytest.raises(InconsistencyError, match="does not return in 4 steps"):
-        ham._cell_walk(GridParams(1, 1), [False, True, True])
+        ham._stretch_walk(grid, ups, CountedList(up_at, reads), right_at)
+    assert len(reads) == 2
+
+
+def test_stretch_walk_matches_surface_steps_on_every_diagonal_constant_string():
+    # every orientation string of every grid up to 11 x 11 with at most 10
+    # diagonals: 3,268 strings, the walk from (0, 0) returning each time
+    strings = 0
+    for n in range(1, 12):
+        for m in range(1, 12):
+            dec = decompose(GridParams(n, m))
+            if len(dec) > 10:
+                continue
+            for omega in product("UR", repeat=len(dec)):
+                up = dec.line_ups("".join(omega)).tolist()
+                assert stretch_count(dec.grid, up) == per_cell_return(dec.grid, up), (n, m, omega)
+                strings += 1
+    assert strings == 3268
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 80), st.integers(1, 80), st.data())
+def test_stretch_walk_matches_surface_steps_on_strings_of_larger_grids(n, m, data):
+    dec = decompose(GridParams(n, m))
+    omega = "".join(data.draw(st.lists(st.sampled_from("UR"), min_size=len(dec), max_size=len(dec))))
+    up = dec.line_ups(omega).tolist()
+    assert stretch_count(dec.grid, up) == per_cell_return(dec.grid, up)
+
+
+@pytest.mark.parametrize("n,m,verdict", [(1000, 1001, True), (1, 5001, True), (2096, 2376, False)])
+def test_brute_walks_at_most_max_rows_cols_stretches_per_string(n, m, verdict, monkeypatch):
+    # counted work, not time: each stretch reads up_at once, and a string
+    # costs at most one stretch per wrapping cell, max(rows, cols) <= rows +
+    # cols - 1, whatever its cycle's length; (2096, 2376) has 8 diagonals,
+    # 256 strings over 1.99e7 cells
+    reads, walks = [], []
+    walk_tables, stretch_walk = ham._walk_tables, ham._stretch_walk
+
+    def counted_tables(grid, up):
+        ups, up_at, right_at = walk_tables(grid, up)
+        reads.clear()
+        return ups, CountedList(up_at, reads), right_at
+
+    def counted_walk(grid, *tables):
+        try:
+            return stretch_walk(grid, *tables)
+        finally:
+            walks.append(len(reads))
+
+    monkeypatch.setattr(ham, "_walk_tables", counted_tables)
+    monkeypatch.setattr(ham, "_stretch_walk", counted_walk)
+    grid = GridParams(n, m)
+    assert is_hamiltonian_brute(n, m)[0] is verdict
+    assert len(walks) <= 2 ** diag_count_tree(n, m)
+    assert 0 < max(walks) <= max(grid.rows, grid.cols)
 
 
 def test_brute_reads_no_induction_and_no_per_cell_table(monkeypatch):
@@ -542,6 +605,20 @@ def test_square_construction_past_the_cell_cap_is_a_stretch_path(n):
     ham.validate_stretches(grid, witness)
     with pytest.raises(CapExceededError, match="cells;"):
         witness.cycle
+
+
+def test_square_construction_memory_stays_below_a_bound_per_line():
+    # the run walk's diagonals and line lists, the witness's stretch table
+    # and the stretch check's lists: about 470 B per line at n = 4000
+    # (433 at n = 2300, 500 at n = 10,000)
+    n = 4000
+    tracemalloc.start()
+    try:
+        square_construction(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * (4 * n - 1)
 
 
 def test_grouped_link_matches_expanded_orientation():
