@@ -17,24 +17,28 @@ steps; the run walk checks the groups when a diagonal is read.
 Everything else but the brute sweep reads the run walk of `decompose`
 and expands no cell.  A diagonal is a list of whole lines col - row = d
 of the rectangle, so the per-cell diagonal-id table is one numpy gather
-from the decomposition's line table.  Witnesses and `trace_components`
-walk cycles one stretch between wraps at a time, O(1) Python steps
-each, through one numpy stretch table per orientation.  The walk returns a
-`StretchPath`: per stretch its first line, length and row shift, with
-the prefix counts of up lines, at most 2n + 2m stretches whatever the
-4nm cells.  A witness keeps that path, and its stretch lengths must sum
-to 4nm; numpy writes the cells only when `HamWitness.cycle` is read,
-and `validate_stretches` checks the path without them.  A cycle is an
-array of flat cell indices r*cols + c in cycle order, and divmod(i,
-cols) gives the cell (r, c).  Past CELL_CAP cells, reading a cycle or
-asking for its batches, tracing, the height-2 rule and the brute sweep
-raise CapExceededError; finding a witness, the square construction's
-included, does not.  The brute sweep, the independent reference, runs
-its own `walk_diagonals`, with no induction, gathers each orientation
-string's per-line flags from that walk's line table, and counts the
-cycle through cell 0 one stretch at a time from its own prefix counts
-and positions of up and right lines, sharing no code with the witnesses'
-stretch table: O(n + m) time and memory per string, no per-cell table.
+from the decomposition's line table.  Every oriented cycle is walked by
+one primitive, `_stretch_walk`: one stretch between wraps at a time,
+O(1) Python steps each, over three O(n + m) tables per orientation (the
+prefix counts of up lines and the positions of up and right lines), at
+most max(2n, 2m) stretches whatever the 4nm cells.  It counts the
+cycle's cells and records each stretch's first line and row shift, and
+numpy turns those into a `StretchPath` with each stretch's length.  The
+brute sweep, the height-2 rule, witnesses and `trace_components` all
+call it.  A witness keeps the path of the walk from cell 0, which must
+cover 4nm cells; numpy writes the cells only when `HamWitness.cycle` is
+read.  A cycle is an array of flat cell indices r*cols + c in cycle
+order, and divmod(i, cols) gives the cell (r, c).  Past CELL_CAP cells,
+reading a cycle or asking for its batches, tracing, the height-2 rule
+and the brute sweep raise CapExceededError; finding a witness, the
+square construction's included, does not.  The brute sweep, the
+reference tier, runs its own `walk_diagonals`, with no induction, and
+gathers each orientation string's per-line flags from that walk's line
+table: O(n + m) time and memory per string, no per-cell table.  Its
+witness is the found string's walk.  Two checks share no code with the
+walk: `validate_stretches`, by its own prefix counts and
+`surface.step`, and `validate_witness`, by the per-cell up and right
+tables.
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ BRUTE_DIAGONAL_CAP = 24
 # --method brute` peaks at 32 MB), so for it the cap bounds time: its walk takes about
 # 0.3 us per stretch, at most 2 max(n, m) stretches per orientation string, so about
 # 3 ms per string on a square grid at the cap and, extrapolated from (1, 500001), up to
-# 2.5 s on a (1, m) one, where a stretch averages under 3 cells.
+# 2.5 s on a (1, m) one, where a stretch averages under 3 cells.  The walk that finds a
+# witness records its stretches, O(n + m) more, and builds no second table.
 CELL_CAP = 2 * 10**7
 BATCH_CELLS = 1 << 16  # cells per `StretchPath.batches` batch, rounded to whole stretches
 
@@ -156,66 +161,80 @@ def _read_only(flat: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _line_tables(grid: GridParams, line_up: np.ndarray) -> tuple:
-    """Per landing cell, its stretch to the next wrap and the next landing.
+def _walk_tables(grid: GridParams, up: np.ndarray) -> tuple:
+    """`_stretch_walk`'s tables for the per-line flags `up`, O(n + m) numpy read as Python ints.
 
-    The orientation comes per line: `line_up[x]` is true when line x is
-    oriented up.  Every wrap lands on landing k: (rows - 1, k) for k <
-    cols, else (k - cols, 0).  One direction serves a whole line x = col
-    - row + off, off = rows - 1, and both moves lead to line x + 1, so a
-    stretch of shift s is at row s - ups[x] and column s - off + rights[x]
-    on line x, ups and rights the prefix counts of up and right lines,
-    until row 0 on an up line or column cols - 1 on a right line wraps.
-    Returns ups, first and last lines and shifts as arrays, then those and
-    the next landings as lists.
+    The prefix counts of up lines (ups[0] = 0), then the indices of the
+    up lines and of the right lines, each followed by rows or cols
+    indices past the last line, which stand for a wrap the stretch does
+    not reach.
+    """
+    ups = np.zeros(len(up) + 1, dtype=np.intp)
+    up.cumsum(out=ups[1:])
+    (up_at,) = np.concatenate((up, np.ones(grid.rows, dtype=bool))).nonzero()
+    (right_at,) = np.concatenate((~up, np.ones(grid.cols, dtype=bool))).nonzero()
+    return ups.data, up_at.data, right_at.data
+
+
+def _stretch_walk(grid: GridParams, ups, up_at, right_at, r0: int = 0, c0: int = 0) -> tuple:
+    """The oriented cycle through landing (r0, c0), one stretch between wraps at a time.
+
+    The tables come from `_walk_tables`.  A stretch of shift s sits at row
+    s - ups[x] on line x = col - row + rows - 1, and at column x - (rows -
+    1) + row, so it reaches row 0 on up line up_at[s] and column cols - 1
+    on right line right_at[rows + cols - 2 - s], and wraps at the earlier
+    one by `surface.step`'s half shifts.  Every wrap lands on the last row
+    or the first column.  The start is on line xs = c0 - r0 + rows - 1
+    with shift s0 = r0 + ups[xs], and a stretch of shift s0 that starts
+    on line xs or before runs into it.  So the walk is back once a wrap
+    lands on such a stretch: at the start itself, or before it when the
+    start is entered from a neighbour, as (0, 0) from (1, 0) on (3, 7).
+    Only a line from min(rows, cols) - 1 on holds a cell that wraps, and
+    at most one: on row 0 if the line is up, in the last column if it is
+    right.  So a walk that returns takes at most max(rows, cols)
+    stretches, O(1) each, whatever the cycle's length; InconsistencyError
+    past them, which a permutation rules out.  Returns the cells on the
+    cycle and, in walk order, each stretch's first line and shift, the
+    last stretch the one that runs into the start.
     """
     n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
-    off = rows - 1  # line d sits at index d + off
-    count = len(line_up)
-    ups = np.concatenate(([0], np.cumsum(line_up)))
-    k = np.arange(count)
-    first = np.where(k < cols, k, count - k)
-    shift = np.where(k < cols, off, k - cols) + ups[first]
-    # the up line with ups[x + 1] = s + 1, the right line with rights[x + 1] = count - s
-    x_up = np.searchsorted(ups, shift + 1) - 1
-    x_right = np.searchsorted(np.arange(count + 1) - ups, count - shift) - 1
-    last = np.minimum(x_up, x_right)
-    if (last == count).any():
-        raise InconsistencyError("oriented walk leaves the grid")
-    wrap_row = (shift - ups[last] + n) % rows
-    nxt = np.where(x_up < x_right, (last - off + m) % cols, np.where(wrap_row < off, cols + wrap_row, 0))
-    return ups, first, last, shift, first.tolist(), last.tolist(), shift.tolist(), nxt.tolist()
+    off, last = rows - 1, rows + cols - 2
+    xs = c0 - r0 + off
+    home = r0 + ups[xs]
+    s, x, cells = home, xs, 0
+    firsts, shifts = [x], [s]
+    for _ in range(max(rows, cols)):
+        a, b = up_at[s], right_at[last - s]
+        if a < b:  # up from (0, a - off) to (rows - 1, a - off + m)
+            cells += a + 1 - x
+            x = a - off + m if a - off < m else a - off - m
+            s = off + ups[x]
+        else:  # right from (last - b, cols - 1) to (last - b + n, 0)
+            cells += b + 1 - x
+            r = last - b + n if last - b < n else last - b - n
+            x = off - r
+            s = r + ups[x]
+        firsts.append(x)
+        shifts.append(s)
+        if s == home and x <= xs:
+            return cells + xs - x, firsts, shifts
+    raise InconsistencyError(f"oriented walk from {(r0, c0)} does not return in {grid.size} steps")
 
 
-def _stretch_path(grid: GridParams, table: tuple, r0: int, c0: int) -> StretchPath:
-    """The oriented cycle through landing (r0, c0) as its stretches, in walk order.
+def _walk_path(grid: GridParams, tables: tuple, firsts: list, shifts: list) -> StretchPath:
+    """A `_stretch_walk`'s recorded stretches as a `StretchPath`, in one numpy pass.
 
-    It follows next landings in `_line_tables`' stretch table, and closes
-    at the start after a wrap or, when the start is entered from a
-    neighbour (as (0, 0) from (1, 0) on (3, 7)), on the piece of the
-    stretch of its shift that passes its line, cut before that line.  A
-    cycle meets each landing once, so it has at most rows + cols
-    stretches, O(1) Python steps each; no cell is expanded.
+    A stretch of shift s ends on line min(up_at[s], right_at[rows + cols -
+    2 - s]), where it wraps, but for the last, which runs into the start
+    on the first stretch's first line and is cut before it, and dropped
+    when that leaves it empty: the walk then closed at a wrap.
     """
-    rows, cols = grid.rows, grid.cols
-    ups, first, last, shift, firsts, lasts, shifts, nexts = table
-    start = c0 if r0 == rows - 1 else cols + r0
-    xs = c0 - r0 + rows - 1  # the start's line
-    target = shifts[start]  # a stretch of this shift meets the start on line xs
-    path, k = [start], nexts[start]
-    for _ in range(rows + cols - 1):
-        if shifts[k] == target and firsts[k] <= xs <= lasts[k]:
-            break
-        path.append(k)
-        k = nexts[k]
-    else:
-        raise InconsistencyError(f"oriented walk from {(r0, c0)} does not return")
-    path = np.array(path + [k])
-    starts = first[path]
-    lengths = last[path] + 1 - starts
-    lengths[-1] = xs - starts[-1]  # the closing piece, empty when the walk closes at a wrap
-    keep = len(path) - (lengths[-1] == 0)
-    return StretchPath(grid, ups, starts[:keep], lengths[:keep], shift[path[:keep]])
+    ups, up_at, right_at = (np.asarray(table) for table in tables)
+    first, shift = np.array(firsts), np.array(shifts)
+    length = np.minimum(up_at[shift], right_at[grid.rows + grid.cols - 2 - shift]) + 1 - first
+    length[-1] = first[0] - first[-1]
+    keep = len(first) - (length[-1] == 0)
+    return StretchPath(grid, ups, first[:keep], length[:keep], shift[:keep])
 
 
 def _diagonal_constant(dec: DiagonalDecomposition, up: np.ndarray) -> str | None:
@@ -246,18 +265,20 @@ def trace_components(dec: DiagonalDecomposition, omega: str) -> list[np.ndarray]
     Each cycle is a read-only array of flat cell indices, as in
     `HamWitness.cycle`, starting at its smallest index, and the cycles
     come in the order of those indices.  Every cycle wraps, and every
-    wrap lands on the bottom row or the first column, so line walks from
-    those cells that no earlier walk covered find every cycle once.
+    wrap lands on the bottom row or the first column, so stretch walks
+    from those cells that no earlier walk covered, all over one set of
+    `_walk_tables`, find every cycle once.
     """
     _refuse(dec.grid, dec.grid.size, "cells", "cycle tracing", CELL_CAP)
-    grid, table = dec.grid, _line_tables(dec.grid, dec.line_ups(omega))
+    grid, tables = dec.grid, _walk_tables(dec.grid, dec.line_ups(omega))
     rows, cols = grid.rows, grid.cols
     covered = np.zeros(grid.size, dtype=bool)
     cycles = []
     for r, c in [(rows - 1, col) for col in range(cols)] + [(row, 0) for row in range(rows - 1)]:
         if covered[r * cols + c]:
             continue
-        cycle = _stretch_path(grid, table, r, c).cells()
+        _, firsts, shifts = _stretch_walk(grid, *tables, r, c)
+        cycle = _walk_path(grid, tables, firsts, shifts).cells()
         if covered[cycle].any():
             raise InconsistencyError("oriented edges do not form a permutation")
         covered[cycle] = True
@@ -290,84 +311,34 @@ def orientation_k(dec: DiagonalDecomposition, omega: str) -> int:
 
 
 def _witness_from_omega(grid: GridParams, omega: str, line_up: np.ndarray) -> HamWitness:
-    """The witness of an orientation, given per line too: the stretch path from cell 0.
+    """The witness of an orientation, given per line too: the stretch walk from cell 0.
 
-    Its stretch lengths must sum to 4nm.
+    The walk must cover all 4nm cells.
     """
-    path = _stretch_path(grid, _line_tables(grid, line_up), 0, 0)
-    if path.size != grid.size:
+    tables = _walk_tables(grid, line_up)
+    cells, firsts, shifts = _stretch_walk(grid, *tables)
+    if cells != grid.size:
         raise InconsistencyError("claimed witness does not cover the grid")
-    return HamWitness(omega, path=path)
+    return HamWitness(omega, path=_walk_path(grid, tables, firsts, shifts))
 
 
-def _walk_tables(grid: GridParams, up: np.ndarray) -> tuple:
-    """`_stretch_walk`'s tables for the per-line flags `up`, O(n + m) numpy read as Python ints.
-
-    The prefix counts of up lines (ups[0] = 0), then the indices of the
-    up lines and of the right lines, each followed by rows or cols
-    indices past the last line, which stand for a wrap the stretch does
-    not reach.
-    """
-    ups = np.zeros(len(up) + 1, dtype=np.intp)
-    up.cumsum(out=ups[1:])
-    (up_at,) = np.concatenate((up, np.ones(grid.rows, dtype=bool))).nonzero()
-    (right_at,) = np.concatenate((~up, np.ones(grid.cols, dtype=bool))).nonzero()
-    return ups.data, up_at.data, right_at.data
-
-
-def _stretch_walk(grid: GridParams, ups, up_at, right_at) -> int:
-    """Cells on the oriented cycle through (0, 0), counted one stretch between wraps at a time.
-
-    The tables come from `_walk_tables`.  A stretch of shift s sits at row
-    s - ups[x] on line x = col - row + rows - 1, and at column x - (rows -
-    1) + row, so it reaches row 0 on up line up_at[s] and column cols - 1
-    on right line right_at[rows + cols - 2 - s], and wraps at the earlier
-    one by `surface.step`'s half shifts.  (0, 0) is on line rows - 1 with
-    shift ups[rows - 1], and a stretch of that shift runs into it from
-    whichever landing cell it starts on: only a landing on line rows - 1
-    or before can have that shift.  So the walk is back once a wrap lands
-    on such a stretch: at (0, 0) itself, or below it when (0, 0) is
-    entered from (1, 0), as on (3, 7).  Only a line from min(rows, cols) -
-    1 on holds a cell that wraps, and at most one: on row 0 if the line is
-    up, in the last column if it is right.  So a walk that returns takes
-    at most max(rows, cols) stretches, O(1) each, whatever the cycle's
-    length; InconsistencyError past them, which a permutation rules out.
-    """
-    n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
-    off, last = rows - 1, rows + cols - 2
-    home = ups[off]
-    s, x, cells = home, off, 0
-    for _ in range(max(rows, cols)):
-        a, b = up_at[s], right_at[last - s]
-        if a < b:  # up from (0, a - off) to (rows - 1, a - off + m)
-            cells += a + 1 - x
-            x = a - off + m if a - off < m else a - off - m
-            s = off + ups[x]
-        else:  # right from (last - b, cols - 1) to (last - b + n, 0)
-            cells += b + 1 - x
-            r = last - b + n if last - b < n else last - b - n
-            x = off - r
-            s = r + ups[x]
-        if s == home:
-            return cells + off - x
-    raise InconsistencyError(f"oriented walk from (0, 0) does not return in {grid.size} steps")
-
-
-def _brute_sweep(grid: GridParams, count: int, lines: np.ndarray) -> tuple[str, np.ndarray] | None:
-    """First orientation string, U < R, whose walk from cell 0 covers the grid, and its line flags.
+def _brute_sweep(grid: GridParams, count: int, lines: np.ndarray) -> HamWitness | None:
+    """The witness of the first orientation string, U < R, whose walk from cell 0 covers the grid.
 
     `lines` is the run walk's diagonal id per line, so one gather gives
-    each string's flags per line.  The walk, `_stretch_walk`, counts the
-    cycle through cell 0 by stretches over its own tables, and shares no
-    code with the line walk that builds the witness or with
-    `validate_witness`'s index tables, so every brute witness checks one
-    against the others.  Each string costs O(n + m), whatever its cycle's
-    length.
+    each string's flags per line.  `_stretch_walk` counts the cycle
+    through cell 0 by stretches, and the witness is the stretches that
+    walk recorded, with no second table or walk.  The walk shares no code
+    with `validate_witness`'s index tables or `validate_stretches`' own
+    prefix counts, so each checks a brute witness independently.  Each
+    string costs O(n + m), whatever its cycle's length.
     """
     for flags in product((True, False), repeat=count):
-        up = np.array(flags)[lines]
-        if _stretch_walk(grid, *_walk_tables(grid, up)) == grid.size:
-            return "".join("U" if flag else "R" for flag in flags), up
+        tables = _walk_tables(grid, np.array(flags)[lines])
+        cells, firsts, shifts = _stretch_walk(grid, *tables)
+        if cells == grid.size:
+            omega = "".join("U" if flag else "R" for flag in flags)
+            return HamWitness(omega, path=_walk_path(grid, tables, firsts, shifts))
     return None
 
 
@@ -377,17 +348,15 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
     Orientation strings are enumerated lexicographically with U < R.
     Grids past the cell cap, checked first, or the diagonal cap raise
     CapExceededError.  The diagonals come from one run walk, with no
-    induction, and the witness's stretch table from the found string's
-    line flags.
+    induction, and the witness is the stretches of the sweep's own walk
+    of the found string.
     """
     grid = GridParams(n, m)
     _refuse(grid, grid.size, "cells", "brute force", CELL_CAP)
     diagonals, lines = walk_diagonals(grid)
     _refuse(grid, len(diagonals), "diagonals", "brute force", BRUTE_DIAGONAL_CAP)
-    found = _brute_sweep(grid, len(diagonals), lines)
-    if found is None:
-        return False, None
-    return True, _witness_from_omega(grid, *found)
+    witness = _brute_sweep(grid, len(diagonals), lines)
+    return witness is not None, witness
 
 
 def expand_grouped(dec: DiagonalDecomposition, groups, up_counts) -> str:
@@ -463,7 +432,7 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
     indices inside the grid.  Each cell's successor in the cycle must be
     its up or right neighbour, as its diagonal's direction says, read
     off the flat `up_indices` and `right_indices` tables rather than the
-    line walk that builds witnesses.
+    stretch walk that builds witnesses.
     """
     dec = decompose(grid)
     flat = np.asarray(witness.cycle)
@@ -487,7 +456,7 @@ def validate_witness(grid: GridParams, witness: HamWitness) -> None:
 def validate_stretches(grid: GridParams, witness: HamWitness) -> None:
     """Check a witness's stretch path is a Hamiltonian cycle of its orientation, in O(n + m).
 
-    It shares no code with `_line_tables` and expands no cell.  With its
+    It shares no code with `_stretch_walk` and expands no cell.  With its
     own prefix counts of up lines it places the first and last cell of
     every stretch, so each stretch follows the orientation.  Each must
     start on a landing cell (last row or first column), stay inside the
@@ -624,8 +593,7 @@ def _n2_omega_for(m: int) -> str | None:
     omega = _diagonal_constant(dec, up)
     if omega is None:
         return None
-    table = _line_tables(dec.grid, dec.line_ups(omega))
-    if _stretch_path(dec.grid, table, 0, 0).size != dec.grid.size:
+    if _stretch_walk(dec.grid, *_walk_tables(dec.grid, dec.line_ups(omega)))[0] != dec.grid.size:
         return None
     return omega
 

@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 from itertools import islice, product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -151,6 +150,13 @@ def per_cell_sweep(n, m):
     return None
 
 
+def walk_path(grid, up, r=0, c=0):
+    """The stretch walk's path from landing (r, c) under per-line flags."""
+    tables = ham._walk_tables(grid, np.asarray(up, dtype=bool))
+    _, firsts, shifts = ham._stretch_walk(grid, *tables, r, c)
+    return ham._walk_path(grid, tables, firsts, shifts)
+
+
 def test_line_walk_matches_per_cell_walk():
     # every orientation, Hamiltonian or not, up to 64 per grid
     for n in range(1, 10):
@@ -158,8 +164,7 @@ def test_line_walk_matches_per_cell_walk():
             grid = GridParams(n, m)
             dec = decompose(grid)
             for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
-                table = ham._line_tables(grid, dec.line_ups(omega))
-                flat = ham._stretch_path(grid, table, 0, 0).cells()
+                flat = walk_path(grid, dec.line_ups(omega)).cells()
                 assert as_cells(grid, flat) == per_cell_walk(grid, dec, omega)
 
 
@@ -183,14 +188,13 @@ def test_trace_components_partitions_a_large_multi_cycle_grid():
 
 
 def test_trace_raises_when_walks_overlap_or_leave_cells_uncovered(monkeypatch):
+    # every walk's path reads as cell 0 alone, then as its start cell alone
     dec = decompose(GridParams(2, 3))
-    def walk_to(cells):
-        return lambda grid, lines, r, c: SimpleNamespace(cells=lambda: np.array(cells(grid, r, c)))
-
-    monkeypatch.setattr(ham, "_stretch_path", walk_to(lambda grid, r, c: [0]))
+    cells = ham.StretchPath.cells
+    monkeypatch.setattr(ham.StretchPath, "cells", lambda path: np.array([0]))
     with pytest.raises(InconsistencyError):
         trace_components(dec, "U")
-    monkeypatch.setattr(ham, "_stretch_path", walk_to(lambda grid, r, c: [r * grid.cols + c]))
+    monkeypatch.setattr(ham.StretchPath, "cells", lambda path: cells(path, 0, 1)[:1])
     with pytest.raises(InconsistencyError):
         trace_components(dec, "U")
 
@@ -207,54 +211,54 @@ class CountedList(list):
         return super().__getitem__(i)
 
 
-def test_line_walk_follows_at_most_rows_plus_cols_stretches(monkeypatch):
-    # counted work: a walk reads the next landing of every stretch but the
-    # closing one, and no landing twice, so a cycle has at most rows + cols
-    # stretches; witnesses and tracing share the one path walker
+def test_line_walk_follows_at_most_max_rows_cols_stretches(monkeypatch):
+    # counted work: a walk reads up_at once per stretch it follows to a
+    # wrap, and a returning walk wraps at most once per wrapping cell,
+    # max(rows, cols); witnesses and tracing share the one stretch walk,
+    # and a path holds those stretches and at most one closing piece
     reads, walks = [], []
-    line_tables, stretch_path = ham._line_tables, ham._stretch_path
+    walk_tables, stretch_walk = ham._walk_tables, ham._stretch_walk
 
-    def counted_tables(grid, line_up):
-        *table, nexts = line_tables(grid, line_up)
-        return (*table, CountedList(nexts, reads))
+    def counted_tables(grid, up):
+        ups, up_at, right_at = walk_tables(grid, up)
+        return ups, CountedList(up_at, reads), right_at
 
-    def counted_walk(grid, table, r, c):
+    def counted_walk(grid, *tables):
         reads.clear()
-        path = stretch_path(grid, table, r, c)
-        walks.append((grid, list(reads)))
-        assert len(path.first) <= len(reads) + 1
-        return path
+        cells, firsts, shifts = stretch_walk(grid, *tables)
+        walks.append((grid, len(reads), len(firsts)))
+        return cells, firsts, shifts
 
-    monkeypatch.setattr(ham, "_line_tables", counted_tables)
-    monkeypatch.setattr(ham, "_stretch_path", counted_walk)
+    monkeypatch.setattr(ham, "_walk_tables", counted_tables)
+    monkeypatch.setattr(ham, "_stretch_walk", counted_walk)
     for n, m in [(1, 5), (3, 7), (4, 5), (6, 10), (40, 41), (97, 30)]:
         assert hamiltonian_witness(n, m) is not None
         dec = decompose(GridParams(n, m))
         trace_components(dec, ("UR" * len(dec))[: len(dec)])
     assert len(walks) > 12
-    for grid, landings in walks:
-        assert len(set(landings)) == len(landings) <= grid.rows + grid.cols - 1
+    for grid, stretches, recorded in walks:
+        assert 0 < stretches == recorded - 1 <= max(grid.rows, grid.cols)
 
 
-def test_line_walk_that_does_not_return_raises_after_rows_plus_cols_stretches():
-    # every next landing is landing 1, the bottom-row cell (rows - 1, 1),
-    # whose stretch misses the start (0, 0), so the walk never closes; it
-    # gives up once it has followed rows + cols stretches
-    grid = GridParams(3, 7)
-    dec = decompose(grid)
-    *table, nexts = ham._line_tables(grid, dec.line_ups("RU"))
-    reads = []
-    table = (*table, CountedList([1] * len(nexts), reads))
-    with pytest.raises(InconsistencyError, match="does not return"):
-        ham._stretch_path(grid, table, 0, 0)
-    assert len(reads) == grid.rows + grid.cols
+def test_line_walk_from_a_landing_that_does_not_return_raises_after_max_rows_cols_stretches():
+    # on (1, 2), lines d = -1 .. 3 oriented U, U, U, U, R: from the landing
+    # (1, 1) the walk goes up to (0, 1), wraps onto (1, 3), then (0, 3)
+    # wraps right onto (1, 0), and (1, 0) -> (0, 0) -> (1, 2) -> (0, 2) ->
+    # (1, 0) forever; the walk gives up after max(rows, cols) = 4 stretches
+    grid, reads = GridParams(1, 2), []
+    up = [True, True, True, True, False]
+    assert per_cell_return(grid, up, (1, 1)) is None
+    ups, up_at, right_at = ham._walk_tables(grid, np.array(up))
+    with pytest.raises(InconsistencyError, match=r"from \(1, 1\) does not return in 8 steps"):
+        ham._stretch_walk(grid, ups, CountedList(up_at, reads), right_at, 1, 1)
+    assert len(reads) == max(grid.rows, grid.cols) == 4
 
 
 def test_trace_components_builds_one_stretch_table(monkeypatch):
     calls = []
-    line_tables = ham._line_tables
+    walk_tables = ham._walk_tables
     monkeypatch.setattr(
-        ham, "_line_tables", lambda grid, up: calls.append(up.tolist()) or line_tables(grid, up)
+        ham, "_walk_tables", lambda grid, up: calls.append(up.tolist()) or walk_tables(grid, up)
     )
     dec = decompose(GridParams(20, 30))
     omega = ("UR" * len(dec))[: len(dec)]
@@ -302,10 +306,10 @@ def test_brute_memory_stays_below_sixty_four_bytes_per_cell():
 
 @pytest.mark.parametrize("n,m,diagonals", [(42, 277, 1), (251, 17, 2)])
 def test_brute_memory_stays_below_a_bound_per_line(n, m, diagonals):
-    # the sweep holds the run walk's line lists, per-line flags and the
-    # stretch walk's three tables, and the witness its stretch table:
-    # O(n + m), about 70 and 230 B per line here (1 and 7 B per cell;
-    # (400, 401), 641,600 cells, peaks at 265 B per line)
+    # the sweep holds the run walk's line lists, per-line flags, the
+    # stretch walk's three tables and the stretches it records, which the
+    # witness keeps: O(n + m), about 93 and 146 B per line here (1 and 5 B
+    # per cell; (400, 401), 641,600 cells, peaks at 123 B per line)
     assert diag_count_tree(n, m) == diagonals
     tracemalloc.start()
     try:
@@ -316,35 +320,37 @@ def test_brute_memory_stays_below_a_bound_per_line(n, m, diagonals):
     assert peak < 512 * (2 * n + 2 * m - 1)
 
 
-def per_cell_return(grid, up):
-    """Reference: cells on the walk from (0, 0) by `surface.step` under per-line
+def per_cell_return(grid, up, start=(0, 0)):
+    """Reference: cells on the walk from `start` by `surface.step` under per-line
     flags, or None when it has not returned after 4nm steps."""
-    cell = (0, 0)
+    cell = start
     for length in range(1, grid.size + 1):
         cell = step(grid, cell, "U" if up[cell[1] - cell[0] + grid.rows - 1] else "R")
-        if cell == (0, 0):
+        if cell == start:
             return length
     return None
 
 
-def stretch_count(grid, up):
-    """Cells on the brute's stretch walk from (0, 0) under per-line flags."""
-    return ham._stretch_walk(grid, *ham._walk_tables(grid, np.array(up, dtype=bool)))
+def stretch_count(grid, up, r=0, c=0):
+    """Cells on the stretch walk from landing (r, c) under per-line flags."""
+    return ham._stretch_walk(grid, *ham._walk_tables(grid, np.array(up, dtype=bool)), r, c)[0]
 
 
 def test_stretch_walk_matches_surface_steps_on_every_line_flag_table():
     # flags need not be constant per diagonal here, so two cells can step
-    # onto one and the walk from (0, 0) may never return; the stretch walk
-    # must then raise, and otherwise count the reference's cells
+    # onto one and the walk from a landing may never return; the stretch
+    # walk must then raise, and otherwise count the reference's cells
     for n, m in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)]:
         grid = GridParams(n, m)
+        landings = [(grid.rows - 1, c) for c in range(grid.cols)] + [(r, 0) for r in range(grid.rows - 1)]
         for up in product([True, False], repeat=grid.rows + grid.cols - 1):
-            want = per_cell_return(grid, up)
-            if want is None:
-                with pytest.raises(InconsistencyError, match="does not return"):
-                    stretch_count(grid, up)
-            else:
-                assert stretch_count(grid, up) == want, (n, m, up)
+            for r, c in landings:
+                want = per_cell_return(grid, up, (r, c))
+                if want is None:
+                    with pytest.raises(InconsistencyError, match="does not return"):
+                        stretch_count(grid, up, r, c)
+                else:
+                    assert stretch_count(grid, up, r, c) == want, (n, m, up, (r, c))
 
 
 def test_stretch_walk_on_a_planted_flag_table_that_never_returns_raises():
@@ -499,6 +505,24 @@ def test_witness_memory_stays_below_forty_bytes_per_cell():
     assert not cycle.flags.writeable
 
 
+@pytest.mark.parametrize("find,bound", [(hamiltonian_witness, 128), (lambda n, m: is_hamiltonian_brute(n, m)[1], 200)],
+                         ids=["link", "brute"])
+def test_witness_memory_stays_below_a_bound_per_line(find, bound):
+    # a (1, m) grid has about 2 cells per line; about 95 and 162 B per line
+    # here, the run walk's line lists and, for the brute's "UR", the 15,003
+    # stretches its walk records (249 and 279 when the witness walked a
+    # second, four-array stretch table)
+    m = 10001
+    tracemalloc.start()
+    try:
+        witness = find(1, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.path.size == 4 * m
+    assert peak < bound * (2 * m + 1)
+
+
 def test_library_keeps_no_per_input_state_between_calls():
     # nothing keyed on a call's input may outlive the call
     tracemalloc.start()
@@ -608,7 +632,7 @@ def test_square_construction_past_the_cell_cap_is_a_stretch_path(n):
 
 
 def test_square_construction_memory_stays_below_a_bound_per_line():
-    # the run walk's diagonals and line lists, the witness's stretch table
+    # the run walk's diagonals and line lists, the witness's walk tables
     # and the stretch check's lists: about 470 B per line at n = 4000
     # (433 at n = 2300, 500 at n = 10,000)
     n = 4000
@@ -1038,8 +1062,7 @@ def test_stretch_validator_agrees_with_the_cell_validator(n, m, seed, knot):
     witness = hamiltonian_witness(n, m) if knot else None
     if witness is None:
         omega = "".join(rng.choice("UR") for _ in range(len(dec)))
-        table = ham._line_tables(grid, dec.line_ups(omega))
-        witness = HamWitness(omega, path=ham._stretch_path(grid, table, 0, 0))
+        witness = HamWitness(omega, path=walk_path(grid, dec.line_ups(omega)))
     if rng.random() < 0.5:
         flip = rng.randrange(len(dec))
         omega = witness.orientation
@@ -1096,11 +1119,10 @@ def test_stretch_validator_rejects_a_cycle_walked_twice():
     # all up on (2, 3) splits into three 8-cell cycles; the one through cell 0,
     # walked from a landing it wraps onto, three times over covers 24 cells
     grid = GridParams(2, 3)
-    dec = decompose(grid)
-    table = ham._line_tables(grid, dec.line_ups("U"))
-    once = ham._stretch_path(grid, table, 0, 0)
+    up = decompose(grid).line_ups("U")
+    once = walk_path(grid, up)
     row = int(once.shift[1] - once.ups[once.first[1]])
-    once = ham._stretch_path(grid, table, row, int(once.first[1]) - grid.rows + 1 + row)
+    once = walk_path(grid, up, row, int(once.first[1]) - grid.rows + 1 + row)
     assert once.size * 3 == grid.size
     thrice = HamWitness("U", path=ham.StretchPath(grid, once.ups, *(np.tile(getattr(once, name), 3)
                                                                    for name in ("first", "length", "shift"))))

@@ -1,8 +1,8 @@
 """Golden outputs of the line-level routes: witnesses, brute witnesses and traced cycles.
 
 Each digest is the first 16 hex digits of a SHA-256 over a grid's
-answers, recorded from the stretch-by-stretch walk with two bisections
-per stretch that the stretch table replaced.  The grids mix walks from cell 0 that close at
+answers, recorded from an earlier stretch-by-stretch walk with two
+bisections per stretch; every walk since must reproduce them.  The grids mix walks from cell 0 that close at
 a wrap ((1, 5), (6, 10)), walks that reach cell 0 by an up move from
 (1, 0), in the middle of a stretch ((3, 7), (4, 5), (5, 7)), and grids
 with gcd(n, m) > 1.
