@@ -4,9 +4,8 @@ A diagonal is an orbit of the step right-then-down; every cell lies on
 exactly one.  Interior steps are forced (+1, +1), so a diagonal is a
 cyclic sequence of straight runs, each starting on the top row or the
 left column and ending on the last row or the last column.  A run is
-the whole line col - row = d of the rectangle, so a diagonal is a cyclic
-list of lines, and each of the 2n + 2m - 1 lines lies on one of them.
-Two routes find the diagonals:
+the whole line col - row = d of the rectangle, so each of the
+2n + 2m - 1 lines lies on one diagonal.  Two routes find the diagonals:
 
 * Rauzy induction (`induction_groups`): the diagonals are the loops of
   the link (m, m, n, n), so `link_cycles` finds them, with their
@@ -17,20 +16,20 @@ Two routes find the diagonals:
   check.  `walk_diagonals` follows one numpy table of each line's next
   line; `diag_count_naive` counts orbits at one byte per line.
 
-Read off the walk:
+The decomposition keeps two arrays from the walk, no object per diagonal:
 
 * the line table `lines`: the diagonal id of each line col - row.  Any
   per-cell table, such as the diagonal id of every cell, is one numpy
   gather from it;
-* a diagonal's boundary profile, the validated tuple (cnt_a, cnt_b, cnt_c,
-  cnt_d), counts its lines in four ranges: top-row cell (0, c) lies on line c
-  and last-column cell (r, 2m - 1) on line 2m - 1 - r, so A, B, C and D are
-  the m, m, n and n lines [0, m), [m, 2m), [2m - n, 2m) and [2m - 2n, 2m - n),
-  the link (m, m, n, n).  Diagonals with identical profiles form a group; the
-  induced link depends only on the groups' up counts.
+* `profiles`: each diagonal's boundary profile by id, the validated tuple
+  (cnt_a, cnt_b, cnt_c, cnt_d), counts its lines in four ranges: top-row
+  cell (0, c) lies on line c and last-column cell (r, 2m - 1) on line
+  2m - 1 - r, so A, B, C and D are the m, m, n and n lines [0, m), [m, 2m),
+  [2m - n, 2m) and [2m - 2n, 2m - n), the link (m, m, n, n).  Diagonals of
+  one profile form a group; the induced link depends only on their up counts.
 
 `decompose` runs the induction at once and the walk on first read of
-its diagonals, and the walk must find the induction's groups.
+`lines` or `profiles`, and the walk must find the induction's groups.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,46 +69,36 @@ class BoundaryProfile(NamedTuple("BoundaryProfile", [(f"cnt_{x}", int) for x in 
 
 
 @dataclass
-class Diagonal:
-    """One orbit, kept as its lines col - row in successor order."""
-
-    id: int
-    lines: list[int]
-    profile: BoundaryProfile
-
-
-@dataclass
 class DiagonalDecomposition:
-    """A grid's profile groups, with its diagonals walked on first read.
+    """A grid's profile groups, with its line table and profiles walked on first read.
 
     `profile_groups` holds (size, profile) per group, in the induction's
-    order; it is the one group list.  `diagonals` and `lines`, the
-    diagonal id of each line col - row at index col - row + rows - 1,
-    come from one cached run walk, whose profiles must agree with
-    `profile_groups` as a multiset.
+    order; it is the one group list.  `lines`, the diagonal id of each
+    line col - row at index col - row + rows - 1, and `profiles`, each
+    diagonal's profile by id, come from one cached run walk, whose
+    profiles must agree with `profile_groups` as a multiset.
     """
 
     grid: GridParams
     profile_groups: list[tuple[int, BoundaryProfile]]
 
     @cached_property
-    def _walk(self) -> tuple[list[Diagonal], np.ndarray]:
-        diagonals, lines = walk_diagonals(self.grid)
-        counts = Counter(diag.profile for diag in diagonals)
-        walked = Counter((size, prof) for prof, size in counts.items())
+    def _walk(self) -> tuple[np.ndarray, list[BoundaryProfile]]:
+        lines, profiles = walk_diagonals(self.grid)
+        walked = Counter((size, prof) for prof, size in Counter(profiles).items())
         if walked != Counter(self.profile_groups):
             raise InconsistencyError(
                 f"run walk of grid ({self.grid.n},{self.grid.m}) found groups "
                 f"{list(walked)}, induction {self.profile_groups}"
             )
-        return diagonals, lines
-
-    @property
-    def diagonals(self) -> list[Diagonal]:
-        return self._walk[0]
+        return lines, profiles
 
     @property
     def lines(self) -> np.ndarray:
+        return self._walk[0]
+
+    @property
+    def profiles(self) -> list[BoundaryProfile]:
         return self._walk[1]
 
     def __len__(self) -> int:
@@ -117,7 +106,7 @@ class DiagonalDecomposition:
 
     def ups(self, omega: str) -> np.ndarray:
         """Per diagonal, whether the orientation string orients it up (U) or right (R)."""
-        return orientation_ups(omega, len(self.diagonals))
+        return orientation_ups(omega, len(self))
 
     def line_ups(self, omega: str) -> np.ndarray:
         """Per line col - row, at index col - row + rows - 1, whether the string orients it up."""
@@ -134,46 +123,8 @@ def diagonal_ids(dec: DiagonalDecomposition) -> np.ndarray:
     return dec.lines[np.arange(cols) - np.arange(rows)[:, None] + rows - 1].ravel()
 
 
-def _run_walk(grid: GridParams) -> Iterator[tuple[int, int]]:
-    """Every line d = col - row as (orbit id, d), orbit after orbit.
-
-    Line starts are scanned along the top row, then down the left
-    column.  A diagonal's row-major-minimal cell starts a line (its
-    predecessor would otherwise be smaller), so each diagonal is met at
-    that line and listed from there, in successor order.  The next line
-    follows from d alone, so the walk is O(n + m) and still enumerates
-    every orbit; a line visited twice is an internal inconsistency.
-    """
-    n, m = grid.n, grid.m
-    rows, cols = grid.rows, grid.cols
-    off = rows - 1  # line d sits at index d + off
-    visited = bytearray(rows + cols - 1)
-    budget = len(visited)
-    oid = 0
-    for start in chain(range(cols), range(-1, -rows, -1)):
-        if visited[start + off]:
-            continue
-        d = start
-        while True:
-            visited[d + off] = 1
-            budget -= 1
-            if budget < 0:
-                raise InconsistencyError("run walk revisited a line")
-            yield oid, d
-            if d >= cols - rows:
-                # ends on the last column at row cols - 1 - d, wraps right
-                r = (cols - 1 - d + n) % rows
-                d = -(r + 1) if r < rows - 1 else m
-            else:
-                # ends on the last row at column d + rows - 1, wraps down
-                d = (d + rows + m) % cols
-            if d == start:
-                break
-        oid += 1
-
-
 def _line_successors(grid: GridParams) -> np.ndarray:
-    """The next line of every line, by index d + rows - 1: `_run_walk`'s step in one numpy pass."""
+    """The next line of every line, by index d + rows - 1: `diag_count_naive`'s step in one numpy pass."""
     n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
     d = np.arange(1 - rows, cols)
     r = (cols - 1 - d + n) % rows
@@ -216,37 +167,35 @@ def _block_cross_check(grid: GridParams, lines: np.ndarray, profiles) -> None:
         raise InconsistencyError(f"corner blocks of grid ({n},{m}) miss some diagonals")
 
 
-def walk_diagonals(grid: GridParams) -> tuple[list[Diagonal], np.ndarray]:
-    """Diagonals and the line table from one run walk, O(n + m).
+def walk_diagonals(grid: GridParams) -> tuple[np.ndarray, list[BoundaryProfile]]:
+    """The line table and the profiles by diagonal id from one run walk, O(n + m).
 
-    The reference route: every orbit is enumerated, so the count is
-    read off actual orbits: `_line_successors`, which must be a
-    permutation for the orbits to cover every line, is followed once per
-    line from `_run_walk`'s starts, so ids follow the row-major-minimal
-    cells.  `lines` (np.intp) holds the diagonal id of line col - row = d
-    at index d + rows - 1; the profiles read from it must pass the
-    corner-block check.  No groups are built: `DiagonalDecomposition`
-    checks the walk's against the induction's.
+    The reference route, enumerating every orbit: `_line_successors`,
+    which must be a permutation for the orbits to cover every line, is
+    followed once per line from starts along the top row, then down the
+    left column.  A diagonal's row-major-minimal cell starts a line (its
+    predecessor would otherwise be smaller), so ids follow those cells.
+    `lines` (np.intp) holds the diagonal id of line col - row = d at
+    index d + rows - 1; the profiles read from it must pass the
+    corner-block check.  `DiagonalDecomposition` checks them as groups.
     """
     off = grid.rows - 1  # line d sits at index d + off
     succ = _line_successors(grid)
     if (np.bincount(succ, minlength=len(succ)) != 1).any():
         raise InconsistencyError(f"orbits of grid ({grid.n},{grid.m}) do not cover every line")
     succ = succ.tolist()
-    lines, orbits = [-1] * len(succ), []
+    lines, count = [-1] * len(succ), 0
     for start in chain(range(off, len(succ)), range(off - 1, -1, -1)):
         if lines[start] < 0:
-            oid, orbit, x = len(orbits), [], start
+            x = start
             while lines[x] < 0:
-                lines[x] = oid
-                orbit.append(x - off)
+                lines[x] = count
                 x = succ[x]
-            orbits.append(orbit)
+            count += 1
     lines = np.array(lines, dtype=np.intp)
-    profiles = _line_profiles(grid, lines, len(orbits))
+    profiles = _line_profiles(grid, lines, count)
     _block_cross_check(grid, lines, profiles)
-    diagonals = [Diagonal(oid, orbit, profiles[oid]) for oid, orbit in enumerate(orbits)]
-    return diagonals, lines
+    return lines, profiles
 
 
 def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
@@ -293,18 +242,18 @@ def induction_groups(grid: GridParams) -> list[tuple[int, BoundaryProfile]]:
 
 
 def decompose(grid: GridParams) -> DiagonalDecomposition:
-    """Profile groups by induction now, diagonals by run walk when read.
+    """Profile groups by induction now, the line table and profiles by run walk when read.
 
     O(log(n + m)): `induction_groups`, the loops of the link
     (m, m, n, n), answers the Hamiltonicity search.
-    The diagonals and the line table come from one `walk_diagonals`,
+    The line table and the profiles come from one `walk_diagonals`,
     O(n + m), on the first read of either, and that walk must find the
     induction's (size, profile) groups.
     """
     return DiagonalDecomposition(grid, induction_groups(grid))
 
 
-# The run walk takes about 2 s at n + m = 2 * 10**6 on a 2-core x86-64 box, linear in n + m.
+# The run walk takes 1-1.5 s at n + m = 2 * 10**6 on a 2-core x86-64 box, linear in n + m.
 NAIVE_CAP = 2 * 10**6
 
 
@@ -313,14 +262,38 @@ def diag_count_naive(n: int, m: int) -> int:
 
     This is the reference count the faster methods are checked against;
     the walk enumerates every orbit of the successor map rather than
-    deriving the count from a formula.  CapExceededError past
-    n + m = NAIVE_CAP.
+    deriving the count from a formula.  Each unvisited line start, along
+    the top row and then down the left column, opens an orbit, followed
+    back to it by a step that reads d alone, at one visited byte per
+    line; a line visited twice is an internal inconsistency.
+    CapExceededError past n + m = NAIVE_CAP.
     """
     grid = GridParams(n, m)
     if grid.n + grid.m > NAIVE_CAP:
         raise CapExceededError(f"grid ({grid.n},{grid.m}) has n + m > {NAIVE_CAP}; the run walk "
                                f"is capped there -- use diag_count_tree")
+    n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
+    off = rows - 1  # line d sits at index d + off
+    visited = bytearray(rows + cols - 1)
+    budget = len(visited)
     count = 0
-    for oid, _ in _run_walk(grid):
-        count = oid + 1
+    for start in chain(range(cols), range(-1, -rows, -1)):
+        if visited[start + off]:
+            continue
+        count += 1
+        d = start
+        while True:
+            visited[d + off] = 1
+            budget -= 1
+            if budget < 0:
+                raise InconsistencyError("run walk revisited a line")
+            if d >= cols - rows:
+                # ends on the last column at row cols - 1 - d, wraps right
+                r = (cols - 1 - d + n) % rows
+                d = -(r + 1) if r < rows - 1 else m
+            else:
+                # ends on the last row at column d + rows - 1, wraps down
+                d = (d + rows + m) % cols
+            if d == start:
+                break
     return count

@@ -13,10 +13,10 @@ tiers implement this:
 The link tier walks no run: `decompose` finds the profile groups as
 the loops of the link (m, m, n, n) and `loop_count` counts each
 candidate link's loops, both by Rauzy induction in O(log(n + m))
-steps; the run walk checks the groups when a diagonal is read.
+steps; the run walk checks the groups when its line table is read.
 Everything else but the brute sweep reads the run walk of `decompose`
-and expands no cell.  A diagonal is a list of whole lines col - row = d
-of the rectangle, so the per-cell diagonal-id table is one numpy gather
+and expands no cell.  Each whole line col - row = d of the rectangle
+lies on one diagonal, so the per-cell diagonal-id table is one numpy gather
 from the decomposition's line table.  Every oriented cycle is walked by
 one primitive, `_stretch_walk`: one stretch between wraps at a time,
 O(1) Python steps each, over three O(n + m) tables per orientation (the
@@ -240,7 +240,7 @@ def _walk_path(grid: GridParams, tables: tuple, firsts: list, shifts: list) -> S
 def _diagonal_constant(dec: DiagonalDecomposition, up: np.ndarray) -> str | None:
     """The orientation string of a per-cell up table; None unless constant per diagonal."""
     ids = diagonal_ids(dec)
-    count = len(dec.diagonals)
+    count = len(dec)
     ups = np.bincount(ids[up], minlength=count)
     if ((ups != 0) & (ups != np.bincount(ids, minlength=count))).any():
         return None
@@ -347,23 +347,23 @@ def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
 
     Orientation strings are enumerated lexicographically with U < R.
     Grids past the cell cap, checked first, or the diagonal cap raise
-    CapExceededError.  The diagonals come from one run walk, with no
+    CapExceededError.  The line table comes from one run walk, with no
     induction, and the witness is the stretches of the sweep's own walk
     of the found string.
     """
     grid = GridParams(n, m)
     _refuse(grid, grid.size, "cells", "brute force", CELL_CAP)
-    diagonals, lines = walk_diagonals(grid)
-    _refuse(grid, len(diagonals), "diagonals", "brute force", BRUTE_DIAGONAL_CAP)
-    witness = _brute_sweep(grid, len(diagonals), lines)
+    lines, profiles = walk_diagonals(grid)
+    _refuse(grid, len(profiles), "diagonals", "brute force", BRUTE_DIAGONAL_CAP)
+    witness = _brute_sweep(grid, len(profiles), lines)
     return witness is not None, witness
 
 
 def expand_grouped(dec: DiagonalDecomposition, groups, up_counts) -> str:
     """One orientation string: up the `up_counts[k]` smallest ids of group k's profile."""
-    chars = ["R"] * len(dec.diagonals)
+    chars = ["R"] * len(dec)
     for (_, prof), ups in zip(groups, up_counts):
-        members = [diag.id for diag in dec.diagonals if diag.profile == prof]
+        members = [i for i, diag_prof in enumerate(dec.profiles) if diag_prof == prof]
         for diag_id in members[:ups]:
             chars[diag_id] = "U"
     return "".join(chars)
@@ -416,8 +416,7 @@ def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
     order of their first diagonal by id, whatever order the induction emits.
     """
     dec = decompose(GridParams(n, m))
-    profiles = [diag.profile for diag in dec.diagonals]
-    groups = sorted(dec.profile_groups, key=lambda group: profiles.index(group[1]))
+    groups = sorted(dec.profile_groups, key=lambda group: dec.profiles.index(group[1]))
     counts = _first_knot(groups)
     if counts is None:
         return None
@@ -532,7 +531,7 @@ def _square_orientation(dec: DiagonalDecomposition, start_row: int) -> str | Non
     if cell != (start_row, 0) or len(turns) != n:
         return None
     up = {int(dec.lines[c - r + grid.rows - 1]) for r, c in turns}
-    omega = "".join("U" if k in up else "R" for k in range(len(dec.diagonals)))
+    omega = "".join("U" if k in up else "R" for k in range(len(dec)))
     return omega if up_cell_count(dec, omega) == n else None
 
 

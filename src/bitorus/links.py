@@ -251,4 +251,4 @@ def orientation_link(dec, omega: str) -> Link:
     a and b count up-oriented cells on the top boundary halves, c and d
     right-oriented cells on the right boundary halves.
     """
-    return group_link([(1, diag.profile) for diag in dec.diagonals], dec.ups(omega).tolist())
+    return group_link([(1, prof) for prof in dec.profiles], dec.ups(omega).tolist())

@@ -100,8 +100,7 @@ def _orientations(limit: int):
             yield n, m, "".join(omega)
 
 
-@_check("tier-equivalence", lambda k: ((n, m) for n, m in _grids(k) if n <= m),
-        lambda k, _: f"n,m <= {k}", cap=10)
+@_check("tier-equivalence", _grids, lambda k, _: f"n,m <= {k}", cap=10)
 def _tiers_agree(n: int, m: int) -> bool:
     """Brute-force tier and link tier agree on every grid."""
     return is_hamiltonian_brute(n, m)[0] == is_hamiltonian_fast(n, m)
@@ -196,7 +195,7 @@ def _induction_matches(*case) -> bool:
     """
     if len(case) == 2:
         grid = GridParams(*case)
-        DiagonalDecomposition(grid, induction_groups(grid)).diagonals  # raises on a mismatch
+        DiagonalDecomposition(grid, induction_groups(grid)).profiles  # raises on a mismatch
         return True
     link = Link(*case)
     return loop_count(link) == perm_cycles(link_permutation(link))

@@ -1,15 +1,20 @@
 """Cell-level references the tests check the line-based library against.
 
-The library keeps a diagonal as its lines col - row and reads boundary
-profiles off line ranges.  These helpers go cell by cell instead: they
-list a grid's cells, flag each cell's boundary halves, expand a
-diagonal's lines into its cells and count a diagonal's boundary cells
-from those flags.
+The library keeps the diagonal id of each line col - row and reads
+boundary profiles off line ranges.  These helpers go cell by cell
+instead: they list a grid's cells, flag each cell's boundary halves,
+step from each line's last cell to the next line, list each diagonal's
+lines in successor order, expand them into its cells and count a
+diagonal's boundary cells from those flags.
 """
 
+from collections import Counter
 from typing import NamedTuple
 
+import numpy as np
+
 from bitorus.diagonals import BoundaryProfile
+from bitorus.surface import diag_successor
 
 
 def grid_cells(grid):
@@ -48,9 +53,44 @@ def line_run(grid, d):
     return r, c, min(grid.rows - r, grid.cols - c)
 
 
-def diagonal_cells(grid, diag):
-    """A diagonal's cells in successor order, from the row-major-minimal one, expanded from its lines."""
-    runs = [line_run(grid, d) for d in diag.lines]
+def line_steps(grid):
+    """Each line's next line, by index d + rows - 1: the line `diag_successor` takes its last cell to."""
+    off = grid.rows - 1
+    succ = []
+    for d in range(-off, grid.cols):
+        r, c, length = line_run(grid, d)
+        row, col = diag_successor(grid, (r + length - 1, c + length - 1))
+        assert row == 0 or col == 0, (grid, d)  # the step lands on a line's first cell
+        succ.append(col - row + off)
+    return np.array(succ)
+
+
+def orbit_lines(dec):
+    """Each diagonal's lines col - row in successor order, by id, from its row-major-minimal line.
+
+    The order comes from `line_steps`, cell by cell; `dec.lines` only
+    names the orbits, and each orbit must hold just the lines its id labels.
+    """
+    grid, off = dec.grid, dec.grid.rows - 1
+    steps, ids = line_steps(grid).tolist(), dec.lines.tolist()
+    sizes, orbits = Counter(ids), {}
+    # line starts in row-major order: the top row, then down the left column
+    for start in [*range(grid.cols), *range(-1, -grid.rows, -1)]:
+        if ids[start + off] in orbits:
+            continue
+        orbit, x = [start], steps[start + off] - off
+        while x != start:
+            orbit.append(x)
+            x = steps[x + off] - off
+        oid = ids[start + off]
+        assert all(ids[d + off] == oid for d in orbit) and len(orbit) == sizes[oid], (grid, oid)
+        orbits[oid] = orbit
+    return [orbits[oid] for oid in range(len(orbits))]
+
+
+def diagonal_cells(grid, lines):
+    """A diagonal's cells in successor order, expanded from its lines col - row in that order."""
+    runs = [line_run(grid, d) for d in lines]
     return tuple((r + j, c + j) for r, c, length in runs for j in range(length))
 
 

@@ -17,7 +17,7 @@ from bitorus.census import diag_distribution, exceptional_pairs
 from bitorus.cli import cli_main
 from bitorus.counting import _rule
 from bitorus.diagonals import decompose
-from bitorus.hamiltonicity import HamWitness, orientation_k
+from bitorus.hamiltonicity import HamWitness, is_hamiltonian_fast, orientation_k
 from bitorus.links import orientation_link
 from bitorus.surface import GridParams
 from bitorus.verify import CHECKS, run_check
@@ -86,15 +86,15 @@ def test_07_periodicity():
                 continue
             base = decompose(GridParams(n, m))
             shifted = decompose(GridParams(n, m + 12 * n))
-            ok = ok and len(base.diagonals) == len(shifted.diagonals)
+            ok = ok and len(base.profiles) == len(shifted.profiles)
             expected = Counter()
-            for omega in product("UR", repeat=len(base.diagonals)):
+            for omega in product("UR", repeat=len(base.profiles)):
                 omega = "".join(omega)
                 link = orientation_link(base, omega)
                 k = orientation_k(base, omega)
                 expected[(link.a + 3 * k * n, link.b + 3 * k * n, link.c, link.d)] += 1
             actual = Counter()
-            for omega in product("UR", repeat=len(shifted.diagonals)):
+            for omega in product("UR", repeat=len(shifted.profiles)):
                 actual[orientation_link(shifted, "".join(omega)).as_tuple()] += 1
             ok = ok and expected == actual
     _report(7, "Hamiltonicity periodic in width; link multisets shift by 3kn", started, ok)
@@ -175,6 +175,9 @@ def _one_tally_off(h):
 # (entry, name in bitorus.verify, wrong route, limit)
 PLANTED = [
     ("tier-equivalence", "is_hamiltonian_fast", lambda n, m: True, 4),
+    # flips only the (4k, 1) grids, the mirror images of the (1, 4k) ones
+    ("tier-equivalence", "is_hamiltonian_fast",
+     lambda n, m: is_hamiltonian_fast(n, m) != (m == 1 and n % 4 == 0), 10),
     ("counting-agreement", "diag_count_tree", lambda n, m: 0, 4),
     ("string-construction", "string_powers", lambda n, m: "d", 5),
     ("cycle-link-equivalence", "loop_count", lambda link: 0, 3),

@@ -1,8 +1,6 @@
 import math
 import tracemalloc
 from collections import Counter
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from bitorus.errors import InconsistencyError
 from bitorus.links import Link, loop_count
 from bitorus.surface import GridParams, diag_successor, diag_successor_indices, right_power
 from bitorus.verify import CHECKS
-from cell_reference import diagonal_cells, profile
+from cell_reference import diagonal_cells, line_steps, orbit_lines, profile
 
 
 def coprime_pairs(limit):
@@ -58,7 +56,7 @@ def cell_walk_orbits(grid):
 )
 def test_diagonal_counts(n, m, count):
     assert diag_count_naive(n, m) == count
-    assert len(decompose(GridParams(n, m)).diagonals) == count
+    assert len(decompose(GridParams(n, m)).profiles) == count
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (2, 3), (3, 4), (2, 6), (4, 6), (3, 9)])
@@ -67,8 +65,8 @@ def test_decomposition_partitions_the_grid(n, m):
     dec = decompose(grid)
     seen = Counter()
     lcm = math.lcm(n, m)
-    for diag in dec.diagonals:
-        cells = diagonal_cells(grid, diag)
+    for lines in orbit_lines(dec):
+        cells = diagonal_cells(grid, lines)
         assert len(cells) % lcm == 0
         seen.update(cells)
     assert len(seen) == grid.size
@@ -77,7 +75,7 @@ def test_decomposition_partitions_the_grid(n, m):
 
 def test_diagonal_ids_follow_row_major_minimal_cells():
     grid = GridParams(2, 6)
-    cells = [diagonal_cells(grid, d) for d in decompose(grid).diagonals]
+    cells = [diagonal_cells(grid, lines) for lines in orbit_lines(decompose(grid))]
     minima = [min(c) for c in cells]
     assert minima == sorted(minima)
     for diag in cells:
@@ -107,32 +105,33 @@ def test_count_symmetric_in_the_sizes():
 
 def test_profiles_single_diagonal_carries_all_boundary_cells():
     dec = decompose(GridParams(2, 3))
-    assert [d.profile.as_tuple() for d in dec.diagonals] == [(3, 3, 2, 2)]
+    assert [prof.as_tuple() for prof in dec.profiles] == [(3, 3, 2, 2)]
 
 
 def test_profiles_sum_to_boundary_totals():
     for n, m in [(1, 3), (2, 2), (3, 5), (2, 6), (4, 6)]:
         dec = decompose(GridParams(n, m))
-        sums = [sum(d.profile.as_tuple()[i] for d in dec.diagonals) for i in range(4)]
+        sums = [sum(prof.as_tuple()[i] for prof in dec.profiles) for i in range(4)]
         assert sums == [m, m, n, n]
 
 
 def test_profile_components_small_on_the_two_by_two_grid():
     dec = decompose(GridParams(2, 2))
-    for diag in dec.diagonals:
-        assert all(c <= 2 for c in diag.profile.as_tuple())
+    for prof in dec.profiles:
+        assert all(c <= 2 for c in prof.as_tuple())
 
 
 def test_profile_function_matches_stored_profiles():
     dec = decompose(GridParams(3, 5))
-    for diag in dec.diagonals:
-        assert profile(dec.grid, diagonal_cells(dec.grid, diag)) == diag.profile
+    for lines, prof in zip(orbit_lines(dec), dec.profiles, strict=True):
+        assert profile(dec.grid, diagonal_cells(dec.grid, lines)) == prof
 
 
 def group_members(dec):
     """Each profile group's members: the diagonal ids with that group's profile."""
     return [
-        tuple(d.id for d in dec.diagonals if d.profile == prof) for _, prof in dec.profile_groups
+        tuple(i for i, diag_prof in enumerate(dec.profiles) if diag_prof == prof)
+        for _, prof in dec.profile_groups
     ]
 
 
@@ -140,20 +139,21 @@ def test_groups_share_boundary_profiles_and_lengths():
     for n in range(1, 11):
         for m in range(1, 11):
             dec = decompose(GridParams(n, m))
+            orbits = orbit_lines(dec)
             for (size, _), group in zip(dec.profile_groups, group_members(dec)):
                 assert len(group) == size
-                assert len({len(diagonal_cells(dec.grid, dec.diagonals[i])) for i in group}) == 1
+                assert len({len(diagonal_cells(dec.grid, orbits[i])) for i in group}) == 1
 
 
 def test_group_members_are_right_translates():
     for n in range(1, 13):
         for m in range(1, 13):
             dec = decompose(GridParams(n, m))
-            grid = dec.grid
+            grid, orbits = dec.grid, orbit_lines(dec)
             for group in group_members(dec):
-                first = diagonal_cells(grid, dec.diagonals[group[0]])
+                first = diagonal_cells(grid, orbits[group[0]])
                 for y in group[1:]:
-                    cells_y = set(diagonal_cells(grid, dec.diagonals[y]))
+                    cells_y = set(diagonal_cells(grid, orbits[y]))
                     assert any(
                         {right_power(grid, c, i) for c in first} == cells_y
                         for i in range(1, 4 * grid.m + 1)
@@ -166,13 +166,13 @@ def test_corner_blocks_land_in_single_groups():
         dec = decompose(grid)
         g = grid.g
         owner = {}
-        for diag in dec.diagonals:
-            for cell in diagonal_cells(grid, diag):
-                owner[cell] = diag
+        for oid, lines in enumerate(orbit_lines(dec)):
+            for cell in diagonal_cells(grid, lines):
+                owner[cell] = oid
         for top, left in ((0, 0), (0, m), (n, 0), (n, m)):
             block = [owner[(top, left + j)] for j in range(g)]
-            assert len({d.id for d in block}) == g
-            assert len({d.profile for d in block}) == 1
+            assert len(set(block)) == g
+            assert len({dec.profiles[oid] for oid in block}) == 1
 
 
 def test_run_walk_counter_matches_cell_walk():
@@ -182,24 +182,25 @@ def test_run_walk_counter_matches_cell_walk():
             ref = cell_walk_orbits(grid)
             assert diag_count_naive(n, m) == len(ref)
             dec = decompose(grid)
-            assert [diagonal_cells(grid, d) for d in dec.diagonals] == ref
-            assert [d.profile for d in dec.diagonals] == [profile(grid, c) for c in ref]
+            assert [diagonal_cells(grid, lines) for lines in orbit_lines(dec)] == ref
+            assert dec.profiles == [profile(grid, c) for c in ref]
 
 
 
 def test_run_tables_match_cell_by_cell_tables():
-    # per cell and per line col - row, the id of the diagonal through it
+    # per cell and per line col - row, the id of the diagonal through it,
+    # ids in the order of the orbits' row-major-minimal cells
     for n in range(1, 21):
         for m in range(1, 21):
             grid = GridParams(n, m)
             dec = decompose(grid)
             ref = np.full(grid.size, -1)
             ref_lines = np.full(grid.rows + grid.cols - 1, -1)
-            for diag in dec.diagonals:
-                for row, col in diagonal_cells(grid, diag):
-                    ref[row * grid.cols + col] = diag.id
-                    assert ref_lines[col - row + grid.rows - 1] in (-1, diag.id)
-                    ref_lines[col - row + grid.rows - 1] = diag.id
+            for oid, cells in enumerate(cell_walk_orbits(grid)):
+                for row, col in cells:
+                    ref[row * grid.cols + col] = oid
+                    assert ref_lines[col - row + grid.rows - 1] in (-1, oid)
+                    ref_lines[col - row + grid.rows - 1] = oid
             assert (diagonal_ids(dec) == ref).all(), (n, m)
             assert dec.lines.dtype == np.intp
             assert (dec.lines == ref_lines).all(), (n, m)
@@ -230,9 +231,10 @@ def test_diagonals_are_the_loops_of_the_link_m_m_n_n_at_scale(n, m, common):
 
 def test_decompose_walks_only_when_diagonals_are_read():
     dec = decompose(GridParams(10**6, 10**6 + 1))
-    assert len(dec) == 3 and "_walk" not in vars(dec)
+    assert len(dec) == 3 and dec.ups("URU").tolist() == [True, False, True]
+    assert "_walk" not in vars(dec)
     small = decompose(GridParams(4, 6))
-    assert [d.id for d in small.diagonals] == list(range(len(small)))
+    assert len(small.profiles) == len(small) == small.lines.max() + 1
     assert "_walk" in vars(small)
 
 
@@ -240,7 +242,9 @@ def test_walk_that_disagrees_with_the_induction_raises():
     grid = GridParams(3, 5)  # two diagonals with different profiles
     dec = DiagonalDecomposition(grid, [(2, BoundaryProfile(5, 5, 3, 3))])
     with pytest.raises(InconsistencyError, match="run walk"):
-        dec.diagonals
+        dec.profiles
+    with pytest.raises(InconsistencyError, match="run walk"):
+        dec.lines
 
 
 def _bypass(succ, x):
@@ -277,28 +281,18 @@ def test_walk_checks_catch_planted_runs(monkeypatch, n, m, plant, message):
         walk_diagonals(GridParams(n, m))
 
 
-def run_walk_steps(grid):
-    """Reference: each line index's next line index, read off consecutive lines of `_run_walk`."""
-    off = grid.rows - 1
-    succ = np.full(grid.rows + grid.cols - 1, -1)
-    for _, orbit in groupby(diagonals._run_walk(grid), key=itemgetter(0)):
-        ds = [d + off for _, d in orbit]
-        succ[ds] = ds[1:] + ds[:1]
-    return succ
-
-
 def test_line_successors_match_the_run_walk():
     for n in range(1, 41):
         for m in range(1, 41):
             grid = GridParams(n, m)
-            assert (diagonals._line_successors(grid) == run_walk_steps(grid)).all(), (n, m)
+            assert (diagonals._line_successors(grid) == line_steps(grid)).all(), (n, m)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 10**4), st.integers(1, 10**4))
 def test_line_successors_match_the_run_walk_on_large_sides(n, m):
     grid = GridParams(n, m)
-    assert (diagonals._line_successors(grid) == run_walk_steps(grid)).all()
+    assert (diagonals._line_successors(grid) == line_steps(grid)).all()
 
 
 def test_walk_diagonals_visits_every_line_once(monkeypatch):
@@ -320,9 +314,10 @@ def test_walk_diagonals_visits_every_line_once(monkeypatch):
     )
     for n, m in [(1, 1), (3, 5), (2, 4), (6, 9), (40, 17), (120, 300)]:
         reads.clear()
-        diags, _ = walk_diagonals(GridParams(n, m))
+        lines, profiles = walk_diagonals(GridParams(n, m))
         assert sorted(reads) == list(range(2 * n + 2 * m - 1)), (n, m)
-        assert sum(len(diag.lines) for diag in diags) == 2 * n + 2 * m - 1
+        counts = np.bincount(lines)  # raises on a line left unlabelled at -1
+        assert len(counts) == len(profiles) and counts.all()
 
 
 def test_walk_with_split_corner_block_raises(monkeypatch):
@@ -377,6 +372,20 @@ def test_groups_of_a_grid_are_its_coprime_core_groups_times_g(n, m, k):
     assert sorted(size for size, _ in core) in ([1], [1, 1], [1, 2])
     scaled = induction_groups(GridParams(k * n // g, k * m // g))
     assert Counter(scaled) == Counter((k * size, prof) for size, prof in core)
+
+
+def test_walk_memory_stays_below_a_bound_per_line():
+    # the line table, the successor table as a list of ints while it is
+    # labelled, and a profile per diagonal: about 56 B per line at (1, m)
+    # (97 when the walk kept a line list per diagonal)
+    m = 100001
+    tracemalloc.start()
+    try:
+        walk_diagonals(GridParams(1, m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * (2 * m + 1)
 
 
 def test_reference_walk_memory_is_about_one_byte_per_line():

@@ -11,7 +11,7 @@ import bitorus
 import bitorus.diagonals as diagonals
 import bitorus.hamiltonicity as ham
 from bitorus.counting import diag_count_tree
-from bitorus.diagonals import decompose, diag_count_naive, diagonal_ids
+from bitorus.diagonals import BoundaryProfile, decompose, diag_count_naive, diagonal_ids
 from bitorus.errors import CapExceededError, InconsistencyError
 from bitorus.hamiltonicity import (
     HamWitness,
@@ -33,7 +33,7 @@ from bitorus.hamiltonicity import (
 from bitorus.links import group_link, loop_count, orientation_link
 from bitorus.surface import GridParams, right_power, step
 from bitorus.verify import CHECKS, run_check
-from cell_reference import diagonal_cells, grid_cells
+from cell_reference import diagonal_cells, grid_cells, orbit_lines
 
 
 def coprime_pairs(limit):
@@ -109,12 +109,22 @@ def test_brute_refuses_before_walking_the_diagonals(monkeypatch):
         is_hamiltonian_brute(2_000_000, 2_000_001)
 
 
+def holds_no_per_orbit_object(dec):
+    """The decomposition holds its groups and the walk's line table and profiles: no object
+    per diagonal, and no cell."""
+    grid = dec.grid
+    return (vars(dec).keys() == {"grid", "profile_groups", "_walk"}
+            and dec.lines.dtype == np.intp and dec.lines.shape == (grid.rows + grid.cols - 1,)
+            and type(dec.profiles) is list and len(dec.profiles) == len(dec)
+            and all(type(prof) is BoundaryProfile for prof in dec.profiles))
+
+
 def per_cell_cycles(grid, dec, omega):
     """Reference: every oriented cycle, cell by cell from each diagonal's cells,
     each from its row-major first cell, cycles in the order of those cells."""
     succ = {}
-    for diag, ch in zip(dec.diagonals, omega):
-        for cell in diagonal_cells(grid, diag):
+    for lines, ch in zip(orbit_lines(dec), omega, strict=True):
+        for cell in diagonal_cells(grid, lines):
             succ[cell] = step(grid, cell, ch)
     cycles, seen = [], set()
     for start in grid_cells(grid):
@@ -143,7 +153,7 @@ def per_cell_sweep(n, m):
     walk covers the grid, with that walk; None when there is none."""
     grid = GridParams(n, m)
     dec = decompose(grid)
-    for omega in product("UR", repeat=len(dec.diagonals)):
+    for omega in product("UR", repeat=len(dec)):
         walk = per_cell_walk(grid, dec, omega)
         if len(walk) == grid.size:
             return "".join(omega), walk
@@ -163,7 +173,7 @@ def test_line_walk_matches_per_cell_walk():
         for m in range(1, 10):
             grid = GridParams(n, m)
             dec = decompose(grid)
-            for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
+            for omega in islice(product("UR", repeat=len(dec)), 64):
                 flat = walk_path(grid, dec.line_ups(omega)).cells()
                 assert as_cells(grid, flat) == per_cell_walk(grid, dec, omega)
 
@@ -173,7 +183,7 @@ def test_trace_components_matches_per_cell_cycles():
         for m in range(1, 10):
             grid = GridParams(n, m)
             dec = decompose(grid)
-            for omega in islice(product("UR", repeat=len(dec.diagonals)), 64):
+            for omega in islice(product("UR", repeat=len(dec)), 64):
                 cycles = trace_components(dec, "".join(omega))
                 assert [as_cells(grid, cycle) for cycle in cycles] == per_cell_cycles(grid, dec, omega)
 
@@ -181,7 +191,7 @@ def test_trace_components_matches_per_cell_cycles():
 def test_trace_components_partitions_a_large_multi_cycle_grid():
     dec = decompose(GridParams(200, 300))
     rng = random.Random(2024)
-    omega = "".join(rng.choice("UR") for _ in dec.diagonals)
+    omega = "".join(rng.choice("UR") for _ in range(len(dec)))
     cycles = trace_components(dec, omega)
     assert len(cycles) == loop_count(orientation_link(dec, omega)) > 1
     assert np.array_equal(np.sort(np.concatenate(cycles)), np.arange(dec.grid.size))
@@ -306,10 +316,10 @@ def test_brute_memory_stays_below_sixty_four_bytes_per_cell():
 
 @pytest.mark.parametrize("n,m,diagonals", [(42, 277, 1), (251, 17, 2)])
 def test_brute_memory_stays_below_a_bound_per_line(n, m, diagonals):
-    # the sweep holds the run walk's line lists, per-line flags, the
+    # the sweep holds the run walk's line table, per-line flags, the
     # stretch walk's three tables and the stretches it records, which the
-    # witness keeps: O(n + m), about 93 and 146 B per line here (1 and 5 B
-    # per cell; (400, 401), 641,600 cells, peaks at 123 B per line)
+    # witness keeps: O(n + m), about 64 and 107 B per line here (1 and 3 B
+    # per cell; (400, 401), 641,600 cells, peaks at 88 B per line)
     assert diag_count_tree(n, m) == diagonals
     tracemalloc.start()
     try:
@@ -317,7 +327,7 @@ def test_brute_memory_stays_below_a_bound_per_line(n, m, diagonals):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 512 * (2 * n + 2 * m - 1)
+    assert peak < 144 * (2 * n + 2 * m - 1)
 
 
 def per_cell_return(grid, up, start=(0, 0)):
@@ -505,13 +515,13 @@ def test_witness_memory_stays_below_forty_bytes_per_cell():
     assert not cycle.flags.writeable
 
 
-@pytest.mark.parametrize("find,bound", [(hamiltonian_witness, 128), (lambda n, m: is_hamiltonian_brute(n, m)[1], 200)],
+@pytest.mark.parametrize("find,bound", [(hamiltonian_witness, 80), (lambda n, m: is_hamiltonian_brute(n, m)[1], 160)],
                          ids=["link", "brute"])
 def test_witness_memory_stays_below_a_bound_per_line(find, bound):
-    # a (1, m) grid has about 2 cells per line; about 95 and 162 B per line
-    # here, the run walk's line lists and, for the brute's "UR", the 15,003
-    # stretches its walk records (249 and 279 when the witness walked a
-    # second, four-array stretch table)
+    # a (1, m) grid has about 2 cells per line; about 56 and 122 B per line
+    # here, the run walk's line table and, for the brute's "UR", the 15,003
+    # stretches its walk records (95 and 161 when the walk kept a line list
+    # per diagonal)
     m = 10001
     tracemalloc.start()
     try:
@@ -570,8 +580,8 @@ def test_witnesses_sweeps_and_tracing_expand_no_cells(monkeypatch):
     square_construction(6)
     n2_orientation(7)
     assert {dec.grid for dec in built} == {GridParams(n, m) for n, m in grids}
-    for dec in built:  # a diagonal holds its lines, never its cells
-        assert all(vars(diag).keys() == {"id", "lines", "profile"} for diag in dec.diagonals), dec.grid
+    for dec in built:
+        assert holds_no_per_orbit_object(dec), dec.grid
 
 
 # --- link tier -----------------------------------------------------------------
@@ -614,8 +624,8 @@ def test_cell_expanding_routes_refuse_past_the_cap_up_front(route, args):
 @pytest.mark.parametrize("n", [2300, 10_000])
 def test_square_construction_past_the_cell_cap_is_a_stretch_path(n):
     # the square is checked stretch by stretch, so it answers past CELL_CAP
-    # and holds O(n) numbers, about 470 B per line here; only its cells are
-    # refused
+    # and holds O(n) numbers, about 320 and 360 B per line here; only its
+    # cells are refused
     grid = GridParams(n, n)
     tracemalloc.start()
     try:
@@ -632,9 +642,10 @@ def test_square_construction_past_the_cell_cap_is_a_stretch_path(n):
 
 
 def test_square_construction_memory_stays_below_a_bound_per_line():
-    # the run walk's diagonals and line lists, the witness's walk tables
-    # and the stretch check's lists: about 470 B per line at n = 4000
-    # (433 at n = 2300, 500 at n = 10,000)
+    # the run walk's line table, the witness's walk tables and the
+    # stretch check's lists: about 340 B per line at n = 4000 (320 at
+    # n = 2300, 360 at n = 10,000; 480 when the walk kept a line list per
+    # diagonal)
     n = 4000
     tracemalloc.start()
     try:
@@ -642,7 +653,7 @@ def test_square_construction_memory_stays_below_a_bound_per_line():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 640 * (4 * n - 1)
+    assert peak < 420 * (4 * n - 1)
 
 
 def test_grouped_link_matches_expanded_orientation():
@@ -681,13 +692,14 @@ def test_swapping_parallel_diagonals_preserves_components():
     for n, m in [(2, 4), (2, 6), (3, 6), (6, 9), (4, 6), (3, 9)]:
         dec = decompose(GridParams(n, m))
         members = [
-            [d.id for d in dec.diagonals if d.profile == prof] for _, prof in dec.profile_groups
+            [i for i, diag_prof in enumerate(dec.profiles) if diag_prof == prof]
+            for _, prof in dec.profile_groups
         ]
         multi = [g for g in members if len(g) >= 2]
         if not multi:
             continue
         for _ in range(10):
-            omega = [rng.choice("UR") for _ in dec.diagonals]
+            omega = [rng.choice("UR") for _ in range(len(dec))]
             base = len(trace_components(dec, "".join(omega)))
             group = rng.choice(multi)
             x, y = rng.sample(list(group), 2)
@@ -716,9 +728,9 @@ def test_hamiltonian_edge_covers_are_diagonal_constant():
         succ_r = {c: step(grid, c, "R") for c in cells}
         dec = decompose(GridParams(n, m))
         diag_of = {}
-        for diag in dec.diagonals:
-            for cell in diagonal_cells(grid, diag):
-                diag_of[cell] = diag.id
+        for oid, lines in enumerate(orbit_lines(dec)):
+            for cell in diagonal_cells(grid, lines):
+                diag_of[cell] = oid
         for bits in range(1 << size):
             succ = {
                 c: succ_r[c] if (bits >> i) & 1 else succ_u[c]
@@ -793,7 +805,7 @@ def test_square_orientation_ups_only_the_last_diagonal():
 def test_diagonal_constant_reads_orientations_and_rejects_mixed_tables():
     for n, m in [(3, 3), (4, 6), (2, 7)]:
         dec = decompose(GridParams(n, m))
-        for omega in islice(product("UR", repeat=len(dec.diagonals)), 16):
+        for omega in islice(product("UR", repeat=len(dec)), 16):
             up = dec.ups(omega)[diagonal_ids(dec)]
             assert ham._diagonal_constant(dec, up) == "".join(omega)
             for cell in (0, dec.grid.size // 2, dec.grid.size - 1):
@@ -986,11 +998,12 @@ def test_up_cell_count_sums_runs_without_expanding_cells():
     for n, m in coprime_pairs(8):
         dec = decompose(GridParams(n, m))
         counts = [up_cell_count(dec, "".join(omega))
-                  for omega in product("UR", repeat=len(dec.diagonals))]
-        assert all(vars(diag).keys() == {"id", "lines", "profile"} for diag in dec.diagonals)
+                  for omega in product("UR", repeat=len(dec))]
+        assert holds_no_per_orbit_object(dec)
+        orbits = orbit_lines(dec)
         assert counts == [
-            sum(len(diagonal_cells(dec.grid, diag)) for diag, ch in zip(dec.diagonals, omega) if ch == "U")
-            for omega in product("UR", repeat=len(dec.diagonals))
+            sum(len(diagonal_cells(dec.grid, lines)) for lines, ch in zip(orbits, omega) if ch == "U")
+            for omega in product("UR", repeat=len(dec))
         ]
 
 

@@ -106,7 +106,7 @@ def test_orientation_link_matches_known_tuple():
 @pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (2, 2), (3, 5)])
 def test_all_right_and_all_up_orientations(n, m):
     dec = decompose(GridParams(n, m))
-    count = len(dec.diagonals)
+    count = len(dec.profiles)
     right = orientation_link(dec, "R" * count)
     assert (right.a, right.b) == (0, 0)
     assert right.c + right.d == 2 * n
