@@ -266,10 +266,15 @@ def _rule(n: int, m: int) -> tuple[int, tuple[int, int], tuple[int, int]] | None
     One pass over the guards of `_branch_rules`, at most three divmods;
     InconsistencyError if none matches.  A run repeats its rule: rule 1's
     ends at q0 % 4, or at a base pair (1, 1..4) if n = 1; rule 4's at q1 <= 3.
+    The pair must be coprime with 1 <= n <= m, which `reduce_pair` checks
+    and `_reduced_sizes` gives; no step checks it again.  Each rule keeps
+    the gcd, save rules 8 and 10, whose constant pairs would drop it; they
+    fire at r2 = 0, where gcd(n, m) = r1, so they also need r1 = 1.  A
+    pair that is not coprime thus ends at a pair no rule matches, a run
+    that does not lower n + m, or a run end of 0, each refused.
     """
     if (n, m) in TERMINAL_PAIRS:
         return None
-    _check_reducible(n, m)
     q0, r0 = divmod(m, n)
     if q0 >= 4:
         return 1, (n, m - 4 * n), ((1, (q0 - 1) % 4 + 1) if n == 1 else (n, q0 % 4 * n + r0))
@@ -288,6 +293,8 @@ def _rule(n: int, m: int) -> tuple[int, tuple[int, int], tuple[int, int]] | None
             return 6, (r1, r0 - r1), (r1, r0 - r1)
         if r1:  # q1 == 1, and r2 < r1 by the divmod
             q2, r2 = divmod(r0, r1)
+            if not (r2 or r1 == 1):
+                raise InconsistencyError(f"pair ({n}, {m}) has gcd {r1}; reductions need a coprime pair")
             if q2 % 2 == 0:
                 pair = (7, (r1 + r2, r1 + 2 * r2)) if r2 else (8, (1, 1))
             else:
@@ -302,7 +309,9 @@ def reduce_pair(n: int, m: int) -> tuple[int, int] | None:
     The emitted pair is returned raw and may need reordering by the
     caller.
     """
-    found = _rule(check_int(n, 1, "n"), check_int(m, 1, "m"))
+    n, m = check_int(n, 1, "n"), check_int(m, 1, "m")
+    _check_reducible(n, m)
+    found = _rule(n, m)
     return None if found is None else found[1]
 
 
@@ -323,20 +332,20 @@ def reduction_trace(n: int, m: int) -> list[tuple[int, int]]:
     trail = [_reduced_sizes(n, m)[1:]]
     while (found := _rule(*trail[-1])) is not None:
         rule, (a, b), (c, d) = found[0], trail[-1], sorted(found[1])
-        if c + d >= a + b:
-            raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}) without lowering n + m")
+        if c < 1 or c + d >= a + b:
+            raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}), not a smaller positive pair")
         trail.append((c, d))
     return trail
 
 
 def _base_pair(a: int, b: int) -> tuple[int, int]:
-    """Base pair of a coprime a <= b by whole rule runs, each of which must lower a + b."""
+    """Base pair of a coprime a <= b by whole rule runs, each of which must end positive and lower a + b."""
     while (found := _rule(a, b)) is not None:
         rule, _, (c, d) = found
         if c > d:
             c, d = d, c
-        if c + d >= a + b:
-            raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}) without lowering n + m")
+        if c < 1 or c + d >= a + b:
+            raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}), not a smaller positive pair")
         a, b = c, d
     return a, b
 

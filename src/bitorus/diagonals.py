@@ -13,8 +13,9 @@ the whole line col - row = d of the rectangle, so each of the
   one list of profile groups, which is all the Hamiltonicity search needs;
 * the run walk (`walk_diagonals`, `diag_count_naive`): O(n + m) steps
   that enumerate every orbit, the reference route and the induction's
-  check.  `walk_diagonals` follows one numpy table of each line's next
-  line; `diag_count_naive` counts orbits at one byte per line.
+  check.  `walk_diagonals` follows the line map, a list built from its
+  five ranges of next lines; `diag_count_naive` counts orbits at one
+  byte per line with its own scalar step.
 
 The decomposition keeps two arrays from the walk, no object per diagonal:
 
@@ -123,13 +124,24 @@ def diagonal_ids(dec: DiagonalDecomposition) -> np.ndarray:
     return dec.lines[np.arange(cols) - np.arange(rows)[:, None] + rows - 1].ravel()
 
 
-def _line_successors(grid: GridParams) -> np.ndarray:
-    """The next line of every line, by index d + rows - 1: `diag_count_naive`'s step in one numpy pass."""
-    n, m, rows, cols = grid.n, grid.m, grid.rows, grid.cols
-    d = np.arange(1 - rows, cols)
-    r = (cols - 1 - d + n) % rows
-    right = np.where(r < rows - 1, -(r + 1), m)
-    return np.where(d >= cols - rows, right, (d + rows + m) % cols) + rows - 1
+def _line_successors(grid: GridParams) -> list[int]:
+    """The next line of every line, by index d + rows - 1: the line map's five ranges.
+
+    With off = rows - 1 = 2n - 1, line d sits at index i = d + off.  The
+    first 2m - 1 lines end on the last row, at column i, and step down
+    onto the top row's line (i + 1 + m) mod 2m: they rotate, the first
+    m - 1 onto indices [m + 1 + off, 2m + off) and the next m onto
+    [off, m + off).  The last 2n lines end on the last column, at rows
+    2n - 1 down to 0, and step right onto the first column n rows lower,
+    then down one row: the first n land on rows n .. 1, the lines
+    -n .. -1 at [n - 1, 2n - 1); the next wraps off the last row onto the
+    top row's cell (0, m), line m; the last n - 1 land on rows
+    2n - 1 .. n + 1, at [0, n - 1).  So the map is an interval exchange of
+    five pieces; `diag_count_naive` takes the same step one line at a time.
+    """
+    n, m, off = grid.n, grid.m, grid.rows - 1
+    return [*range(m + 1 + off, 2 * m + off), *range(off, m + off),
+            *range(n - 1, off), m + off, *range(n - 1)]
 
 
 def _line_profiles(grid: GridParams, lines: np.ndarray, count: int) -> list[BoundaryProfile]:
@@ -170,20 +182,22 @@ def _block_cross_check(grid: GridParams, lines: np.ndarray, profiles) -> None:
 def walk_diagonals(grid: GridParams) -> tuple[np.ndarray, list[BoundaryProfile]]:
     """The line table and the profiles by diagonal id from one run walk, O(n + m).
 
-    The reference route, enumerating every orbit: `_line_successors`,
-    which must be a permutation for the orbits to cover every line, is
+    The reference route, enumerating every orbit: `_line_successors` is
     followed once per line from starts along the top row, then down the
-    left column.  A diagonal's row-major-minimal cell starts a line (its
-    predecessor would otherwise be smaller), so ids follow those cells.
+    left column.  Each orbit's walk stops at the first labelled line and
+    must stop at its own start.  All walks close so exactly when the
+    table is a permutation of the line indices: each walk is then one
+    whole cycle.  Otherwise some line has no predecessor, and the walk
+    it starts cannot return to it.  So this one comparison per orbit is
+    the permutation check.  A diagonal's row-major-minimal cell
+    starts a line (its predecessor would otherwise be smaller), so ids
+    follow those cells.
     `lines` (np.intp) holds the diagonal id of line col - row = d at
     index d + rows - 1; the profiles read from it must pass the
     corner-block check.  `DiagonalDecomposition` checks them as groups.
     """
     off = grid.rows - 1  # line d sits at index d + off
     succ = _line_successors(grid)
-    if (np.bincount(succ, minlength=len(succ)) != 1).any():
-        raise InconsistencyError(f"orbits of grid ({grid.n},{grid.m}) do not cover every line")
-    succ = succ.tolist()
     lines, count = [-1] * len(succ), 0
     for start in chain(range(off, len(succ)), range(off - 1, -1, -1)):
         if lines[start] < 0:
@@ -191,6 +205,8 @@ def walk_diagonals(grid: GridParams) -> tuple[np.ndarray, list[BoundaryProfile]]
             while lines[x] < 0:
                 lines[x] = count
                 x = succ[x]
+            if x != start:
+                raise InconsistencyError(f"orbits of grid ({grid.n},{grid.m}) do not cover every line")
             count += 1
     lines = np.array(lines, dtype=np.intp)
     profiles = _line_profiles(grid, lines, count)

@@ -235,6 +235,43 @@ def test_reduction_step_that_does_not_lower_the_sum_is_inconsistent(monkeypatch)
         diag_count_reduction(1, 9)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**12), st.integers(1, 10**12))
+def test_every_rule_run_starts_on_a_coprime_ordered_pair(n, m):
+    # `_rule` checks no pair itself, so the reduction must only hand it coprime a <= b
+    calls = _rule_calls(n, m)
+    assert calls and all(math.gcd(a, b) == 1 and 1 <= a <= b for a, b in calls)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**5), st.integers(1, 10**5))
+def test_every_pair_on_the_trace_is_coprime_and_ordered(n, m):
+    # sides stay small here: a trace lists every pair of a rule run, up to (n + m) / 4 of them
+    assert all(math.gcd(a, b) == 1 and 1 <= a <= b for a, b in reduction_trace(n, m))
+
+
+def test_every_pair_that_is_not_coprime_is_inconsistent():
+    # the rules keep the gcd, so such a pair never reaches a base pair: it must raise, never count
+    for a in range(2, 61):
+        for b in range(a, 61):
+            if math.gcd(a, b) > 1:
+                with pytest.raises(InconsistencyError):
+                    counting._base_pair(a, b)
+
+
+# (6, 10) reaches rule 8, whose (1, 1) would drop the gcd; (3, 12) ends a rule 1 run at (0, 3)
+@pytest.mark.parametrize("planted", [(6, 10), (3, 12), (4, 6), (2, 4)])
+def test_a_rule_that_emits_a_pair_that_is_not_coprime_is_inconsistent(monkeypatch, planted):
+    rule = counting._rule
+    monkeypatch.setattr(
+        counting, "_rule", lambda a, b: (3, planted, planted) if (a, b) == (7, 19) else rule(a, b)
+    )
+    with pytest.raises(InconsistencyError):
+        diag_count_reduction(7, 19)
+    with pytest.raises(InconsistencyError):
+        reduction_trace(7, 19)
+
+
 def test_a_pair_no_rule_matches_is_inconsistent(monkeypatch):
     # (2, 3) matches no guard: as a non-base pair it must raise, never count
     monkeypatch.setattr(counting, "TERMINAL_PAIRS", TERMINAL_PAIRS - {(2, 3)})
@@ -244,17 +281,17 @@ def test_a_pair_no_rule_matches_is_inconsistent(monkeypatch):
         reduce_pair(2, 3)
 
 
-def _rule_calls(monkeypatch, n, m):
-    """Number of `_rule` calls, one per rule run, under diag_count_reduction(n, m)."""
+def _rule_calls(n, m):
+    """The pair of each `_rule` call, one per rule run, under diag_count_reduction(n, m)."""
     calls = []
     rule = counting._rule
-    with monkeypatch.context() as patch:
-        patch.setattr(counting, "_rule", lambda a, b: calls.append(1) or rule(a, b))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_rule", lambda a, b: calls.append((a, b)) or rule(a, b))
         diag_count_reduction(n, m)
-    return len(calls)
+    return calls
 
 
-def test_reduction_runs_are_logarithmic(monkeypatch):
+def test_reduction_runs_are_logarithmic():
     # counted work, not time: at most log2(n + m) + 2 rule runs
     fib = [0, 1]  # F_k = fib[k]
     while len(fib) < 200:
@@ -264,8 +301,8 @@ def test_reduction_runs_are_logarithmic(monkeypatch):
     pairs += [(rng.randint(1, 10**e), rng.randint(1, 10**e)) for e in range(2, 101) for _ in range(10)]
     pairs += [(n, m) for m in range(1, 201) for n in range(1, m + 1)]
     for n, m in pairs:
-        assert _rule_calls(monkeypatch, n, m) <= math.log2(n + m) + 2, (n, m)
-    assert _rule_calls(monkeypatch, fib[198], fib[199]) == 88
+        assert len(_rule_calls(n, m)) <= math.log2(n + m) + 2, (n, m)
+    assert len(_rule_calls(fib[198], fib[199])) == 88
 
 
 # --- ternary tree ----------------------------------------------------------
