@@ -1,16 +1,18 @@
 """Batch surveys over coprime grid sizes.
 
-`exceptional_pairs` and `diag_distribution` walk the coprime pairs
-n < m <= h top-down over `_FOREST`, two ternary trees sharing the
-children (2m - n, m), (2m + n, m) and (m + 2n, n): the even-odd pairs
-below (2, 1) and the odd-odd pairs below (3, 1).  Each even-odd node
-carries its map id in `counting.TREE_MAPS`, the tree automaton whose
-ids `diag_count_tree` steps; an id's value is the pair's diagonal
-count, and the odd-odd tree has one more map, valued 2.  The table
-lists the nodes with `_nodes`, a plain walk on Python ints; the census
-counts them with the forest walk, `_forest_walk`.
+`exceptional_pairs` and `diag_distribution` cover the coprime pairs
+n < m <= h as `_FOREST`, two ternary trees sharing the children
+(2m - n, m), (2m + n, m) and (m + 2n, n): the even-odd pairs below
+(2, 1) and the odd-odd pairs below (3, 1).  Each even-odd node carries
+its map id in `counting.TREE_MAPS`, the tree automaton whose ids
+`diag_count_tree` steps; an id's value is the pair's diagonal count,
+and the odd-odd tree has one more map, valued 2.  The table lists the
+nodes of both trees with `_nodes`, a plain walk on Python ints; the
+census walks only the even-odd tree, with the forest walk
+`_forest_walk`, and counts the odd-odd tree, a third of the pairs, with
+the totient recursion `_odd_odd_pairs` in O(h^(3/4)) steps.
 
-The forest walk takes the trees a run at a time, in numpy, moving ids by
+The forest walk takes the tree a run at a time, in numpy, moving ids by
 the same `run_powers` tables the single-pair count reads: from a
 frontier node (m, n) it takes the whole gamma run (m + kd, n + kd),
 d = m - n, the whole lambda run (m + 2kn, n) and the delta child
@@ -19,11 +21,11 @@ address, so a horizon h takes O(log h) generations: 9, 10 and 11 at
 h = 1000, 2000 and 4000, and at most log2(h) + 1 for every h <= 4000.
 Run steps whose children all exceed h are leaves, counted by map id
 from a prefix-count table over the powers of the run's child map; only
-the others are built, a quarter of the pairs (76,048 of 304,191 at
+the others are built, a sixth of the pairs (50,715 of 304,191 at
 h = 1000).  A step expands at most `_CHUNK` frontier nodes, last in
 first out, so the frontier holds a few chunks per generation: memory
 grows with the generations, not with the O(h^2) pairs (a tracemalloc
-peak of 1.5 MB at h = 1000 and 1.9 MB at h = 4000).
+peak of 1.45 MB at h = 1000 and 1.94 MB at h = 4000).
 """
 
 from __future__ import annotations
@@ -92,11 +94,13 @@ def exceptional_pairs(max_m: int) -> list[PairRecord]:
 def diag_distribution(h: int) -> DistributionReport:
     """Exact diagonal-count distribution over coprime pairs m > n, m <= h.
 
-    One forest walk counts every pair's map id, building a quarter of the
-    pairs and counting the rest run by run: an even-odd node's id names
-    the automaton's state map of its tree string in `TREE_MAPS`,
-    whose value is the pair's count.  O(log h) generations of numpy
-    steps over at most `_CHUNK` nodes each.
+    The forest walk counts every even-odd pair's map id, building a
+    sixth of all pairs and counting the rest run by run: an even-odd
+    node's id names the automaton's state map of its tree string in
+    `TREE_MAPS`, whose value is the pair's count.  O(log h) generations
+    of numpy steps over at most `_CHUNK` nodes each.  The odd-odd pairs,
+    all valued 2, are counted by the totient recursion of
+    `_odd_odd_pairs`, without a walk.
     """
     h = _check_horizon(h, "h", "the census's forest walk, int64 up to 5 h, needs")
     visits, _ = _forest_walk(h)
@@ -211,8 +215,38 @@ def _nodes(h: int) -> Iterator[tuple[int, int, int]]:
             stack.append((m + 2 * n, n, lam))
 
 
+def _odd_odd_pairs(h: int) -> int:
+    """Coprime pairs n < m <= h with n and m both odd, without walking them.
+
+    Phi(x), the ordered coprime pairs of odd numbers up to x, counting
+    (1, 1), splits the K^2 ordered odd pairs, K = (x + 1) // 2, by their
+    gcd e, always odd: K^2 = sum of Phi(x // e) over odd e >= 1.  The
+    recursion takes each block of e with one quotient x // e at once and
+    memoises Phi on the O(sqrt h) distinct quotients, so it costs
+    O(h^(3/4)) steps on Python ints.  The pairs n < m are (Phi(h) - 1) / 2.
+    """
+    memo = {}
+
+    def phi(x: int) -> int:
+        if x not in memo:
+            total, e = ((x + 1) // 2) ** 2, 3
+            while e <= x:
+                q = x // e
+                last = x // q  # the last e with quotient q
+                total -= ((last - e) // 2 + 1) * phi(q)
+                e = last + 1 + last % 2  # the next odd e
+            memo[x] = total
+        return memo[x]
+
+    return (phi(h) - 1) // 2
+
+
 def _forest_walk(h: int) -> tuple[np.ndarray, int]:
     """Visits per map id and generation count of the forest up to h.
+
+    Only the even-odd tree below (2, 1) is walked: every odd-odd pair has
+    the last map id, so that id's visits are `_odd_odd_pairs(h)`, and
+    the generations are the even-odd tree's.
 
     The frontier holds columns (m, n, f, flags, generation): each node
     has its delta child, and starts the runs its flags name; a node
@@ -234,8 +268,8 @@ def _forest_walk(h: int) -> tuple[np.ndarray, int]:
         visits += np.bincount(nodes[2], minlength=len(visits))
         stack.extend(nodes[:, i : i + _CHUNK] for i in range(0, nodes.shape[1], _CHUNK))
 
-    roots = _FOREST.roots[:, _FOREST.roots[0] <= h]
-    built(np.vstack((roots, np.full((2, roots.shape[1]), [[_BOTH], [0]]))))
+    visits[-1] = _odd_odd_pairs(h)
+    built(np.vstack((_FOREST.roots[:, :1], [[_BOTH], [0]])))
     while stack:
         node = stack.pop()
         while stack and node.shape[1] + stack[-1].shape[1] <= _CHUNK:

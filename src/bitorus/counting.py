@@ -35,7 +35,7 @@ from functools import cache
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import perm_cycles
 from .surface import RIGHT, UP_INV, GridParams, check_sizes, step
-from .diagonals import diag_count_naive
+from .diagonals import NAIVE_CAP, diag_count_naive
 
 QuadPerm = tuple[int, int, int, int]
 
@@ -327,9 +327,14 @@ def reduction_trace(n: int, m: int) -> list[tuple[int, int]]:
 
     One pair per rule application, so a subtractive run of rule 1 or 4
     lists every pair on it: this is the reference the batched walk of
-    `reduction_base` is tested against.
+    `reduction_base` is tested against.  Such a run lists up to
+    (n + m) / 4 pairs, so CapExceededError past n + m = NAIVE_CAP.
     """
-    trail = [_reduced_sizes(n, m)[1:]]
+    g, a, b = _reduced_sizes(n, m)
+    if g * (a + b) > NAIVE_CAP:
+        raise CapExceededError(f"grid ({n},{m}) has n + m > {NAIVE_CAP}; the trace lists every pair "
+                               f"of a rule run and is capped there -- use reduction_base")
+    trail = [(a, b)]
     while (found := _rule(*trail[-1])) is not None:
         rule, (a, b), (c, d) = found[0], trail[-1], sorted(found[1])
         if c < 1 or c + d >= a + b:

@@ -170,9 +170,11 @@ def _canon_rules_hold(n: int, m: int) -> bool:
     return all(count_at(lhs) == count_at(rhs) for lhs, rhs in rules)
 
 
-@_check("census-tree", lambda k: [(10 * k,)], lambda k, _: f"coprime n < m <= {10 * k}")
+# two horizons, one of each parity, for the odd-odd count's K = (h + 1) // 2
+@_check("census-tree", lambda k: [(10 * k,), (10 * k + 1,)],
+        lambda k, _: f"coprime n < m <= h, h = {10 * k} and {10 * k + 1}")
 def _census_tallies_agree(h: int) -> bool:
-    """The census forest walk tallies like per-pair tree walks."""
+    """The census tallies like per-pair tree walks."""
     tally = Counter(diag_count_tree(n, m) for n, m in _coprime_pairs(h, strict=True))
     report = diag_distribution(h)
     got = (report.pairs, report.count1, report.count2, report.count3)

@@ -15,7 +15,14 @@ import pytest
 
 import bitorus.census as census
 import bitorus.cli
-from bitorus.census import _FOREST, _forest_walk, _nodes, diag_distribution, exceptional_pairs
+from bitorus.census import (
+    _FOREST,
+    _forest_walk,
+    _nodes,
+    _odd_odd_pairs,
+    diag_distribution,
+    exceptional_pairs,
+)
 from bitorus.cli import _write_cells, cli_main
 from bitorus.counting import (
     _TRANSITIONS,
@@ -142,9 +149,45 @@ def test_forest_walk_generations_grow_like_log_h():
         assert _generations(min(2 * lo, 4000)) <= bound(lo), lo
 
 
+def _odd_odd_sieve(limit):
+    """Odd-odd coprime pairs n < m <= h for every h <= limit, from a totient sieve.
+
+    For odd m > 1 the n < m coprime to m pair up as n, m - n of opposite
+    parity, so phi(m) / 2 of them are odd.
+    """
+    phi = np.arange(limit + 1)
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            phi[p::p] -= phi[p::p] // p
+    odd = np.where(np.arange(limit + 1) % 2 == 1, phi // 2, 0)
+    return np.cumsum(odd).tolist()
+
+
+def test_odd_odd_pairs_match_a_totient_sieve():
+    want = _odd_odd_sieve(2 * 10**5)
+    assert [_odd_odd_pairs(h) for h in range(1, 3001)] == want[1:3001]
+    assert _odd_odd_pairs(2 * 10**5) == want[-1]
+
+
+def test_census_counts_the_odd_odd_pairs_as_its_two_diagonal_pairs():
+    # every even-odd map values 1 or 3, so the pairs of 2 diagonals are the odd-odd ones
+    assert set(TREE_MAPS.values) == {1, 3}
+    for h in (2, 3, 97, 1000, 1001):
+        assert diag_distribution(h).count2 == _odd_odd_pairs(h), h
+
+
+def test_odd_odd_pairs_memory_grows_like_sqrt_h():
+    # the memo holds Phi on the ~2 sqrt(h) distinct quotients: 189 KB at h = 10**6
+    tracemalloc.start()
+    _odd_odd_pairs(10**6)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 400_000
+
+
 def test_distribution_memory_is_set_by_the_chunk_not_by_h():
-    # a few chunk-sized int64 arrays per generation, 1.5 MB at h = 1000 and
-    # 1.9 MB at 4000: the pairs grow 16x, the peak with the generation count
+    # a few chunk-sized int64 arrays per generation, 1.45 MB at h = 1000 and
+    # 1.94 MB at 4000: the pairs grow 16x, the peak with the generation count
     diag_distribution(10)
     peaks = {}
     for h in (1000, 4000):

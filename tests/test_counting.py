@@ -34,8 +34,8 @@ from bitorus.counting import (
     tree_runs,
     tree_string,
 )
-from bitorus.diagonals import diag_count_naive
-from bitorus.errors import InconsistencyError
+from bitorus.diagonals import NAIVE_CAP, diag_count_naive
+from bitorus.errors import CapExceededError, InconsistencyError
 from bitorus.surface import GridParams
 from bitorus.verify import CHECKS, run_check
 
@@ -225,6 +225,14 @@ def test_reduction_trace_lowers_the_sum_on_long_runs():
     assert all(x > y for x, y in zip(sums, sums[1:]))
     assert len(trail) > 10_000
     assert trail[-1] == reduction_base(99999, 100000) == (3, 4)
+
+
+def test_reduction_trace_refuses_past_the_naive_cap(monkeypatch):
+    # (1, NAIVE_CAP) is one rule-1 run of NAIVE_CAP / 4 pairs: refused before any is listed
+    assert reduction_base(1, NAIVE_CAP) == (1, 4)
+    monkeypatch.setattr(counting, "_rule", lambda n, m: pytest.fail("a pair was reduced"))
+    with pytest.raises(CapExceededError, match="reduction_base"):
+        reduction_trace(1, NAIVE_CAP)
 
 
 def test_reduction_step_that_does_not_lower_the_sum_is_inconsistent(monkeypatch):
