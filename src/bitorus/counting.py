@@ -34,13 +34,16 @@ from functools import cache
 
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import perm_cycles
-from .surface import RIGHT, UP_INV, GridParams, check_sizes, step
+from .surface import check_sizes
 from .diagonals import NAIVE_CAP, diag_count_naive
 
 QuadPerm = tuple[int, int, int, int]
 
 IDENTITY: QuadPerm = (0, 1, 2, 3)
-_HALF_SWAP: QuadPerm = (1, 0, 3, 2)  # exchange left and right quadrant columns
+# The quadrants a down-crossing and a right-crossing send each quadrant to, numbered
+# TL 0, TR 1, BL 2, BR 3; tests/cell_reference.py derives both from the wrap rules.
+DOWN_CROSSING: QuadPerm = (2, 3, 1, 0)
+RIGHT_CROSSING: QuadPerm = (1, 2, 3, 0)
 
 GAMMA = "γ"
 DELTA = "δ"
@@ -56,62 +59,6 @@ TERMINAL_PAIRS = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)})
 def compose(p: QuadPerm, q: QuadPerm) -> QuadPerm:
     """Permutation applying q first, then p."""
     return tuple(p[q[i]] for i in range(len(q)))
-
-
-def _is_four_cycle(p: QuadPerm) -> bool:
-    return len(p) == 4 and perm_cycles(p) == 1
-
-
-def _uniform_image(grid: GridParams, cells, move: str) -> int:
-    """Quadrant reached from a set of cells by one move; must be unique."""
-    n, m = grid.n, grid.m
-    targets = set()
-    for cell in cells:
-        row, col = step(grid, cell, move)
-        targets.add((0 if row < n else 2) + (0 if col < m else 1))
-    if len(targets) != 1:
-        raise InconsistencyError(
-            f"move {move} from one quadrant of grid ({n},{m}) reaches {targets}"
-        )
-    return targets.pop()
-
-
-def derive_quad_perms(grid: GridParams | None = None) -> tuple[QuadPerm, QuadPerm]:
-    """Quadrant permutations for a down-crossing and a right-crossing.
-
-    Derived mechanically from the wrap rules rather than hard-coded, so
-    they stay consistent with the surface module by construction.
-    """
-    if grid is None:
-        grid = GridParams(2, 3)
-    n, m = grid.n, grid.m
-    if n < 2 or m < 2:
-        raise ValueError("need n, m >= 2 to derive quadrant permutations")
-    down = []
-    right = []
-    for qrow, qcol in ((0, 0), (0, m), (n, 0), (n, m)):
-        bottom = [(qrow + n - 1, qcol + j) for j in range(m)]
-        down.append(_uniform_image(grid, bottom, UP_INV))
-        edge = [(qrow + i, qcol + m - 1) for i in range(n)]
-        right.append(_uniform_image(grid, edge, RIGHT))
-    d_perm = tuple(down)
-    r_perm = tuple(right)
-    if not (_is_four_cycle(d_perm) and _is_four_cycle(r_perm)):
-        raise InconsistencyError(f"crossing permutations not 4-cycles: {d_perm}, {r_perm}")
-    d4 = compose(d_perm, compose(d_perm, compose(d_perm, d_perm)))
-    if d4 != IDENTITY:
-        raise InconsistencyError("down-crossing permutation does not have order 4")
-    if compose(_HALF_SWAP, compose(d_perm, _HALF_SWAP)) != d_perm:
-        raise InconsistencyError("half swap does not commute with the down-crossing")
-    r_inv = tuple(r_perm.index(i) for i in range(4))
-    if compose(_HALF_SWAP, compose(r_perm, _HALF_SWAP)) != r_inv:
-        raise InconsistencyError("half swap does not invert the right-crossing")
-    return d_perm, r_perm
-
-
-@cache
-def _quad_perms() -> tuple[QuadPerm, QuadPerm]:
-    return derive_quad_perms()
 
 
 def _check_string_args(n: int, m: int) -> tuple[int, int]:
@@ -153,13 +100,12 @@ def string_powers(n: int, m: int) -> str:
 
 def string_cycles(word: str) -> int:
     """Cycle count of a crossing word, first crossing applied first."""
-    d_perm, r_perm = _quad_perms()
     net = IDENTITY
     for ch in word:
         if ch == "d":
-            net = compose(d_perm, net)
+            net = compose(DOWN_CROSSING, net)
         elif ch == "r":
-            net = compose(r_perm, net)
+            net = compose(RIGHT_CROSSING, net)
         else:
             raise ValueError(f"crossing characters must be d or r, got {ch!r}")
     return perm_cycles(net)

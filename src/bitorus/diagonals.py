@@ -22,7 +22,7 @@ The decomposition keeps two arrays from the walk, no object per diagonal:
 * the line table `lines`: the diagonal id of each line col - row.  Any
   per-cell table, such as the diagonal id of every cell, is one numpy
   gather from it;
-* `profiles`: each diagonal's boundary profile by id, the validated tuple
+* `profiles`: each diagonal's boundary profile by id, the `CheckedTuple`
   (cnt_a, cnt_b, cnt_c, cnt_d), counts its lines in four ranges: top-row
   cell (0, c) lies on line c and last-column cell (r, 2m - 1) on line
   2m - 1 - r, so A, B, C and D are the m, m, n and n lines [0, m), [m, 2m),
@@ -43,30 +43,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, InconsistencyError, check_int
+from .errors import CapExceededError, CheckedTuple, InconsistencyError
 from .links import Link, link_cycles
 from .surface import GridParams, orientation_ups
 
 
-class BoundaryProfile(NamedTuple("BoundaryProfile", [(f"cnt_{x}", int) for x in "abcd"])):
-    """How many of a diagonal's cells lie on each boundary half: ints >= 0, checked as in `Link`."""
+class BoundaryProfile(CheckedTuple, NamedTuple("BoundaryProfile", [(f"cnt_{x}", int) for x in "abcd"])):
+    """How many of a diagonal's cells lie on each boundary half: a `CheckedTuple` of ints >= 0."""
 
     __slots__ = ()
-
-    def __new__(cls, cnt_a, cnt_b, cnt_c, cnt_d):
-        counts = (cnt_a, cnt_b, cnt_c, cnt_d)
-        if not (type(cnt_a) is type(cnt_b) is type(cnt_c) is type(cnt_d) is int
-                and cnt_a >= 0 and cnt_b >= 0 and cnt_c >= 0 and cnt_d >= 0):
-            counts = [check_int(v, 0, f"boundary count {name}") for name, v in zip(cls._fields, counts)]
-        return tuple.__new__(cls, counts)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
-
-    def __reduce__(self):  # so copy and every pickle protocol check too
-        return type(self), tuple(self)
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return tuple(self)
+    _label = "boundary count"
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types, the integer check and the checked-tuple base shared across the package."""
 
 from operator import index
 
@@ -29,3 +29,35 @@ def check_int(value, low: float, what: str) -> int:
     if value < low:
         raise ValueError(f"need {what} >= {low}, got {value}")
     return value
+
+
+class CheckedTuple(tuple):
+    """A tuple of ints >= `_low`; subclasses also derive a `NamedTuple` and set `_label` for errors.
+
+    A wrong field count is a TypeError; unless all fields are plain ints >= `_low`, each goes
+    through `check_int`.  `_make` (so `_replace`), copy and pickle all rebuild through `__new__`.
+    """
+
+    __slots__ = ()
+    _low = 0
+
+    def __new__(cls, *fields):
+        low = cls._low
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
+        for value in fields:
+            if type(value) is not int or value < low:
+                return tuple.__new__(cls, cls._checked(fields))
+        return tuple.__new__(cls, fields)
+
+    @classmethod
+    def _checked(cls, fields):  # a comprehension in `__new__` would make `cls` a cell and slow it
+        return [check_int(v, cls._low, f"{cls._label} {name}") for name, v in zip(cls._fields, fields)]
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
+
+    def __reduce__(self):  # so copy and every pickle protocol check too
+        return type(self), tuple(self)
+
+    def as_tuple(self) -> tuple[int, ...]:
+        return tuple(self)

@@ -29,16 +29,16 @@ call it.  A witness keeps the path of the walk from cell 0, which must
 cover 4nm cells; numpy writes the cells only when `HamWitness.cycle` is
 read.  A cycle is an array of flat cell indices r*cols + c in cycle
 order, and divmod(i, cols) gives the cell (r, c).  Past CELL_CAP cells,
-reading a cycle or asking for its batches, tracing, the height-2 rule
-and the brute sweep raise CapExceededError; finding a witness, the
-square construction's included, does not.  The brute sweep, the
-reference tier, runs its own `walk_diagonals`, with no induction, and
-gathers each orientation string's per-line flags from that walk's line
-table: O(n + m) time and memory per string, no per-cell table.  Its
-witness is the found string's walk.  Two checks share no code with the
-walk: `validate_stretches`, by its own prefix counts and
-`surface.step`, and `validate_witness`, by the per-cell up and right
-tables.
+reading a cycle or asking for its batches, tracing, the height-2 rule,
+the brute sweep and the one-holed torus's `torus1_components` raise
+CapExceededError; finding a witness, the square construction's
+included, does not.  The brute sweep, the reference tier, runs its own
+`walk_diagonals`, with no induction, and gathers each orientation
+string's per-line flags from that walk's line table: O(n + m) time and
+memory per string, no per-cell table.  Its witness is the found
+string's walk.  Two checks share no code with the walk:
+`validate_stretches`, by its own prefix counts and `surface.step`, and
+`validate_witness`, by the per-cell up and right tables.
 """
 
 from __future__ import annotations
@@ -666,8 +666,12 @@ def torus1_components(n: int, m: int, orientation: str) -> int:
     """Cycle count of an oriented ordinary torus, one direction per diagonal.
 
     Torus diagonals are the residues of column minus row mod gcd(n, m).
+    CapExceededError past CELL_CAP cells, before any array is built.
     """
     n, m = check_sizes(n, m)
+    if n * m > CELL_CAP:
+        raise CapExceededError(f"torus ({n},{m}) has {n * m} cells; component tracing "
+                               f"capped at {CELL_CAP} -- use ham_torus1")
     g = math.gcd(n, m)
     r, c = np.divmod(np.arange(n * m), m)
     up = orientation_ups(orientation, g)[(c - r) % g]

@@ -1,6 +1,6 @@
 """Loop systems on the two-holed torus described by four crossing counts.
 
-A link, the validated tuple (a, b, c, d), records how many strands cross
+A link, the `CheckedTuple` (a, b, c, d), records how many strands cross
 the boundary halves A, B, C and D.  Its strands connect boundary points
 by an order-preserving interval map; the number of loops is the number
 of cycles of that map.  A link with a single loop is a knot.
@@ -28,25 +28,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InconsistencyError, check_int
+from .errors import CheckedTuple, InconsistencyError
 
 
-class Link(NamedTuple("Link", [("a", int), ("b", int), ("c", int), ("d", int)])):
-    """Strands crossing A, B, C and D: a tuple of ints >= 0, checked however it is built."""
+class Link(CheckedTuple, NamedTuple("Link", [("a", int), ("b", int), ("c", int), ("d", int)])):
+    """Strands crossing A, B, C and D: a `CheckedTuple` of ints >= 0."""
 
     __slots__ = ()
-
-    def __new__(cls, a, b, c, d):
-        counts = (a, b, c, d)
-        if not (type(a) is type(b) is type(c) is type(d) is int
-                and a >= 0 and b >= 0 and c >= 0 and d >= 0):
-            counts = [check_int(v, 0, f"link parameter {name}") for name, v in zip("abcd", counts)]
-        return tuple.__new__(cls, counts)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
-
-    def __reduce__(self):  # so copy and every pickle protocol check too
-        return type(self), tuple(self)
+    _label = "link parameter"
 
     @property
     def total(self) -> int:
@@ -57,9 +46,6 @@ class Link(NamedTuple("Link", [("a", int), ("b", int), ("c", int), ("d", int)]))
         """Reduction step size -a + b + 2c + 2d."""
         return -self.a + self.b + 2 * self.c + 2 * self.d
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
 
 def link_permutation(link: Link) -> list[int]:
     """Successor map on the link's strand endpoints 0..total-1.
@@ -67,7 +53,7 @@ def link_permutation(link: Link) -> list[int]:
     The four index intervals map, in order and preserving order, onto
     [b+c+d, N), [c+d, b+c+d), [d, c+d) and [0, d).
     """
-    a, b, c, d = link.as_tuple()
+    a, b, c, d = link
     total = link.total
     if total == 0:
         raise ValueError("empty link")

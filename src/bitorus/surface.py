@@ -18,7 +18,7 @@ inverses.
 The boundary halves are labelled A (top row, left half), B (top row,
 right half), C (right column, top half) and D (right column, bottom
 half).  The single corner cell (0, 2m-1) lies on both B and C.  A grid's
-sizes are one `GridParams`, the validated tuple (n, m).
+sizes are one `GridParams` (n, m), a `CheckedTuple` built by `check_sizes`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_int
+from .errors import CheckedTuple, check_int
 
 Cell = tuple[int, int]
 
@@ -61,18 +61,13 @@ def orientation_ups(omega: str, count: int) -> np.ndarray:
     return np.array([direction == UP for direction in omega], dtype=bool)
 
 
-class GridParams(NamedTuple("GridParams", [("n", int), ("m", int)])):
-    """Grid sizes: quadrants are n x m, the full grid is 2n x 2m; a tuple checked however built."""
+class GridParams(CheckedTuple, NamedTuple("GridParams", [("n", int), ("m", int)])):
+    """Grid sizes: quadrants are n x m, the full grid is 2n x 2m; a `CheckedTuple` built by `check_sizes`."""
 
     __slots__ = ()
 
     def __new__(cls, n, m):
         return tuple.__new__(cls, check_sizes(n, m))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
-
-    def __reduce__(self):  # so copy and every pickle protocol check too
-        return type(self), tuple(self)
 
     @property
     def g(self) -> int:

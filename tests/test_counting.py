@@ -18,7 +18,6 @@ from bitorus.counting import (
     apply_tree_string,
     canonicalize,
     compose,
-    derive_quad_perms,
     diag_count_reduction,
     diag_count_string,
     diag_count_tree,
@@ -38,6 +37,7 @@ from bitorus.diagonals import NAIVE_CAP, diag_count_naive
 from bitorus.errors import CapExceededError, InconsistencyError
 from bitorus.surface import GridParams
 from bitorus.verify import CHECKS, run_check
+from cell_reference import derive_quad_perms
 
 
 def coprime_pairs(limit, lo=1):
@@ -64,6 +64,11 @@ def test_quad_perms_independent_of_sample_grid():
     assert derive_quad_perms(GridParams(2, 3)) == derive_quad_perms(GridParams(5, 4))
     with pytest.raises(ValueError):
         derive_quad_perms(GridParams(1, 5))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (4, 7), (6, 9)])
+def test_pinned_crossing_permutations_match_the_wrap_rules(n, m):
+    assert derive_quad_perms(GridParams(n, m)) == (counting.DOWN_CROSSING, counting.RIGHT_CROSSING)
 
 
 def test_known_crossing_transitions():

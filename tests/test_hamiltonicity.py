@@ -977,6 +977,13 @@ def test_torus_components_validate_sizes_and_orientation(n, m, orientation, mess
         torus1_components(n, m, orientation)
 
 
+def test_torus_components_refuse_past_the_cell_cap(monkeypatch):
+    monkeypatch.setattr(ham, "CELL_CAP", 12)
+    assert torus1_components(3, 4, "U") == 4  # 12 cells, at the cap
+    with pytest.raises(CapExceededError, match="ham_torus1"):
+        torus1_components(3, 5, "X")  # 15 cells: refused before the orientation is read
+
+
 def test_torus_formula_against_trace():
     assert run_check("torus1", 8).ok
 

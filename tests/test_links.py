@@ -129,7 +129,10 @@ def test_t_accessor():
 
 @pytest.mark.parametrize(
     "cls,fields,bad",
-    [(GridParams, (3, 5), {"n": 0}), (BoundaryProfile, (1, 2, 3, 4), {"cnt_c": -1}), (Link, (1, 2, 3, 4), {"a": 1.5})],
+    [(GridParams, (3, 5), {"n": 0}), (BoundaryProfile, (1, 2, 3, 4), {"cnt_c": -1}), (Link, (1, 2, 3, 4), {"a": 1.5}),
+     # a bool is refused although it is an int
+     (GridParams, (3, 5), {"m": True}), (BoundaryProfile, (0, 1, 0, 0), {"cnt_b": False}),
+     (Link, (1, 2, 3, 4), {"c": False})],
 )
 def test_checked_tuples_check_every_route_and_compare_as_tuples(cls, fields, bad):
     value = cls(*fields)
@@ -160,17 +163,33 @@ def test_checked_tuples_check_every_route_and_compare_as_tuples(cls, fields, bad
 @pytest.mark.parametrize(
     "cls,fields,bad",
     [(GridParams, (3, 5), (0, -3)), (Link, (1, 2, 3, 4), (-1, 0, 0, 0)),
-     (BoundaryProfile, (1, 2, 3, 4), (-1, 0, 0, 0))],
+     (BoundaryProfile, (1, 2, 3, 4), (-1, 0, 0, 0)),
+     # the wrong number of fields is a TypeError
+     (GridParams, (3, 5), (3,)), (Link, (1, 2, 3, 4), (1, 2, 3)),
+     (BoundaryProfile, (1, 2, 3, 4), (1, 2, 3, 4, 5))],
 )
 def test_checked_tuples_rebuild_through_their_checks_on_every_pickle_protocol(cls, fields, bad):
     # protocols 0 and 1 rebuilt these with tuple.__new__, so without the checks
     value, unchecked = cls(*fields), tuple.__new__(cls, bad)
+    error = ValueError if len(bad) == len(fields) else TypeError
     routes = [copy.copy, copy.deepcopy]
     routes += [lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol)) for protocol in range(6)]
     for route in routes:
         assert type(route(value)) is cls and route(value) == value
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             route(unchecked)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [(lambda: BoundaryProfile(0, False, 0, 0), "boundary count cnt_b must be an integer, got False"),
+     (lambda: Link(1, 2, True, 4), "link parameter c must be an integer, got True"),
+     (lambda: GridParams(3, True), "grid sizes must be integers, got (3, True)")],
+)
+def test_checked_tuples_refuse_a_bool_with_their_messages(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 # --- Rauzy induction ------------------------------------------------------------
