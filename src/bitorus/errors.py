@@ -32,27 +32,27 @@ def check_int(value, low: float, what: str) -> int:
 
 
 class CheckedTuple(tuple):
-    """A tuple of ints >= `_low`; subclasses also derive a `NamedTuple` and set `_label` for errors.
+    """A tuple of ints >= 0; subclasses also derive a `NamedTuple` and set `_label` for errors.
 
-    A wrong field count is a TypeError; unless all fields are plain ints >= `_low`, each goes
-    through `check_int`.  `_make` (so `_replace`), copy and pickle all rebuild through `__new__`.
+    A subclass without its own `__new__` gets one built as `namedtuple` builds one: it takes
+    keywords, and it unrolls the all-ints test, sending each field through `check_int` unless
+    all are plain ints >= 0.  `_make` (so `_replace`), copy and pickle rebuild through it.
     """
 
     __slots__ = ()
-    _low = 0
 
-    def __new__(cls, *fields):
-        low = cls._low
-        if len(fields) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
-        for value in fields:
-            if type(value) is not int or value < low:
-                return tuple.__new__(cls, cls._checked(fields))
-        return tuple.__new__(cls, fields)
+    def __init_subclass__(cls):
+        if "__new__" not in vars(cls):
+            fields, namespace = ", ".join(cls._fields), {"_tuple_new": tuple.__new__}
+            plain = " and ".join(f"type({f}) is int and {f} >= 0" for f in cls._fields)
+            exec(f"def __new__(_cls, {fields}):\n    return _tuple_new(_cls, ({fields},) if {plain}"
+                 f" else _cls._checked(({fields},)))", namespace)
+            namespace["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
+            cls.__new__ = staticmethod(namespace["__new__"])
 
     @classmethod
-    def _checked(cls, fields):  # a comprehension in `__new__` would make `cls` a cell and slow it
-        return [check_int(v, cls._low, f"{cls._label} {name}") for name, v in zip(cls._fields, fields)]
+    def _checked(cls, fields):
+        return [check_int(v, 0, f"{cls._label} {name}") for name, v in zip(cls._fields, fields)]
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 

@@ -15,12 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from bitorus.counting import IDENTITY, compose
 from bitorus.diagonals import BoundaryProfile
-from bitorus.links import perm_cycles
 from bitorus.surface import RIGHT, UP_INV, GridParams, diag_successor, step
-
-_HALF_SWAP = (1, 0, 3, 2)  # exchange left and right quadrant columns
 
 
 def grid_cells(grid):
@@ -106,10 +102,6 @@ def profile(grid, cells) -> BoundaryProfile:
     return BoundaryProfile(*(sum(getattr(f, "on_" + side) for f in flags) for side in "abcd"))
 
 
-def _is_four_cycle(p) -> bool:
-    return len(p) == 4 and perm_cycles(p) == 1
-
-
 def _uniform_image(grid, cells, move: str) -> int:
     """Quadrant reached from a set of cells by one move; must be unique."""
     n, m = grid.n, grid.m
@@ -124,9 +116,7 @@ def _uniform_image(grid, cells, move: str) -> int:
 def derive_quad_perms(grid=None):
     """Quadrant permutations for a down-crossing and a right-crossing, read off the wrap rules.
 
-    Quadrants are numbered TL 0, TR 1, BL 2, BR 3.  Both must be 4-cycles,
-    the down-crossing of order 4 and commuting with the half swap, which
-    inverts the right-crossing.
+    Quadrants are numbered TL 0, TR 1, BL 2, BR 3.
     """
     if grid is None:
         grid = GridParams(2, 3)
@@ -137,10 +127,4 @@ def derive_quad_perms(grid=None):
     for qrow, qcol in ((0, 0), (0, m), (n, 0), (n, m)):
         down.append(_uniform_image(grid, [(qrow + n - 1, qcol + j) for j in range(m)], UP_INV))
         right.append(_uniform_image(grid, [(qrow + i, qcol + m - 1) for i in range(n)], RIGHT))
-    d_perm, r_perm = tuple(down), tuple(right)
-    assert _is_four_cycle(d_perm) and _is_four_cycle(r_perm), (d_perm, r_perm)
-    assert compose(d_perm, compose(d_perm, compose(d_perm, d_perm))) == IDENTITY, d_perm
-    assert compose(_HALF_SWAP, compose(d_perm, _HALF_SWAP)) == d_perm, d_perm
-    r_inv = tuple(r_perm.index(i) for i in range(4))
-    assert compose(_HALF_SWAP, compose(r_perm, _HALF_SWAP)) == r_inv, r_perm
-    return d_perm, r_perm
+    return tuple(down), tuple(right)

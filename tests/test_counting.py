@@ -50,7 +50,7 @@ def coprime_pairs(limit, lo=1):
 # --- quadrant permutations -------------------------------------------------
 
 def test_quad_perms_are_four_cycles_with_expected_relations():
-    d, r = derive_quad_perms()
+    d, r = counting.DOWN_CROSSING, counting.RIGHT_CROSSING
     assert perm_cycles(d) == 1 and perm_cycles(r) == 1
     d4 = compose(d, compose(d, compose(d, d)))
     assert d4 == (0, 1, 2, 3)
@@ -61,18 +61,15 @@ def test_quad_perms_are_four_cycles_with_expected_relations():
 
 
 def test_quad_perms_independent_of_sample_grid():
-    assert derive_quad_perms(GridParams(2, 3)) == derive_quad_perms(GridParams(5, 4))
+    # the pinned literals are what the wrap rules give on every sample grid
+    for n, m in [(2, 2), (2, 3), (3, 2), (5, 4), (4, 7), (6, 9)]:
+        assert derive_quad_perms(GridParams(n, m)) == (counting.DOWN_CROSSING, counting.RIGHT_CROSSING)
     with pytest.raises(ValueError):
         derive_quad_perms(GridParams(1, 5))
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (4, 7), (6, 9)])
-def test_pinned_crossing_permutations_match_the_wrap_rules(n, m):
-    assert derive_quad_perms(GridParams(n, m)) == (counting.DOWN_CROSSING, counting.RIGHT_CROSSING)
-
-
 def test_known_crossing_transitions():
-    d, r = derive_quad_perms()
+    d, r = counting.DOWN_CROSSING, counting.RIGHT_CROSSING
     # midline down-crossing leaves the column half alone; the outer one flips it
     assert d[0] == 2  # TL -> BL
     assert d[2] == 1  # BL -> TR
@@ -120,7 +117,7 @@ def test_string_cycles_examples():
 
 
 def test_ceiling_product_evaluates_like_the_power_string():
-    d, r = derive_quad_perms()
+    d, r = counting.DOWN_CROSSING, counting.RIGHT_CROSSING
     for n, m in coprime_pairs(40, lo=2):
         word_perm = (0, 1, 2, 3)
         for ch in string_powers(n, m):
@@ -539,7 +536,7 @@ def test_counters_accept_index_types():
 def test_floor_swap_identity_trivial_and_crossing_perms():
     ident = (0, 1, 2, 3)
     assert CHECKS["floor-swap"].holds(ident, ident, 5, 9)
-    d, r = derive_quad_perms()
+    d, r = counting.DOWN_CROSSING, counting.RIGHT_CROSSING
     assert CHECKS["floor-swap"].holds(d, r, 2, 3)
 
 

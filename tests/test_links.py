@@ -136,6 +136,7 @@ def test_t_accessor():
 )
 def test_checked_tuples_check_every_route_and_compare_as_tuples(cls, fields, bad):
     value = cls(*fields)
+    assert cls(**dict(zip(cls._fields, fields))) == value  # keywords build the same value
     broken = [bad.get(name, v) for name, v in zip(cls._fields, fields)]
     with pytest.raises(ValueError):
         cls(*broken)
