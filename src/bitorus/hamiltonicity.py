@@ -5,7 +5,7 @@ is forced in any Hamiltonian cycle, so Hamiltonicity reduces to finding
 an orientation string whose permutation graph is a single cycle.  Three
 tiers implement this:
 
-* brute force over all orientation strings (the reference tier);
+* brute force over the orientation strings (the reference tier);
 * the link tier, which enumerates only per-group up-counts and tests
   whether the induced boundary link is a knot;
 * closed-form constructions for square grids and for height-2 grids.
@@ -29,23 +29,25 @@ call it.  A witness keeps the path of the walk from cell 0, which must
 cover 4nm cells; numpy writes the cells only when `HamWitness.cycle` is
 read.  A cycle is an array of flat cell indices r*cols + c in cycle
 order, and divmod(i, cols) gives the cell (r, c).  Past CELL_CAP cells,
-reading a cycle or asking for its batches, tracing, the height-2 rule,
-the brute sweep and the one-holed torus's `torus1_components` raise
-CapExceededError; finding a witness, the square construction's
-included, does not.  The brute sweep, the reference tier, runs its own
-`walk_diagonals`, with no induction, and gathers each orientation
-string's per-line flags from that walk's line table: O(n + m) time and
-memory per string, no per-cell table.  Its witness is the found
-string's walk.  Two checks share no code with the walk:
-`validate_stretches`, by its own prefix counts and `surface.step`, and
-`validate_witness`, by the per-cell up and right tables.
+reading a cycle or asking for its batches, tracing, the height-2 rule
+and the brute sweep raise CapExceededError, and so does the one-holed
+torus's `torus1_components` past TORUS_CELL_CAP; finding a witness, the
+square construction's included, does not.  The brute sweep, the
+reference tier, runs its own `walk_diagonals`, with no induction, and
+gathers each orientation string's per-line flags from that walk's line
+table: O(n + m) time and memory per string, no per-cell table.  It
+skips the all-U string when m > 1 and the all-R one when n > 1, since
+by `surface.step`'s wrap rule their cycles have 4n and 4m cells.  Its
+witness is the found string's walk.  Two checks share no code with the
+walk: `validate_stretches`, by its own prefix counts and `surface.step`,
+and `validate_witness`, by the per-cell up and right tables.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 
 import numpy as np
 
@@ -74,9 +76,15 @@ BRUTE_DIAGONAL_CAP = 24
 # --method brute` peaks at 32 MB), so for it the cap bounds time: its walk takes about
 # 0.3 us per stretch, at most 2 max(n, m) stretches per orientation string, so about
 # 3 ms per string on a square grid at the cap and, extrapolated from (1, 500001), up to
-# 2.5 s on a (1, m) one, where a stretch averages under 3 cells.  The walk that finds a
+# 2.5 s on a (1, m) one, where a stretch averages under 3 cells.  A grid with d
+# diagonals and both sides above 1 costs 2^d - 2 strings, since the sweep skips the two
+# constant ones, so a single diagonal costs only the run walk.  The walk that finds a
 # witness records its stretches, O(n + m) more, and builds no second table.
 CELL_CAP = 2 * 10**7
+# `torus1_components` holds about 65 B per cell (tracemalloc peak at 300 x 300 and at
+# 600 x 500), so a third of CELL_CAP keeps it near the 460 MB that CELL_CAP gives the
+# witness's 23 B per cell.
+TORUS_CELL_CAP = CELL_CAP // 3
 BATCH_CELLS = 1 << 16  # cells per `StretchPath.batches` batch, rounded to whole stretches
 
 
@@ -331,9 +339,15 @@ def _brute_sweep(grid: GridParams, count: int, lines: np.ndarray) -> HamWitness 
     walk recorded, with no second table or walk.  The walk shares no code
     with `validate_witness`'s index tables or `validate_stretches`' own
     prefix counts, so each checks a brute witness independently.  Each
-    string costs O(n + m), whatever its cycle's length.
+    string costs O(n + m), whatever its cycle's length.  The two constant
+    strings are skipped where `surface.step` rules them out: under all U
+    a cell only moves up, each wrap m columns on, so its cycle has 4n
+    cells, and under all R it only moves right, each wrap n rows on, so
+    its cycle has 4m.  So the first string is swept only when m = 1, and
+    the last only when n = 1.
     """
-    for flags in product((True, False), repeat=count):
+    strings = product((True, False), repeat=count)
+    for flags in islice(strings, 1 if grid.m > 1 else 0, (1 << count) - (grid.n > 1)):
         tables = _walk_tables(grid, np.array(flags)[lines])
         cells, firsts, shifts = _stretch_walk(grid, *tables)
         if cells == grid.size:
@@ -343,9 +357,11 @@ def _brute_sweep(grid: GridParams, count: int, lines: np.ndarray) -> HamWitness 
 
 
 def is_hamiltonian_brute(n: int, m: int) -> tuple[bool, HamWitness | None]:
-    """Try every orientation string; return the first witness found.
+    """Try the orientation strings in order; return the first witness found.
 
-    Orientation strings are enumerated lexicographically with U < R.
+    Orientation strings are enumerated lexicographically with U < R,
+    but for the constant ones that `surface.step` rules out: all U when
+    m > 1 and all R when n > 1 (see `_brute_sweep`).
     Grids past the cell cap, checked first, or the diagonal cap raise
     CapExceededError.  The line table comes from one run walk, with no
     induction, and the witness is the stretches of the sweep's own walk
@@ -666,12 +682,12 @@ def torus1_components(n: int, m: int, orientation: str) -> int:
     """Cycle count of an oriented ordinary torus, one direction per diagonal.
 
     Torus diagonals are the residues of column minus row mod gcd(n, m).
-    CapExceededError past CELL_CAP cells, before any array is built.
+    CapExceededError past TORUS_CELL_CAP cells, before any array is built.
     """
     n, m = check_sizes(n, m)
-    if n * m > CELL_CAP:
+    if n * m > TORUS_CELL_CAP:
         raise CapExceededError(f"torus ({n},{m}) has {n * m} cells; component tracing "
-                               f"capped at {CELL_CAP} -- use ham_torus1")
+                               f"capped at {TORUS_CELL_CAP} -- use ham_torus1")
     g = math.gcd(n, m)
     r, c = np.divmod(np.arange(n * m), m)
     up = orientation_ups(orientation, g)[(c - r) % g]

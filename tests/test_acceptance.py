@@ -10,7 +10,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import bitorus.verify as verify
 from bitorus.census import diag_distribution, exceptional_pairs
@@ -172,12 +172,16 @@ def _one_tally_off(h):
     return dataclasses.replace(report, count3=report.count3 + 1)
 
 
-# (entry, name in bitorus.verify, wrong route, limit)
+# (entry, name in bitorus.verify or a dotted path, wrong route, limit)
 PLANTED = [
     ("tier-equivalence", "is_hamiltonian_fast", lambda n, m: True, 4),
     # flips only the (4k, 1) grids, the mirror images of the (1, 4k) ones
     ("tier-equivalence", "is_hamiltonian_fast",
      lambda n, m: is_hamiltonian_fast(n, m) != (m == 1 and n % 4 == 0), 10),
+    # `_brute_sweep` dropping the all-U string whatever m is, which only
+    # the (4k, 1) grids, Hamiltonian by that string alone, can tell
+    ("tier-equivalence", "bitorus.hamiltonicity.islice",
+     lambda strings, start, stop: islice(strings, 1, stop), 10),
     ("counting-agreement", "diag_count_tree", lambda n, m: 0, 4),
     ("string-construction", "string_powers", lambda n, m: "d", 5),
     ("cycle-link-equivalence", "loop_count", lambda link: 0, 3),
@@ -207,5 +211,5 @@ def test_verify_checks_fail_on_a_planted_disagreement(monkeypatch):
     for entry, name, wrong, limit in PLANTED:
         assert run_check(entry, limit).ok, entry
         with monkeypatch.context() as patch:
-            patch.setattr(verify, name, wrong)
+            patch.setattr(name if "." in name else f"bitorus.verify.{name}", wrong)
             assert not run_check(entry, limit).ok, (entry, name)

@@ -301,9 +301,10 @@ def test_brute_matches_per_cell_sweep_at_workload_size(n, m, diagonals):
 
 
 def test_brute_memory_stays_below_sixty_four_bytes_per_cell():
-    # (42, 277) has one diagonal, so the sweep is all setup: about 1 B per
-    # cell, since no table is per cell (41 B with per-cell successor tables,
-    # 90 when those were lists of Python ints)
+    # (42, 277) has one diagonal, so the sweep is all setup: about 0.6 B per
+    # cell, since no table is per cell and neither constant string is walked
+    # (41 B with per-cell successor tables, 90 when those were lists of
+    # Python ints)
     n, m = 42, 277
     tracemalloc.start()
     try:
@@ -318,8 +319,10 @@ def test_brute_memory_stays_below_sixty_four_bytes_per_cell():
 def test_brute_memory_stays_below_a_bound_per_line(n, m, diagonals):
     # the sweep holds the run walk's line table, per-line flags, the
     # stretch walk's three tables and the stretches it records, which the
-    # witness keeps: O(n + m), about 64 and 107 B per line here (1 and 3 B
-    # per cell; (400, 401), 641,600 cells, peaks at 88 B per line)
+    # witness keeps: O(n + m), about 44 and 107 B per line here (0.6 and 3
+    # B per cell; (400, 401), 641,600 cells, peaks at 88 B per line).
+    # (42, 277) walks neither of its two strings, both constant, so it
+    # holds the run walk alone (64 B per line when it walked them)
     assert diag_count_tree(n, m) == diagonals
     tracemalloc.start()
     try:
@@ -327,7 +330,7 @@ def test_brute_memory_stays_below_a_bound_per_line(n, m, diagonals):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 144 * (2 * n + 2 * m - 1)
+    assert peak < {(42, 277): 57, (251, 17): 139}[n, m] * (2 * n + 2 * m - 1)
 
 
 def per_cell_return(grid, up, start=(0, 0)):
@@ -339,6 +342,19 @@ def per_cell_return(grid, up, start=(0, 0)):
         if cell == start:
             return length
     return None
+
+
+def test_constant_strings_cycle_through_one_side_of_the_grid():
+    # the fact the brute's skip of the constant strings rests on, checked
+    # by surface.step cell by cell: under all-U flags the walk from cell 0
+    # only moves up and wraps m columns on, so it returns after 4n cells,
+    # and under all-R it only moves right and wraps n rows on, 4m cells
+    for n in range(1, 31):
+        for m in range(1, 31):
+            grid = GridParams(n, m)
+            lines = grid.rows + grid.cols - 1
+            assert per_cell_return(grid, [True] * lines) == 4 * n, (n, m)
+            assert per_cell_return(grid, [False] * lines) == 4 * m, (n, m)
 
 
 def stretch_count(grid, up, r=0, c=0):
@@ -426,6 +442,20 @@ def test_brute_walks_at_most_max_rows_cols_stretches_per_string(n, m, verdict, m
     assert is_hamiltonian_brute(n, m)[0] is verdict
     assert len(walks) <= 2 ** diag_count_tree(n, m)
     assert 0 < max(walks) <= max(grid.rows, grid.cols)
+
+
+@pytest.mark.parametrize("n,m,orientation", [(42, 277, None), (2096, 2376, None),
+                                             (4, 1, "U"), (8, 1, "U"), (1, 4, "R"), (1, 8, "R")])
+def test_brute_skips_the_constant_strings_each_side_above_one_rules_out(n, m, orientation, monkeypatch):
+    # counted work: one _walk_tables per swept string, 2^d less all U when
+    # m > 1 and all R when n > 1; a side-1 grid's witness is the constant
+    # string its sweep keeps
+    calls = []
+    walk_tables = ham._walk_tables
+    monkeypatch.setattr(ham, "_walk_tables", lambda grid, up: calls.append(1) or walk_tables(grid, up))
+    verdict, witness = is_hamiltonian_brute(n, m)
+    assert len(calls) == 2 ** diag_count_tree(n, m) - (m > 1) - (n > 1)
+    assert (witness and witness.orientation) == orientation and verdict is (orientation is not None)
 
 
 def test_brute_reads_no_induction_and_no_per_cell_table(monkeypatch):
@@ -978,10 +1008,25 @@ def test_torus_components_validate_sizes_and_orientation(n, m, orientation, mess
 
 
 def test_torus_components_refuse_past_the_cell_cap(monkeypatch):
-    monkeypatch.setattr(ham, "CELL_CAP", 12)
+    monkeypatch.setattr(ham, "TORUS_CELL_CAP", 12)
     assert torus1_components(3, 4, "U") == 4  # 12 cells, at the cap
     with pytest.raises(CapExceededError, match="ham_torus1"):
         torus1_components(3, 5, "X")  # 15 cells: refused before the orientation is read
+
+
+def test_torus_components_hold_about_sixty_five_bytes_per_cell():
+    # the figure TORUS_CELL_CAP rests on: about 65 B per cell here, so at
+    # the cap a call stays near the 460 MB that CELL_CAP gives a witness's
+    # 23 B per cell, where CELL_CAP cells would take 1.3 GB
+    n = m = 300
+    tracemalloc.start()
+    try:
+        assert torus1_components(n, m, "U" * n) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * n * m
+    assert 72 * ham.TORUS_CELL_CAP < 5 * 10**8
 
 
 def test_torus_formula_against_trace():
