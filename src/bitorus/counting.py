@@ -35,7 +35,7 @@ from functools import cache
 from .errors import CapExceededError, InconsistencyError, check_int
 from .links import perm_cycles
 from .surface import check_sizes
-from .diagonals import NAIVE_CAP, diag_count_naive
+from .diagonals import diag_count_naive
 
 QuadPerm = tuple[int, int, int, int]
 
@@ -268,27 +268,6 @@ def _reduced_sizes(n: int, m: int) -> tuple[int, int, int]:
     return g, *sorted((n // g, m // g))
 
 
-def reduction_trace(n: int, m: int) -> list[tuple[int, int]]:
-    """Pairs visited from (n, m) down to a base pair, reordered ascending.
-
-    One pair per rule application, so a subtractive run of rule 1 or 4
-    lists every pair on it: this is the reference the batched walk of
-    `reduction_base` is tested against.  Such a run lists up to
-    (n + m) / 4 pairs, so CapExceededError past n + m = NAIVE_CAP.
-    """
-    g, a, b = _reduced_sizes(n, m)
-    if g * (a + b) > NAIVE_CAP:
-        raise CapExceededError(f"grid ({n},{m}) has n + m > {NAIVE_CAP}; the trace lists every pair "
-                               f"of a rule run and is capped there -- use reduction_base")
-    trail = [(a, b)]
-    while (found := _rule(*trail[-1])) is not None:
-        rule, (a, b), (c, d) = found[0], trail[-1], sorted(found[1])
-        if c < 1 or c + d >= a + b:
-            raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}), not a smaller positive pair")
-        trail.append((c, d))
-    return trail
-
-
 def _base_pair(a: int, b: int) -> tuple[int, int]:
     """Base pair of a coprime a <= b by whole rule runs, each of which must end positive and lower a + b."""
     while (found := _rule(a, b)) is not None:
@@ -304,8 +283,8 @@ def _base_pair(a: int, b: int) -> tuple[int, int]:
 def reduction_base(n: int, m: int) -> tuple[int, int]:
     """The base pair that (n, m) reduces to, in at most log2(n + m) + 2 rule runs.
 
-    Equals reduction_trace(n, m)[-1], but each run of rule 1 or 4 is
-    applied at once with a quotient mod 4 or 3.
+    Each run of rule 1 or 4 is applied at once with a quotient mod 4 or 3;
+    the tests check it against a trace that applies one rule at a time.
     """
     return _base_pair(*_reduced_sizes(n, m)[1:])
 
@@ -491,22 +470,16 @@ def canonicalize(ts: str) -> str:
     return state
 
 
-def tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
-    """The tree address of an even-odd pair as (character, run length).
+def _tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
+    """The tree address of a reduced even-odd pair m > n as (character, run length).
 
     Runs come outermost first, so joining ch * k gives `tree_string`.
     A gamma-step keeps d = m - n and lowers both sides by d, so its run
     from (m, n) has (n - 1) // d steps; a lambda-step lowers m by 2n, so
     its run has (m - 3n) // (2n) + 1 steps.  Neither run can step past
     the root (2, 1), and a delta-step is Euclid-like, so there are
-    O(log m) runs.  The pair is checked when this is called, before
-    the first run is read.
+    O(log m) runs.  The pair is not checked: callers reduce it first.
     """
-    return _tree_runs(*_check_tree_pair(m, n))
-
-
-def _tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
-    """`tree_runs` without the pair check, for callers that reduced the pair."""
     while (m, n) != (2, 1):
         d = m - n
         if n > d:
@@ -525,7 +498,7 @@ def _tree_runs(m: int, n: int) -> Iterator[tuple[str, int]]:
 def diag_count_tree(n: int, m: int) -> int:
     """Diagonal count via the canonicalised tree address.
 
-    At most log2(n + m) + 1 runs of `tree_runs`, each taken with one
+    At most log2(n + m) + 1 runs of `_tree_runs`, each taken with one
     divmod, root-first from map id 0; each run moves the id through a
     precomputed power of its character's child map in `TREE_MAPS`.
     """

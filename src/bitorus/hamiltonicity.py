@@ -30,8 +30,7 @@ cover 4nm cells; numpy writes the cells only when `HamWitness.cycle` is
 read.  A cycle is an array of flat cell indices r*cols + c in cycle
 order, and divmod(i, cols) gives the cell (r, c).  Past CELL_CAP cells,
 reading a cycle or asking for its batches, tracing, the height-2 rule
-and the brute sweep raise CapExceededError, and so does the one-holed
-torus's `torus1_components` past TORUS_CELL_CAP; finding a witness, the
+and the brute sweep raise CapExceededError; finding a witness, the
 square construction's included, does not.  The brute sweep, the
 reference tier, runs its own `walk_diagonals`, with no induction, and
 gathers each orientation string's per-line flags from that walk's line
@@ -41,6 +40,11 @@ by `surface.step`'s wrap rule their cycles have 4n and 4m cells.  Its
 witness is the found string's walk.  Two checks share no code with the
 walk: `validate_stretches`, by its own prefix counts and `surface.step`,
 and `validate_witness`, by the per-cell up and right tables.
+
+The ordinary one-holed torus walks nothing either: `ham_torus1` is
+Trotter and Erdős's splitting criterion, and `torus1_components` counts
+an oriented torus's cycles by its first-return law, which reads only
+the number of up diagonals, in three gcds and one lcm.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 from .diagonals import DiagonalDecomposition, decompose, diagonal_ids, walk_diagonals
 from .errors import CapExceededError, InconsistencyError, check_int
-from .links import group_link, is_knot, perm_cycles
+from .links import group_link, is_knot
 from .surface import (
     RIGHT,
     UP,
@@ -81,10 +85,6 @@ BRUTE_DIAGONAL_CAP = 24
 # constant ones, so a single diagonal costs only the run walk.  The walk that finds a
 # witness records its stretches, O(n + m) more, and builds no second table.
 CELL_CAP = 2 * 10**7
-# `torus1_components` holds about 65 B per cell (tracemalloc peak at 300 x 300 and at
-# 600 x 500), so a third of CELL_CAP keeps it near the 460 MB that CELL_CAP gives the
-# witness's 23 B per cell.
-TORUS_CELL_CAP = CELL_CAP // 3
 BATCH_CELLS = 1 << 16  # cells per `StretchPath.batches` batch, rounded to whole stretches
 
 
@@ -679,16 +679,16 @@ def ham_torus1(n: int, m: int) -> bool:
 
 
 def torus1_components(n: int, m: int, orientation: str) -> int:
-    """Cycle count of an oriented ordinary torus, one direction per diagonal.
+    """Cycle count of an oriented ordinary torus, one direction per diagonal, by its first-return law.
 
-    Torus diagonals are the residues of column minus row mod gcd(n, m).
-    CapExceededError past TORUS_CELL_CAP cells, before any array is built.
+    Torus diagonals are the residues of column minus row mod g = gcd(n, m),
+    and every move adds 1 to that residue, so each cycle crosses diagonal
+    0 and returns to it after one pass over the g diagonals, moved by
+    (-u, g - u) for the u diagonals oriented up.  The nm/g cells of
+    diagonal 0 split into orbits of that translation, each as long as its
+    order in Z_n x Z_m: three gcds and one lcm, whatever the size.
     """
     n, m = check_sizes(n, m)
-    if n * m > TORUS_CELL_CAP:
-        raise CapExceededError(f"torus ({n},{m}) has {n * m} cells; component tracing "
-                               f"capped at {TORUS_CELL_CAP} -- use ham_torus1")
     g = math.gcd(n, m)
-    r, c = np.divmod(np.arange(n * m), m)
-    up = orientation_ups(orientation, g)[(c - r) % g]
-    return perm_cycles(np.where(up, (r - 1) % n * m + c, r * m + (c + 1) % m).tolist())
+    u = int(orientation_ups(orientation, g).sum())
+    return n * m // g // math.lcm(n // math.gcd(n, u), m // math.gcd(m, g - u))

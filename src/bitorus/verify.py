@@ -333,14 +333,15 @@ def _interleavings_agree(phi: tuple, pi: tuple, n: int, m: int) -> bool:
     return lhs == rhs
 
 
-# 2^gcd orientations per grid, so this check stops at sizes <= 10.
 @_check("torus1", lambda k: _grids(k, low=2),
-        lambda k, _: f"2 <= n,m <= {k}, all orientations", cap=10)
-def _torus_formula_traced(n: int, m: int) -> bool:
-    """`ham_torus1` agrees with tracing every orientation of the ordinary torus
+        lambda k, _: f"2 <= n,m <= {k}, every u")
+def _torus_criterion_by_return_law(n: int, m: int) -> bool:
+    """`ham_torus1` agrees with the first-return law: u of the g diagonals up,
+    for some u = 0..g, gives one cycle exactly when the criterion holds
     (sizes from 2: a length-1 cycle factor degenerates into self-loops)."""
-    orientations = ("".join(omega) for omega in product("UR", repeat=math.gcd(n, m)))
-    return any(torus1_components(n, m, omega) == 1 for omega in orientations) == ham_torus1(n, m)
+    g = math.gcd(n, m)
+    one_cycle = any(torus1_components(n, m, "U" * u + "R" * (g - u)) == 1 for u in range(g + 1))
+    return one_cycle == ham_torus1(n, m)
 
 
 def _case_holds(check: Check, case: tuple) -> bool:

@@ -8,15 +8,26 @@ lines in successor order, expand them into its cells and count a
 diagonal's boundary cells from those flags.  `derive_quad_perms` is the
 calibration of the crossing permutations `counting` pins: it reads them
 off the cells that cross each quadrant's bottom and right edges.
+`torus1_trace` counts an oriented ordinary torus's cycles cell by cell,
+the reference for `hamiltonicity.torus1_components`' first-return law.
 """
 
+import math
 from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
 from bitorus.diagonals import BoundaryProfile
-from bitorus.surface import RIGHT, UP_INV, GridParams, diag_successor, step
+from bitorus.errors import CapExceededError
+from bitorus.hamiltonicity import CELL_CAP
+from bitorus.links import perm_cycles
+from bitorus.surface import RIGHT, UP_INV, GridParams, check_sizes, diag_successor, orientation_ups, step
+
+# `torus1_trace` holds about 65 B per cell (tracemalloc peak at 300 x 300 and at
+# 600 x 500), so a third of CELL_CAP keeps it near the 460 MB that CELL_CAP gives the
+# witness's 23 B per cell.
+TORUS_CELL_CAP = CELL_CAP // 3
 
 
 def grid_cells(grid):
@@ -128,3 +139,19 @@ def derive_quad_perms(grid=None):
         down.append(_uniform_image(grid, [(qrow + n - 1, qcol + j) for j in range(m)], UP_INV))
         right.append(_uniform_image(grid, [(qrow + i, qcol + m - 1) for i in range(n)], RIGHT))
     return tuple(down), tuple(right)
+
+
+def torus1_trace(n, m, orientation):
+    """Cycle count of an oriented ordinary torus, one direction per diagonal, cell by cell.
+
+    Torus diagonals are the residues of column minus row mod gcd(n, m).
+    CapExceededError past TORUS_CELL_CAP cells, before any array is built.
+    """
+    n, m = check_sizes(n, m)
+    if n * m > TORUS_CELL_CAP:
+        raise CapExceededError(f"torus ({n},{m}) has {n * m} cells; component tracing "
+                               f"capped at {TORUS_CELL_CAP} -- use ham_torus1")
+    g = math.gcd(n, m)
+    r, c = np.divmod(np.arange(n * m), m)
+    up = orientation_ups(orientation, g)[(c - r) % g]
+    return perm_cycles(np.where(up, (r - 1) % n * m + c, r * m + (c + 1) % m).tolist())

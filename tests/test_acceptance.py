@@ -201,6 +201,8 @@ PLANTED = [
     ("link-reduce", "loop_count", lambda link: link.a, 2),
     ("floor-swap", "_ceil_div", lambda a, b: a // b, 2),
     ("torus1", "ham_torus1", lambda n, m: False, 2),
+    # (2, 3) has g = 1 and no Hamiltonian cycle, so one cycle there is wrong
+    ("torus1", "torus1_components", lambda n, m, omega: 1, 3),
 ]
 
 

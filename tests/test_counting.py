@@ -25,12 +25,10 @@ from bitorus.counting import (
     perm_cycles,
     reduce_pair,
     reduction_base,
-    reduction_trace,
     run_powers,
     string_cycles,
     string_intervals,
     string_powers,
-    tree_runs,
     tree_string,
 )
 from bitorus.diagonals import NAIVE_CAP, diag_count_naive
@@ -190,6 +188,27 @@ def test_reduce_pair_examples():
     assert reduce_pair(1, 4) is None
 
 
+def reduction_trace(n, m):
+    """Pairs visited from (n, m) down to a base pair, reordered ascending.
+
+    One pair per rule application, so a subtractive run of rule 1 or 4
+    lists every pair on it: this is the reference the batched walk of
+    `reduction_base` is tested against.  Such a run lists up to
+    (n + m) / 4 pairs, so CapExceededError past n + m = NAIVE_CAP.
+    """
+    g, a, b = counting._reduced_sizes(n, m)
+    if g * (a + b) > NAIVE_CAP:
+        raise CapExceededError(f"grid ({n},{m}) has n + m > {NAIVE_CAP}; the trace lists every pair "
+                               f"of a rule run and is capped there -- use reduction_base")
+    trail = [(a, b)]
+    while (found := counting._rule(*trail[-1])) is not None:
+        rule, (a, b), (c, d) = found[0], trail[-1], sorted(found[1])
+        if c < 1 or c + d >= a + b:
+            raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}), not a smaller positive pair")
+        trail.append((c, d))
+    return trail
+
+
 def test_reduction_traces():
     assert reduction_trace(1, 9) == [(1, 9), (1, 5), (1, 1)]
     assert reduction_trace(2, 7) == [(2, 7), (1, 2)]
@@ -346,16 +365,9 @@ def test_tree_string_rejects_bad_pairs():
         tree_string(6, 3)
 
 
-def test_tree_runs_rejects_bad_pairs_when_called():
-    for m, n in ((3, 1), (2, 4), (6, 3)):
-        with pytest.raises(ValueError):
-            tree_runs(m, n)
-
-
 def test_tree_address_refuses_non_integer_pairs():
-    for address in (tree_runs, tree_string):
-        with pytest.raises(ValueError, match="must be an integer"):  # raised TypeError
-            address(4.0, 1)
+    with pytest.raises(ValueError, match="must be an integer"):  # raised TypeError
+        tree_string(4.0, 1)
 
 
 def test_canonicalize_examples():
@@ -401,16 +413,14 @@ def test_tree_runs_spell_the_single_step_tree_string():
         for n in range(1, m):
             if math.gcd(m, n) != 1 or (m + n) % 2 == 0:
                 continue
-            runs = list(tree_runs(m, n))
+            runs = list(counting._tree_runs(m, n))
             assert "".join(ch * k for ch, k in runs) == tree_string(m, n)
             assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]) if a != DELTA)
 
 
 def test_whole_runs_in_one_step():
-    assert list(tree_runs(10**6, 1)) == [(LAMBDA, 499_999)]
-    assert list(tree_runs(10**6 + 1, 10**6)) == [(GAMMA, 999_999)]
-    with pytest.raises(ValueError):
-        list(tree_runs(9, 3))
+    assert list(counting._tree_runs(10**6, 1)) == [(LAMBDA, 499_999)]
+    assert list(counting._tree_runs(10**6 + 1, 10**6)) == [(GAMMA, 999_999)]
 
 
 def test_tree_route_reads_at_most_log2_runs(monkeypatch):

@@ -33,7 +33,8 @@ from bitorus.hamiltonicity import (
 from bitorus.links import group_link, loop_count, orientation_link
 from bitorus.surface import GridParams, right_power, step
 from bitorus.verify import CHECKS, run_check
-from cell_reference import diagonal_cells, grid_cells, orbit_lines
+import cell_reference
+from cell_reference import diagonal_cells, grid_cells, orbit_lines, torus1_trace
 
 
 def coprime_pairs(limit):
@@ -1007,30 +1008,50 @@ def test_torus_components_validate_sizes_and_orientation(n, m, orientation, mess
         torus1_components(n, m, orientation)
 
 
+def test_torus_components_answer_at_sizes_no_trace_reaches():
+    # one pass over the g = 2 diagonals moves a cell by (-u, 2 - u): UR returns after lcm(n, m) passes
+    n, m = 10**12, 10**12 + 6
+    assert torus1_components(n, m, "UR") == 1
+    assert torus1_components(n, m, "UU") == m
+    assert torus1_components(n, m, "RR") == n
+
+
+def test_torus_components_match_the_cell_trace():
+    tori = 0
+    for n in range(1, 13):
+        for m in range(1, 13):
+            for omega in product("UR", repeat=math.gcd(n, m)):
+                omega = "".join(omega)
+                assert torus1_components(n, m, omega) == torus1_trace(n, m, omega), (n, m, omega)
+                tori += 1
+    assert tori == 8826
+
+
 def test_torus_components_refuse_past_the_cell_cap(monkeypatch):
-    monkeypatch.setattr(ham, "TORUS_CELL_CAP", 12)
-    assert torus1_components(3, 4, "U") == 4  # 12 cells, at the cap
+    # the cell trace's cap
+    monkeypatch.setattr(cell_reference, "TORUS_CELL_CAP", 12)
+    assert torus1_trace(3, 4, "U") == 4  # 12 cells, at the cap
     with pytest.raises(CapExceededError, match="ham_torus1"):
-        torus1_components(3, 5, "X")  # 15 cells: refused before the orientation is read
+        torus1_trace(3, 5, "X")  # 15 cells: refused before the orientation is read
 
 
 def test_torus_components_hold_about_sixty_five_bytes_per_cell():
-    # the figure TORUS_CELL_CAP rests on: about 65 B per cell here, so at
-    # the cap a call stays near the 460 MB that CELL_CAP gives a witness's
-    # 23 B per cell, where CELL_CAP cells would take 1.3 GB
+    # the cell trace's figure TORUS_CELL_CAP rests on: about 65 B per cell
+    # here, so at the cap a call stays near the 460 MB that CELL_CAP gives
+    # a witness's 23 B per cell, where CELL_CAP cells would take 1.3 GB
     n = m = 300
     tracemalloc.start()
     try:
-        assert torus1_components(n, m, "U" * n) == n
+        assert torus1_trace(n, m, "U" * n) == n
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 72 * n * m
-    assert 72 * ham.TORUS_CELL_CAP < 5 * 10**8
+    assert 72 * cell_reference.TORUS_CELL_CAP < 5 * 10**8
 
 
 def test_torus_formula_against_trace():
-    assert run_check("torus1", 8).ok
+    assert run_check("torus1", 59).ok  # the first-return law against the criterion, every u
 
 
 # --- misc -----------------------------------------------------------------------
