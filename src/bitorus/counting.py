@@ -280,15 +280,6 @@ def _base_pair(a: int, b: int) -> tuple[int, int]:
     return a, b
 
 
-def reduction_base(n: int, m: int) -> tuple[int, int]:
-    """The base pair that (n, m) reduces to, in at most log2(n + m) + 2 rule runs.
-
-    Each run of rule 1 or 4 is applied at once with a quotient mod 4 or 3;
-    the tests check it against a trace that applies one rule at a time.
-    """
-    return _base_pair(*_reduced_sizes(n, m)[1:])
-
-
 @cache
 def _base_counts() -> dict[tuple[int, int], int]:
     """Diagonal count of each base pair, from the direct counter."""
@@ -298,7 +289,8 @@ def _base_counts() -> dict[tuple[int, int], int]:
 def diag_count_reduction(n: int, m: int) -> int:
     """Diagonal count via the reduction system and the base pairs' direct counts.
 
-    At most log2(n + m) + 2 rule runs, as in `reduction_base`.
+    `_base_pair` takes each run of rule 1 or 4 at once, with a quotient
+    mod 4 or 3: at most log2(n + m) + 2 rule runs.
     """
     g, a, b = _reduced_sizes(n, m)
     base = _base_pair(a, b)

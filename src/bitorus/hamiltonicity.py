@@ -385,24 +385,22 @@ def expand_grouped(dec: DiagonalDecomposition, groups, up_counts) -> str:
     return "".join(chars)
 
 
-def _first_knot(groups):
+def _first_knot(grid: GridParams, groups):
     """First per-group up-counts, in lexicographic order, inducing a knot.
 
-    `groups` lists (size, profile) per profile group: by the group law
-    of `induction_groups`, (g) or (a, b) with at most (g+1)(2g+1) links,
-    so candidate i is (i,) or divmod(i, b + 1), in O(1) memory.  None
-    when no link is a knot.  All right induces (0, 0, n, n), with n
-    loops, and all up (m, m, 0, 0), with m loops; so each is tried only
-    when its side is 1, which leaves the first knot unchanged.
+    `groups` lists (size, profile) per profile group of `grid`: by the
+    group law of `induction_groups`, (g) or (a, b) with at most
+    (g+1)(2g+1) links, so candidate i is (i,) or divmod(i, b + 1), in
+    O(1) memory.  None when no link is a knot.  All right induces
+    (0, 0, n, n), with n loops, and all up (m, m, 0, 0), with m loops;
+    so each is tried only when its side is 1, which leaves the first
+    knot unchanged.
     """
-    n = m = 0
     total = 1
-    for size, prof in groups:
-        n += size * prof.cnt_c
-        m += size * prof.cnt_a
+    for size, _ in groups:
         total *= size + 1
-    start = 1 if n > 1 else 0
-    stop = total - 1 if m > 1 else total
+    start = 1 if grid.n > 1 else 0
+    stop = total - 1 if grid.m > 1 else total
     for i in range(start, stop):
         counts = divmod(i, groups[1][0] + 1) if len(groups) == 2 else (i,)
         if is_knot(group_link(groups, counts)):
@@ -420,7 +418,8 @@ def is_hamiltonian_fast(n: int, m: int) -> bool:
     law checked in `induction_groups` allows only the shapes (g), (g, g)
     and (g, 2g).
     """
-    return _first_knot(decompose(GridParams(n, m)).profile_groups) is not None
+    dec = decompose(GridParams(n, m))
+    return _first_knot(dec.grid, dec.profile_groups) is not None
 
 
 def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
@@ -433,7 +432,7 @@ def hamiltonian_witness(n: int, m: int) -> HamWitness | None:
     """
     dec = decompose(GridParams(n, m))
     groups = sorted(dec.profile_groups, key=lambda group: dec.profiles.index(group[1]))
-    counts = _first_knot(groups)
+    counts = _first_knot(dec.grid, groups)
     if counts is None:
         return None
     omega = expand_grouped(dec, groups, counts)

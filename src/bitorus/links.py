@@ -10,8 +10,7 @@ translated into the order D C B A.  `_rauzy` finds the cycles of any
 such exchange by discrete Rauzy induction with Zorich's acceleration,
 in a Euclid-like number of steps.  Its one unequal-length step serves
 both winners: when the image's last interval is the longer, it steps
-the inverse exchange, which has the same cycles.  `exchange_cycles`
-checks an exchange given by its label orders and runs that loop on it.
+the inverse exchange, which has the same cycles.
 
 `link_cycles` runs the same loop on a link, whose lengths were checked
 when it was built and whose labels are always A B C D -> D C B A.  It
@@ -85,36 +84,15 @@ def perm_cycles(p) -> int:
     return count
 
 
-def exchange_cycles(top, bot, lengths, weights) -> list[tuple[int, int]]:
-    """Cycles of a discrete interval exchange, as (multiplicity, weight) blocks.
-
-    Interval labels index `lengths` and `weights`.  `top` lists the
-    labels in domain order and `bot` in image order: the points of each
-    interval are translated, in order, onto its place in the image.  A
-    point's weight is its interval's, a cycle's weight is the sum over its
-    points, and weights may be any numbers that add, such as ints packing
-    several counters.  The blocks list every cycle once.
-
-    This checks the exchange (nonnegative lengths, the same labels in
-    both orders), drops the empty intervals and runs `_rauzy` on it.
-    """
-    lam = list(lengths)
-    if min(lam, default=0) < 0:
-        raise ValueError(f"interval lengths must be nonnegative: {lam}")
-    top = [x for x in top if lam[x]]
-    bot = [x for x in bot if lam[x]]
-    if sorted(top) != sorted(bot):
-        raise ValueError(f"domain order {top} and image order {bot} differ in labels")
-    return _rauzy(top, bot, lam, list(weights))
-
-
 def _rauzy(top, bot, lam, w) -> list[tuple[int, int]]:
-    """`exchange_cycles` on a checked exchange whose intervals are all nonempty.
+    """Cycles of the interval exchange `top` -> `bot` as (multiplicity, weight) blocks.
 
-    Consumes its four lists.  Discrete right Rauzy induction (Rauzy
-    1979): with a and b the last labels of `top` and `bot`, the
-    first-return map to the domain without its last min(len a, len b)
-    points is again an exchange.
+    `top` and `bot` order the same labels of nonempty intervals; labels
+    index the lengths `lam` and weights `w`, and a cycle's weight sums
+    its points'.  Unchecked; consumes its four lists.  Discrete right
+    Rauzy induction (Rauzy 1979): with a and b the last labels of `top`
+    and `bot`, the first-return map to the domain without its last
+    min(len a, len b) points is again an exchange.
 
     * a == b: the last len a points are fixed; emit them and drop a.
     * len a > len b: b's image moves to just after a's, len a -= len b,

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible under pytest -s or -v
 via live logging of stdout on failure) with its runtime.
 """
 
+import ast
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
+from pathlib import Path
 
 import bitorus.verify as verify
 from bitorus.census import diag_distribution, exceptional_pairs
@@ -215,3 +217,22 @@ def test_verify_checks_fail_on_a_planted_disagreement(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(name if "." in name else f"bitorus.verify.{name}", wrong)
             assert not run_check(entry, limit).ok, (entry, name)
+
+
+def test_readme_library_block_states_what_the_code_returns():
+    # each commented expression of README's `## Library` block reprs as the
+    # value its comment states, before any ": "; a list ending in ", ...]"
+    # states its first items
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace, checked = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        body = ast.parse(code).body
+        if not (comment and body and isinstance(body[0], ast.Expr)):
+            exec(code, namespace)
+            continue
+        stated, got = comment.split(": ", 1)[0], repr(eval(code, namespace))
+        assert got == stated or stated.endswith(", ...]") and got.startswith(stated[:-4]), line
+        checked.append(stated)
+    assert len(checked) == 7, checked

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -38,7 +39,7 @@ from bitorus.counting import (
     tree_map_table,
 )
 from bitorus.diagonals import NAIVE_CAP, diag_count_naive
-from bitorus.errors import CapExceededError
+from bitorus.errors import CapExceededError, InconsistencyError
 from bitorus.hamiltonicity import CELL_CAP, is_hamiltonian_fast
 from bitorus.verify import CHECKS, run_verify
 
@@ -449,6 +450,26 @@ def test_cli_verify(capsys):
     # each line ends with the check's wall time
     assert all(re.fullmatch(r"ok [\w-]+ \(.+\) \d+\.\d\d s", line) for line in out.splitlines())
     assert "table-route (coprime n < m <= 60, 31 rows)" in out
+
+
+def test_cli_verify_exits_2_when_an_entry_fails(capsys, monkeypatch):
+    name = next(iter(CHECKS))
+    monkeypatch.setitem(CHECKS, name, dataclasses.replace(CHECKS[name], holds=lambda *case: False))
+    assert cli_main(["verify", "--max", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert re.search(rf"^FAIL {name} \(", out, re.MULTILINE)
+    assert out.count("ok ") == len(CHECKS) - 1
+    assert err == "internal inconsistency detected\n"
+
+
+def test_cli_exits_2_on_an_inconsistency(capsys, monkeypatch):
+    def planted(n, m):
+        raise InconsistencyError("planted")
+
+    monkeypatch.setitem(bitorus.cli._DIAG_METHODS, "auto", planted)
+    assert cli_main(["diag", "2", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "inconsistency: planted\n"
 
 
 def test_cli_verify_limit_below_two_is_a_usage_error(capsys):

@@ -24,7 +24,6 @@ from bitorus.counting import (
     euclid_state,
     perm_cycles,
     reduce_pair,
-    reduction_base,
     run_powers,
     string_cycles,
     string_intervals,
@@ -100,6 +99,14 @@ def test_string_preconditions():
         string_intervals(2, 4)
     with pytest.raises(ValueError):
         string_powers(4, 2)
+
+
+def test_words_and_tree_strings_refuse_a_character_outside_their_alphabet():
+    with pytest.raises(ValueError, match="must be d or r, got 'x'"):
+        string_cycles("ddxr")
+    for read in (apply_tree_string, canonicalize):
+        with pytest.raises(ValueError, match=f"must be one of {TREE_CHARS}, got 'x'"):
+            read(GAMMA + "x" + LAMBDA)
 
 
 def test_string_builders_refuse_non_integer_sizes():
@@ -193,13 +200,13 @@ def reduction_trace(n, m):
 
     One pair per rule application, so a subtractive run of rule 1 or 4
     lists every pair on it: this is the reference the batched walk of
-    `reduction_base` is tested against.  Such a run lists up to
+    `diag_count_reduction` is tested against.  Such a run lists up to
     (n + m) / 4 pairs, so CapExceededError past n + m = NAIVE_CAP.
     """
     g, a, b = counting._reduced_sizes(n, m)
     if g * (a + b) > NAIVE_CAP:
         raise CapExceededError(f"grid ({n},{m}) has n + m > {NAIVE_CAP}; the trace lists every pair "
-                               f"of a rule run and is capped there -- use reduction_base")
+                               f"of a rule run and is capped there -- use diag_count_reduction")
     trail = [(a, b)]
     while (found := counting._rule(*trail[-1])) is not None:
         rule, (a, b), (c, d) = found[0], trail[-1], sorted(found[1])
@@ -207,6 +214,11 @@ def reduction_trace(n, m):
             raise InconsistencyError(f"rule {rule} took ({a}, {b}) to ({c}, {d}), not a smaller positive pair")
         trail.append((c, d))
     return trail
+
+
+def base_pair(n, m):
+    """The base pair `diag_count_reduction` reaches from (n, m) by whole rule runs."""
+    return counting._base_pair(*counting._reduced_sizes(n, m)[1:])
 
 
 def test_reduction_traces():
@@ -236,7 +248,7 @@ def test_diag_count_reduction_values():
 def test_batched_reduction_reaches_the_traced_base_pair():
     for n in range(1, 301):
         for m in range(n, 301):
-            assert reduction_base(n, m) == reduction_trace(n, m)[-1]
+            assert base_pair(n, m) == reduction_trace(n, m)[-1]
 
 
 def test_reduction_trace_lowers_the_sum_on_long_runs():
@@ -245,14 +257,14 @@ def test_reduction_trace_lowers_the_sum_on_long_runs():
     sums = [a + b for a, b in trail]
     assert all(x > y for x, y in zip(sums, sums[1:]))
     assert len(trail) > 10_000
-    assert trail[-1] == reduction_base(99999, 100000) == (3, 4)
+    assert trail[-1] == base_pair(99999, 100000) == (3, 4)
 
 
 def test_reduction_trace_refuses_past_the_naive_cap(monkeypatch):
     # (1, NAIVE_CAP) is one rule-1 run of NAIVE_CAP / 4 pairs: refused before any is listed
-    assert reduction_base(1, NAIVE_CAP) == (1, 4)
+    assert base_pair(1, NAIVE_CAP) == (1, 4)
     monkeypatch.setattr(counting, "_rule", lambda n, m: pytest.fail("a pair was reduced"))
-    with pytest.raises(CapExceededError, match="reduction_base"):
+    with pytest.raises(CapExceededError, match="diag_count_reduction"):
         reduction_trace(1, NAIVE_CAP)
 
 

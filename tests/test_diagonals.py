@@ -354,6 +354,13 @@ def test_induction_blocks_are_checked(monkeypatch):
     monkeypatch.setattr(diagonals, "link_cycles", lambda *args: blocks)
     with pytest.raises(InconsistencyError, match=r"group sizes \[1, 1, 1\]"):
         induction_groups(grid)
+    # right group sizes, wrong profiles: one off by one, and two whose packed
+    # weights reach the right packed sum through a carry out of A
+    assert pack(31, 0, 1, 1) + pack(6, 4, 2, 2) == pack(5, 5, 3, 3)
+    for blocks in ([(1, pack(5, 5, 3, 2))], [(1, pack(31, 0, 1, 1)), (1, pack(6, 4, 2, 2))]):
+        monkeypatch.setattr(diagonals, "link_cycles", lambda *args: blocks)
+        with pytest.raises(InconsistencyError, match=r"induction profiles of grid \(3,5\) sum to"):
+            induction_groups(grid)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

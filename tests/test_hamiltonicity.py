@@ -712,10 +712,11 @@ def test_first_knot_skips_no_knot_of_the_full_search():
     # the full lexicographic search, all-right and all-up candidates included
     for n in range(1, 41):
         for m in range(n, 41):
-            groups = decompose(GridParams(n, m)).profile_groups
+            grid = GridParams(n, m)
+            groups = decompose(grid).profile_groups
             full = product(*(range(size + 1) for size, _ in groups))
             want = next((c for c in full if loop_count(group_link(groups, c)) == 1), None)
-            assert ham._first_knot(groups) == want, (n, m)
+            assert ham._first_knot(grid, groups) == want, (n, m)
 
 
 def test_swapping_parallel_diagonals_preserves_components():
@@ -828,6 +829,12 @@ def test_square_witness_is_the_papers_walk():
         assert rotated.tolist() == [r * grid.cols + c for r, c in walk]
 
 
+def test_square_construction_raises_when_its_walk_is_no_cycle(monkeypatch):
+    monkeypatch.setattr(ham, "_square_orientation", lambda dec, start_row: None)
+    with pytest.raises(InconsistencyError, match=r"square walk is no diagonal-constant cycle of the \(5,5\) grid"):
+        square_construction(5)
+
+
 def test_square_orientation_ups_only_the_last_diagonal():
     for n in range(1, 61):
         assert square_construction(n).orientation == "R" * (2 * n - 1) + "U"
@@ -867,6 +874,13 @@ def test_n2_stacked_layout_calibration(monkeypatch):
     monkeypatch.setattr(ham, "_n2_stacked", rotated)
     for m in (2, 6, 7, 9):
         assert ham._n2_omega_for(m) is None
+
+
+def test_n2_rule_that_is_no_hamiltonian_cycle_fails_to_validate(monkeypatch):
+    # all right is diagonal-constant, but each cell's cycle then has 4m cells, not 8m
+    monkeypatch.setitem(ham._N2_RIGHT_RULES, 0, lambda d: True)
+    with pytest.raises(InconsistencyError, match="height-2 rule failed to validate at width 8"):
+        n2_orientation(8)
 
 
 def test_n2_rejects_residues_three_and_five():
@@ -1067,6 +1081,12 @@ def test_orientation_k_refuses_sizes_that_are_not_coprime(n, m, omega):
         orientation_k(decompose(GridParams(n, m)), omega)
 
 
+def test_orientation_k_raises_on_an_up_cell_count_that_is_no_multiple_of_mn(monkeypatch):
+    monkeypatch.setattr(ham, "up_cell_count", lambda dec, omega: 3 * 5 + 1)
+    with pytest.raises(InconsistencyError, match=r"up-cell count 16 of grid \(3,5\) is not a multiple of mn"):
+        orientation_k(decompose(GridParams(3, 5)), "RU")
+
+
 def test_up_cell_count_sums_runs_without_expanding_cells():
     for n, m in coprime_pairs(8):
         dec = decompose(GridParams(n, m))
@@ -1199,6 +1219,23 @@ def test_stretch_validator_rejects_planted_faults(n, m):
     ups[path.first[i] + 1:] += 1  # up counts that misplace cells
     _rejected_by_both(grid, HamWitness(witness.orientation, path=ham.StretchPath(
         grid, ups, path.first, path.length, path.shift)), "up counts")
+
+
+def test_stretch_validator_wants_each_stretch_inside_the_line_table():
+    # the lengths still sum to 4nm: an empty stretch whose cells the next one
+    # takes, and a stretch moved to start on the last line
+    grid = GridParams(3, 7)
+    witness = hamiltonian_witness(3, 7)
+    path = witness.path
+    lines = grid.rows + grid.cols - 1
+    assert len(path.first) > 2 and path.length[1] > 1
+    length, first = path.length.copy(), path.first.copy()
+    length[[0, 1]] = 0, length[0] + length[1]
+    first[1] = lines - 1
+    with pytest.raises(InconsistencyError, match="stretch 0 covers lines"):
+        ham.validate_stretches(grid, _planted(witness, length=length))
+    with pytest.raises(InconsistencyError, match=f"stretch 1 covers lines {lines - 1}\\.\\."):
+        ham.validate_stretches(grid, _planted(witness, first=first))
 
 
 def test_stretch_validator_rejects_a_cycle_walked_twice():
